@@ -20,18 +20,15 @@ use std::path::PathBuf;
 
 use gps_core::GpsConfig;
 use gps_harness::{
-    run_key_default_machine, run_units, RunRecord, RunStatus, RunUnit, SweepOptions,
+    baseline, geomean, measure, measure_with_policy, parallel_map, run_key_default_machine,
+    run_units, steady_cycles_per_iteration, steady_traffic_per_iteration, Measurement, RunRecord,
+    RunSpec, RunStatus, RunUnit, SweepOptions,
 };
 use gps_interconnect::{LinkGen, PLATFORMS};
 use gps_paradigms::{GpsPolicy, Paradigm};
 use gps_sim::{GpuConfig, MemoryPressure};
 use gps_types::PageSize;
 use gps_workloads::{suite, ScaleProfile};
-
-use crate::runner::{
-    baseline, geomean, measure, measure_with_policy, parallel_map, steady_traffic_per_iteration,
-    Measurement, RunSpec,
-};
 
 /// One reproduced figure: a label per series column and one row per
 /// application (or sweep point).
@@ -844,10 +841,7 @@ pub fn topology_comparison(scale: ScaleProfile) -> Figure {
                         gps_sim::Engine::new(config, LinkGen::NvLink1, &workload, &mut policy)
                             .expect("consistent build")
                             .run();
-                    crate::runner::steady_cycles_per_iteration(
-                        &report,
-                        workload.phases_per_iteration,
-                    )
+                    steady_cycles_per_iteration(&report, workload.phases_per_iteration)
                 }
             })
         })
@@ -989,10 +983,7 @@ pub fn page_size_sensitivity(scale: ScaleProfile) -> Figure {
                     let report =
                         gps_paradigms::run_paradigm(Paradigm::Gps, &workload, 4, LinkGen::Pcie3)
                             .expect("workload/machine mismatch");
-                    crate::runner::steady_cycles_per_iteration(
-                        &report,
-                        workload.phases_per_iteration,
-                    )
+                    steady_cycles_per_iteration(&report, workload.phases_per_iteration)
                 }
             })
         })

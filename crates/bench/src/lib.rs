@@ -1,9 +1,9 @@
 //! Figure/table reproduction harness for the GPS evaluation (§7).
 //!
-//! [`runner`] re-exports the measurement machinery from `gps-harness`
-//! (steady-state timing, speedup-vs-one-GPU, parallel sweeps over
-//! applications and paradigms); [`figures`] renders each table and figure
-//! of the paper as text, in the same rows/series the paper reports. The
+//! [`figures`] renders each table and figure of the paper as text, in the
+//! same rows/series the paper reports, on top of the measurement machinery
+//! in `gps-harness` (steady-state timing, speedup-vs-one-GPU, parallel
+//! sweeps over applications and paradigms). The
 //! `figures` binary dispatches on a figure id (`fig1`, `fig8`, ...,
 //! `table1`, `tlb`, `pagesize`, `all`); with `--store <path>` the
 //! default-machine figures resume from a `gps-harness` result store
@@ -13,7 +13,5 @@
 #![warn(missing_docs)]
 
 pub mod figures;
-pub mod runner;
 
 pub use figures::FigureCtx;
-pub use runner::{measure, steady_cycles_per_iteration, Measurement, RunSpec};

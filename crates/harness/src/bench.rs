@@ -1,30 +1,22 @@
-//! `gps-run bench` — the streaming-pipeline and engine micro-suite.
+//! `gps-run bench` — the streaming-replay and engine micro-suite.
 //!
-//! A fixed set of benchmark cases that quantify what the streaming warp
-//! pipeline buys over the materialised baseline, at three scales:
+//! A fixed set of benchmark cases at several scales:
 //!
 //! * **trace-replay cases** — a replay-bound micro workload (many short
-//!   warps, single-line accesses) is recorded once, then simulated three
+//!   warps, single-line accesses) is recorded once, then simulated two
 //!   ways: `Trace::replay_materialised` (the pre-streaming behaviour: one
-//!   `Vec<WarpInstr>` per warp, cloned at every spawn),
-//!   [`Trace::replay`] (zero-copy cursors over the shared trace bytes),
-//!   and `replay` with the overlapped expansion pipeline enabled. All
-//!   three must produce bit-identical [`SimReport`]s — the bench *fails*
+//!   `Vec<WarpInstr>` per warp, cloned at every spawn) and
+//!   [`Trace::replay`] (zero-copy cursors over the shared trace bytes).
+//!   Both must produce bit-identical [`SimReport`]s — the bench *fails*
 //!   if they diverge.
-//! * **synthetic cases** — a suite application run from its generator
-//!   closures; with a non-zero `--pipeline-depth` a second leg measures
-//!   what overlapped expansion contributes when warp programs are
-//!   computed, not decoded. (The measured answer: nothing — it loses at
-//!   every scale — which is why the default depth is now 0 and the
-//!   pipelined legs are opt-in.)
 //! * **engine cases** — a suite application simulated three ways on the
-//!   case's fabric topology: the classic sequential event loop
-//!   (`parallel_workers = 0`), the lane engine on the simulation thread
-//!   (`parallel_workers = 1`), and the lane engine on a real worker pool
+//!   case's fabric topology: the reference lane that owns every GPU
+//!   (`parallel_workers = 0`), per-GPU lanes on the simulation thread
+//!   (`parallel_workers = 1`), and per-GPU lanes on a real worker pool
 //!   (`parallel_workers = N`). All legs must produce bit-identical
-//!   [`SimReport`]s; the interesting numbers are `speedup_parallel` (event
-//!   lanes + lane-local run-ahead) and `speedup_multiworker` (what the
-//!   thread pool adds on top), measured up to 64-GPU superpod scale.
+//!   [`SimReport`]s; the interesting numbers are `speedup_parallel`
+//!   (per-GPU lanes) and `speedup_multiworker` (what the thread pool adds
+//!   on top), measured up to 64-GPU superpod scale.
 //!
 //! Results are written to `BENCH_sim.json` (wall-clock milliseconds and
 //! peak RSS per leg). The schema is versioned and checked by CI; the
@@ -56,16 +48,11 @@ use gps_workloads::{suite, ScaleProfile};
 /// v4: engine cases grew a `parallel_pool` leg (the lane engine on a real
 /// worker pool) and a `speedup_multiworker`, every case carries its fabric
 /// `topology`, and the full suite scales to 32/64-GPU superpod cases.
-pub const BENCH_SCHEMA_VERSION: u64 = 4;
-
-/// Pipeline depth used for the pipelined legs when the caller does not
-/// override it. `0` — no overlapped expansion — after the measured suite
-/// showed the depth-4 pipelined legs losing to plain streaming on every
-/// case (producer-thread handoff costs more than it overlaps at these
-/// trace sizes). At depth 0 the pipelined legs are dropped entirely: they
-/// would duplicate the sequential legs instruction for instruction. Pass
-/// `--pipeline-depth N` to bring them back.
-pub const DEFAULT_BENCH_DEPTH: usize = 0;
+///
+/// v5: the overlapped-expansion pipeline is gone, and with it the
+/// top-level and per-leg depth fields, the pipelined legs and the
+/// generator-only `synthetic` cases.
+pub const BENCH_SCHEMA_VERSION: u64 = 5;
 
 /// Options for [`run_bench`].
 #[derive(Debug, Clone)]
@@ -73,8 +60,6 @@ pub struct BenchOptions {
     /// Run the reduced suite (small cases only, one repetition) — used by
     /// the CI schema smoke test.
     pub quick: bool,
-    /// Pipeline depth for the pipelined legs.
-    pub pipeline_depth: usize,
     /// Where to write the JSON report.
     pub out: PathBuf,
 }
@@ -83,7 +68,6 @@ impl Default for BenchOptions {
     fn default() -> Self {
         Self {
             quick: false,
-            pipeline_depth: DEFAULT_BENCH_DEPTH,
             out: PathBuf::from("BENCH_sim.json"),
         }
     }
@@ -94,10 +78,8 @@ impl Default for BenchOptions {
 pub struct BenchLeg {
     /// Leg label (`materialised`, `streaming`, `sequential`, `parallel`, ...).
     pub mode: &'static str,
-    /// Pipeline depth the leg ran at.
-    pub depth: usize,
-    /// Parallel lane-engine workers the leg ran with (`0` = the classic
-    /// sequential event loop; engine cases only, `0` elsewhere).
+    /// Lane-engine workers the leg ran with (`0` = the reference lane;
+    /// engine cases only, `0` elsewhere).
     pub workers: usize,
     /// Best-of-reps wall-clock milliseconds.
     pub wall_ms: f64,
@@ -114,7 +96,7 @@ pub struct BenchLeg {
 pub struct BenchCase {
     /// Case name (`replay_paper_4gpu`, ...).
     pub name: String,
-    /// `trace_replay`, `synthetic` or `engine`.
+    /// `trace_replay` or `engine`.
     pub kind: &'static str,
     /// GPU count.
     pub gpus: usize,
@@ -124,7 +106,7 @@ pub struct BenchCase {
     pub topology: String,
     /// Total warps simulated.
     pub total_warps: u64,
-    /// Serialised trace size (0 for synthetic cases).
+    /// Serialised trace size (0 for engine cases).
     pub trace_bytes: u64,
     /// Repetitions per leg (wall time is the minimum).
     pub reps: u32,
@@ -145,20 +127,14 @@ impl BenchCase {
         Some(self.leg_wall("materialised")? / self.leg_wall("streaming")?)
     }
 
-    /// Wall-clock speedup of the pipelined streaming leg over the
-    /// materialised one (trace-replay cases only).
-    pub fn speedup_pipelined(&self) -> Option<f64> {
-        Some(self.leg_wall("materialised")? / self.leg_wall("streaming_pipelined")?)
-    }
-
-    /// Wall-clock speedup of the parallel lane-engine leg over the
-    /// sequential event loop (engine cases only).
+    /// Wall-clock speedup of the per-GPU-lane leg over the reference lane
+    /// (engine cases only).
     pub fn speedup_parallel(&self) -> Option<f64> {
         Some(self.leg_wall("sequential")? / self.leg_wall("parallel")?)
     }
 
-    /// Wall-clock speedup of the worker-pool lane-engine leg over the
-    /// sequential event loop (engine cases only).
+    /// Wall-clock speedup of the worker-pool leg over the reference lane
+    /// (engine cases only).
     pub fn speedup_multiworker(&self) -> Option<f64> {
         Some(self.leg_wall("sequential")? / self.leg_wall("parallel_pool")?)
     }
@@ -169,8 +145,6 @@ impl BenchCase {
 pub struct BenchReport {
     /// Whether the reduced suite ran.
     pub quick: bool,
-    /// Depth of the pipelined legs.
-    pub pipeline_depth: usize,
     /// Whether `/proc/self/clear_refs` accepted a peak-RSS reset (when it
     /// does not, `VmHWM` is monotone across legs and only the first leg's
     /// reading is a true per-leg peak).
@@ -192,7 +166,6 @@ impl BenchReport {
                     .map(|l| {
                         Json::Obj(vec![
                             ("mode".into(), Json::Str(l.mode.into())),
-                            ("depth".into(), Json::Num(l.depth as f64)),
                             ("workers".into(), Json::Num(l.workers as f64)),
                             ("wall_ms".into(), Json::Num(l.wall_ms)),
                             (
@@ -217,9 +190,6 @@ impl BenchReport {
                 if let Some(s) = c.speedup_streaming() {
                     fields.push(("speedup_streaming".into(), Json::Num(round3(s))));
                 }
-                if let Some(s) = c.speedup_pipelined() {
-                    fields.push(("speedup_pipelined".into(), Json::Num(round3(s))));
-                }
                 if let Some(s) = c.speedup_parallel() {
                     fields.push(("speedup_parallel".into(), Json::Num(round3(s))));
                 }
@@ -236,13 +206,9 @@ impl BenchReport {
             ),
             (
                 "bench".into(),
-                Json::Str("gps streaming-pipeline & engine micro-suite".into()),
+                Json::Str("gps streaming-replay & engine micro-suite".into()),
             ),
             ("quick".into(), Json::Bool(self.quick)),
-            (
-                "pipeline_depth".into(),
-                Json::Num(self.pipeline_depth as f64),
-            ),
             (
                 "rss_reset_supported".into(),
                 Json::Bool(self.rss_reset_supported),
@@ -278,7 +244,7 @@ fn try_reset_peak_rss() -> bool {
 /// a shared array. Millions of one-instruction warps put the per-warp
 /// fixed costs (decode, allocation, copy at every spawn) in the
 /// numerator: the case measures trace expansion, not the memory system,
-/// which is precisely what the streaming pipeline optimises.
+/// which is precisely what streaming replay optimises.
 fn replay_micro(gpus: usize, ctas_per_gpu: u32, warps_per_cta: u32) -> Workload {
     // Each GPU cycles through a window that fits its L1/L2, so almost
     // every access hits and the per-instruction simulation cost stays
@@ -313,10 +279,10 @@ fn replay_micro(gpus: usize, ctas_per_gpu: u32, warps_per_cta: u32) -> Workload 
     b.build(1).expect("micro workload validates")
 }
 
-/// Simulates `workload` under the all-local policy at the given pipeline
-/// depth (the bench isolates trace expansion from paradigm behaviour).
-fn simulate(workload: &Workload, depth: usize) -> SimReport {
-    let mut config = SimConfig::gv100_system(workload.gpu_count).with_stream_pipeline_depth(depth);
+/// Simulates `workload` under the all-local policy (the bench isolates
+/// trace expansion from paradigm behaviour).
+fn simulate(workload: &Workload) -> SimReport {
+    let mut config = SimConfig::gv100_system(workload.gpu_count);
     config.page_size = workload.page_size;
     let mut policy = AllLocalPolicy::new();
     Engine::new(config, LinkGen::Pcie3, workload, &mut policy)
@@ -326,8 +292,8 @@ fn simulate(workload: &Workload, depth: usize) -> SimReport {
 }
 
 /// Simulates `workload` under the all-local policy on `topology` with the
-/// given number of parallel lane-engine workers (`0` = classic sequential
-/// event loop). Engine cases run over NVLink so the conservative epoch
+/// given number of lane-engine workers (`0` = the reference lane). Engine
+/// cases run over NVLink so the conservative epoch
 /// window matches the fabric the paper configurations use.
 fn simulate_engine(workload: &Workload, workers: usize, topology: Topology) -> SimReport {
     let mut config = SimConfig::gv100_system(workload.gpu_count).with_parallel_workers(workers);
@@ -341,11 +307,10 @@ fn simulate_engine(workload: &Workload, workers: usize, topology: Topology) -> S
 }
 
 /// One leg description: how to rebuild the workload and how to simulate
-/// it — at a pipeline depth (`workers: None`) or on the lane engine with
-/// the given worker count (`workers: Some(n)`) over `topology`.
+/// it — with the default machine (`workers: None`) or with the given
+/// lane-engine worker count (`workers: Some(n)`) over `topology`.
 struct LegSpec<'a> {
     mode: &'static str,
-    depth: usize,
     workers: Option<usize>,
     topology: Topology,
     build: Box<dyn Fn() -> Workload + 'a>,
@@ -377,7 +342,7 @@ fn run_legs(legs: &[LegSpec<'_>], reps: u32) -> (Vec<BenchLeg>, Vec<SimReport>) 
             let wl = (leg.build)();
             let r = match leg.workers {
                 Some(workers) => simulate_engine(&wl, workers, leg.topology),
-                None => simulate(&wl, leg.depth),
+                None => simulate(&wl),
             };
             drop(wl);
             let wall = start.elapsed().as_secs_f64() * 1e3;
@@ -398,7 +363,6 @@ fn run_legs(legs: &[LegSpec<'_>], reps: u32) -> (Vec<BenchLeg>, Vec<SimReport>) 
         let report = state.report.expect("at least one round ran");
         bench_legs.push(BenchLeg {
             mode: leg.mode,
-            depth: leg.depth,
             workers: leg.workers.unwrap_or(0),
             wall_ms: state.wall_ms,
             peak_rss_kb: state.rss_kb,
@@ -423,7 +387,6 @@ fn trace_replay_case(
     ctas_per_gpu: u32,
     warps_per_cta: u32,
     reps: u32,
-    depth: usize,
     log: bool,
 ) -> BenchCase {
     let workload = replay_micro(gpus, ctas_per_gpu, warps_per_cta);
@@ -435,41 +398,29 @@ fn trace_replay_case(
         println!("[bench] {name}: {total_warps} warps, {trace_bytes} trace bytes");
     }
 
-    // Streaming legs come first in each round: without a peak-RSS reset
-    // `VmHWM` is monotone, and this order keeps the streaming numbers
-    // untainted by the materialised leg's larger footprint. A depth-0
-    // pipelined leg would replay the exact instruction stream of the
-    // streaming leg, so it only exists when a depth was requested.
-    let mut legs = vec![LegSpec {
-        mode: "streaming",
-        depth: 0,
-        workers: None,
-        topology: Topology::Switch,
-        // gps-lint: allow(no_expect) -- trace was recorded in-process two lines up
-        build: Box::new(|| trace.replay("bench").expect("recorded trace replays")),
-    }];
-    if depth > 0 {
-        legs.push(LegSpec {
-            mode: "streaming_pipelined",
-            depth,
+    // The streaming leg comes first in each round: without a peak-RSS
+    // reset `VmHWM` is monotone, and this order keeps the streaming
+    // numbers untainted by the materialised leg's larger footprint.
+    let legs = vec![
+        LegSpec {
+            mode: "streaming",
             workers: None,
             topology: Topology::Switch,
-            // gps-lint: allow(no_expect) -- trace was recorded in-process above
+            // gps-lint: allow(no_expect) -- trace was recorded in-process two lines up
             build: Box::new(|| trace.replay("bench").expect("recorded trace replays")),
-        });
-    }
-    legs.push(LegSpec {
-        mode: "materialised",
-        depth: 0,
-        workers: None,
-        topology: Topology::Switch,
-        build: Box::new(|| {
-            trace
-                .replay_materialised("bench")
-                // gps-lint: allow(no_expect) -- trace was recorded in-process above
-                .expect("recorded trace replays")
-        }),
-    });
+        },
+        LegSpec {
+            mode: "materialised",
+            workers: None,
+            topology: Topology::Switch,
+            build: Box::new(|| {
+                trace
+                    .replay_materialised("bench")
+                    // gps-lint: allow(no_expect) -- trace was recorded in-process above
+                    .expect("recorded trace replays")
+            }),
+        },
+    ];
     let (timed, reports) = run_legs(&legs, reps);
 
     let case = BenchCase {
@@ -484,11 +435,8 @@ fn trace_replay_case(
         reports_identical: reports_identical(&reports),
     };
     if log {
-        let pipelined = case
-            .leg_wall("streaming_pipelined")
-            .map_or(String::new(), |w| format!(", pipelined {w:.1} ms"));
         println!(
-            "[bench] {name}: streaming {:.1} ms{pipelined}, materialised {:.1} ms \
+            "[bench] {name}: streaming {:.1} ms, materialised {:.1} ms \
              (speedup {:.2}x, identical: {})",
             case.leg_wall("streaming").unwrap_or(0.0),
             case.leg_wall("materialised").unwrap_or(0.0),
@@ -497,63 +445,6 @@ fn trace_replay_case(
         );
     }
     case
-}
-
-fn synthetic_case(
-    name: &str,
-    app: &str,
-    gpus: usize,
-    scale: ScaleProfile,
-    reps: u32,
-    depth: usize,
-    log: bool,
-) -> std::io::Result<BenchCase> {
-    let entry = suite::by_name(app).ok_or_else(|| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidInput,
-            format!("bench case {name} names unknown suite application {app:?}"),
-        )
-    })?;
-    let total_warps = (entry.build)(gpus, scale).total_warps();
-    let mut legs = vec![LegSpec {
-        mode: "generator",
-        depth: 0,
-        workers: None,
-        topology: Topology::Switch,
-        build: Box::new(move || (entry.build)(gpus, scale)),
-    }];
-    if depth > 0 {
-        legs.push(LegSpec {
-            mode: "generator_pipelined",
-            depth,
-            workers: None,
-            topology: Topology::Switch,
-            build: Box::new(move || (entry.build)(gpus, scale)),
-        });
-    }
-    let (timed, reports) = run_legs(&legs, reps);
-    let case = BenchCase {
-        name: name.to_owned(),
-        kind: "synthetic",
-        gpus,
-        topology: Topology::Switch.label().to_owned(),
-        total_warps,
-        trace_bytes: 0,
-        reps,
-        legs: timed,
-        reports_identical: reports_identical(&reports),
-    };
-    if log {
-        let pipelined = case
-            .leg_wall("generator_pipelined")
-            .map_or(String::new(), |w| format!(", pipelined {w:.1} ms"));
-        println!(
-            "[bench] {name}: generator {:.1} ms{pipelined} (identical: {})",
-            case.leg_wall("generator").unwrap_or(0.0),
-            case.reports_identical,
-        );
-    }
-    Ok(case)
 }
 
 /// The shape of one engine case: which application, at what scale, on
@@ -568,10 +459,10 @@ struct EngineCaseSpec {
     reps: u32,
 }
 
-/// An engine case: the same suite application on the classic sequential
-/// event loop (`workers = 0`), on the deterministic lane engine on the
-/// simulation thread (`workers = 1`), and on the lane engine's real worker
-/// pool (`workers = pool_workers`). The legs run in interleaved rounds
+/// An engine case: the same suite application on the reference lane
+/// (`workers = 0`), on per-GPU lanes on the simulation thread
+/// (`workers = 1`), and on per-GPU lanes on a real worker pool
+/// (`workers = pool_workers`). The legs run in interleaved rounds
 /// like every other case; the bench fails if their reports diverge, so the
 /// published speedups are always speedups over a bit-identical result.
 fn engine_case(spec: EngineCaseSpec, log: bool) -> std::io::Result<BenchCase> {
@@ -596,21 +487,18 @@ fn engine_case(spec: EngineCaseSpec, log: bool) -> std::io::Result<BenchCase> {
     let legs = vec![
         LegSpec {
             mode: "sequential",
-            depth: 0,
             workers: Some(0),
             topology,
             build: Box::new(move || (entry.build)(gpus, scale)),
         },
         LegSpec {
             mode: "parallel",
-            depth: 0,
             workers: Some(1),
             topology,
             build: Box::new(move || (entry.build)(gpus, scale)),
         },
         LegSpec {
             mode: "parallel_pool",
-            depth: 0,
             workers: Some(pool_workers.max(2)),
             topology,
             build: Box::new(move || (entry.build)(gpus, scale)),
@@ -660,31 +548,11 @@ pub fn run_bench(opts: &BenchOptions) -> std::io::Result<BenchReport> {
 ///
 /// Same contract as [`run_bench`].
 pub fn run_bench_logged(opts: &BenchOptions, log: bool) -> std::io::Result<BenchReport> {
-    // Depth 0 — the default — drops the pipelined legs: at depth 0 they
-    // would be byte-for-byte re-runs of the sequential legs.
-    let depth = opts.pipeline_depth;
     let rss_reset_supported = try_reset_peak_rss();
 
     let mut cases = Vec::new();
     if opts.quick {
-        cases.push(trace_replay_case(
-            "replay_small_1gpu",
-            1,
-            512,
-            2,
-            1,
-            depth,
-            log,
-        ));
-        cases.push(synthetic_case(
-            "synthetic_jacobi_2gpu",
-            "jacobi",
-            2,
-            ScaleProfile::Tiny,
-            1,
-            depth,
-            log,
-        )?);
+        cases.push(trace_replay_case("replay_small_1gpu", 1, 512, 2, 1, log));
         cases.push(engine_case(
             EngineCaseSpec {
                 name: "engine_jacobi_tiny_2gpu",
@@ -698,42 +566,9 @@ pub fn run_bench_logged(opts: &BenchOptions, log: bool) -> std::io::Result<Bench
             log,
         )?);
     } else {
-        cases.push(trace_replay_case(
-            "replay_small_1gpu",
-            1,
-            512,
-            2,
-            3,
-            depth,
-            log,
-        ));
-        cases.push(trace_replay_case(
-            "replay_medium_2gpu",
-            2,
-            4096,
-            4,
-            2,
-            depth,
-            log,
-        ));
-        cases.push(trace_replay_case(
-            "replay_paper_4gpu",
-            4,
-            32768,
-            8,
-            3,
-            depth,
-            log,
-        ));
-        cases.push(synthetic_case(
-            "synthetic_jacobi_4gpu",
-            "jacobi",
-            4,
-            ScaleProfile::Small,
-            1,
-            depth,
-            log,
-        )?);
+        cases.push(trace_replay_case("replay_small_1gpu", 1, 512, 2, 3, log));
+        cases.push(trace_replay_case("replay_medium_2gpu", 2, 4096, 4, 2, log));
+        cases.push(trace_replay_case("replay_paper_4gpu", 4, 32768, 8, 3, log));
         // The engine cases back the parallel-engine acceptance claim: the
         // worker pool has to win at >= 16-GPU scale, and keep winning on
         // both superpod fabrics (32-GPU NVSwitch, 64-GPU PCIe tree).
@@ -799,7 +634,6 @@ pub fn run_bench_logged(opts: &BenchOptions, log: bool) -> std::io::Result<Bench
 
     let report = BenchReport {
         quick: opts.quick,
-        pipeline_depth: depth,
         rss_reset_supported,
         cases,
     };
@@ -828,7 +662,7 @@ mod tests {
         let wl = replay_micro(2, 8, 2);
         assert_eq!(wl.gpu_count, 2);
         assert_eq!(wl.total_warps(), 32);
-        let r = simulate(&wl, 0);
+        let r = simulate(&wl);
         assert_eq!(r.gpu_count, 2);
         assert!(r.total_cycles.as_u64() > 0);
     }
@@ -840,27 +674,16 @@ mod tests {
         let out = dir.join("BENCH_sim.json");
         let opts = BenchOptions {
             quick: true,
-            pipeline_depth: DEFAULT_BENCH_DEPTH,
             out: out.clone(),
         };
         let report = run_bench_logged(&opts, false).expect("quick bench runs");
         assert!(report.cases.iter().all(|c| c.reports_identical));
-        assert_eq!(report.pipeline_depth, 0);
-        assert!(
-            report
-                .cases
-                .iter()
-                .flat_map(|c| &c.legs)
-                .all(|l| l.depth == 0 && !l.mode.ends_with("pipelined")),
-            "depth 0 must drop the pipelined legs, not duplicate the sequential ones"
-        );
 
         let doc = Json::parse(&std::fs::read_to_string(&out).unwrap()).expect("valid json");
         assert_eq!(
             doc.get("schema_version").and_then(Json::as_u64),
             Some(BENCH_SCHEMA_VERSION)
         );
-        assert_eq!(doc.get("pipeline_depth").and_then(Json::as_u64), Some(0));
         let cases = doc.get("cases").and_then(Json::as_arr).expect("cases");
         assert!(!cases.is_empty());
         for case in cases {
@@ -875,14 +698,7 @@ mod tests {
                 assert!(case.get(key).is_some(), "case missing {key}");
             }
             for leg in case.get("legs").and_then(Json::as_arr).unwrap() {
-                for key in [
-                    "mode",
-                    "depth",
-                    "workers",
-                    "wall_ms",
-                    "peak_rss_kb",
-                    "total_cycles",
-                ] {
+                for key in ["mode", "workers", "wall_ms", "peak_rss_kb", "total_cycles"] {
                     assert!(leg.get(key).is_some(), "leg missing {key}");
                 }
             }
@@ -919,25 +735,13 @@ mod tests {
     }
 
     #[test]
-    fn requested_depth_restores_the_pipelined_legs() {
-        let case = trace_replay_case("t", 1, 8, 2, 1, 2, false);
-        assert!(case
-            .legs
-            .iter()
-            .any(|l| l.mode == "streaming_pipelined" && l.depth == 2));
-        assert!(case.speedup_pipelined().is_some());
-        assert!(case.reports_identical);
-    }
-
-    #[test]
     fn missing_peak_rss_serialises_as_null_not_zero() {
         let report = BenchReport {
             quick: true,
-            pipeline_depth: 0,
             rss_reset_supported: false,
             cases: vec![BenchCase {
                 name: "c".into(),
-                kind: "synthetic",
+                kind: "trace_replay",
                 gpus: 1,
                 topology: "switch".into(),
                 total_warps: 1,
@@ -945,16 +749,14 @@ mod tests {
                 reps: 1,
                 legs: vec![
                     BenchLeg {
-                        mode: "generator",
-                        depth: 0,
+                        mode: "streaming",
                         workers: 0,
                         wall_ms: 1.0,
                         peak_rss_kb: None,
                         total_cycles: 1,
                     },
                     BenchLeg {
-                        mode: "generator_pipelined",
-                        depth: 0,
+                        mode: "materialised",
                         workers: 0,
                         wall_ms: 1.0,
                         peak_rss_kb: Some(4096),
@@ -973,8 +775,8 @@ mod tests {
     #[test]
     fn identical_report_check_spots_divergence() {
         let wl = replay_micro(1, 4, 2);
-        let a = simulate(&wl, 0);
-        let mut b = simulate(&wl, 0);
+        let a = simulate(&wl);
+        let mut b = simulate(&wl);
         assert!(reports_identical(&[a.clone(), b.clone()]));
         b.interconnect_bytes += 1;
         assert!(!reports_identical(&[a, b]));

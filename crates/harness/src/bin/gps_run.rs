@@ -6,7 +6,7 @@
 //! gps-run serve    [flags]     multi-tenant serving simulation (QPS + tail latency)
 //! gps-run report   [flags]     print the result store as a table or CSV
 //! gps-run timeline <run-key>   reconstruct a run's cycle-resolved Chrome trace
-//! gps-run bench    [flags]     run the streaming-pipeline & engine micro-suite
+//! gps-run bench    [flags]     run the streaming-replay & engine micro-suite
 //! gps-run gc       [flags]     compact the store to the latest record per key
 //! gps-run lint     [flags]     run the determinism & panic-hygiene analyzer
 //! ```
@@ -54,8 +54,6 @@ SWEEP / RESUME FLAGS:
     --quiet               suppress per-run progress output
     --telemetry <dir>     record cycle-resolved telemetry per executed run and
                           write <key>.trace.json + <key>.phases.txt into <dir>
-    --pipeline-depth <n>  overlapped trace-expansion depth (CTAs buffered per
-                          kernel); wall-clock only, results are bit-identical
     --oversubscribe <r,..>
                           memory-pressure ratios (subscription demand over
                           per-GPU capacity, e.g. 1.5); each ratio is one sweep
@@ -65,9 +63,10 @@ SWEEP / RESUME FLAGS:
     --topologies <t,..|all>
                           fabric topologies (switch|ring|nvswitch|pcietree),
                           default switch; each topology is one sweep point
-    --parallel <n>        run every unit on the parallel lane engine with n
-                          workers (n >= 1; omit the flag for the sequential
-                          engine, the default); worker counts beyond 1 change
+    --parallel <n>        run every unit on per-GPU lanes with n workers
+                          where the paradigm allows it (n >= 1; omit the
+                          flag for the reference lane that owns every GPU,
+                          the default); worker counts beyond 1 change
                           wall-clock only, results and run keys are
                           worker-invariant
 
@@ -109,16 +108,12 @@ TIMELINE (gps-run timeline <run-key> [flags]):
     --out <dir>           output directory, default results/telemetry
 
 BENCH FLAGS:
-    runs the fixed streaming-pipeline & engine micro-suite (trace replay
-    materialised vs streaming vs pipelined, a synthetic generator case, and
-    sequential vs parallel vs worker-pool lane-engine cases from 4-GPU
-    paper scale up to 32/64-GPU superpod fabrics) and writes wall-clock +
-    peak-RSS results as JSON
+    runs the fixed streaming-replay & engine micro-suite (trace replay
+    materialised vs streaming, and reference-lane vs per-GPU-lane vs
+    worker-pool engine cases from 4-GPU paper scale up to 32/64-GPU
+    superpod fabrics) and writes wall-clock + peak-RSS results as JSON
     --out <path>          output file, default BENCH_sim.json
     --quick               reduced suite (small cases, 1 rep) for CI smoke
-    --pipeline-depth <n>  depth for the pipelined legs; default 0, which
-                          drops them (measurement showed overlapped
-                          expansion losing to plain streaming everywhere)
 
 GC FLAGS:
     --store <path>        store to compact (latest record per key, sorted)
@@ -364,11 +359,6 @@ fn parse_args(args: &[String], is_resume: bool) -> Result<ParsedArgs, ArgError> 
             }
             "--inject-panic" => parsed.opts.inject_panic.push(value()?.to_owned()),
             "--telemetry" => parsed.opts.telemetry_dir = Some(PathBuf::from(value()?)),
-            "--pipeline-depth" => {
-                parsed.opts.pipeline_depth = value()?
-                    .parse()
-                    .map_err(|e| invalid(format!("--pipeline-depth: {e}")))?;
-            }
             "--oversubscribe" => {
                 ratios = split_list(value()?)
                     .map(|s| {
@@ -757,24 +747,13 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
         match arg.as_str() {
             "--out" => opts.out = PathBuf::from(value()?),
             "--quick" => opts.quick = true,
-            "--pipeline-depth" => {
-                opts.pipeline_depth = value()?
-                    .parse()
-                    .map_err(|e| format!("--pipeline-depth: {e}"))?;
-            }
             other => return Err(format!("unknown flag {other}")),
         }
     }
     let report = gps_harness::run_bench(&opts).map_err(|e| format!("bench failed: {e}"))?;
     for case in &report.cases {
         if let Some(s) = case.speedup_streaming() {
-            let pipelined = case
-                .speedup_pipelined()
-                .map_or(String::new(), |p| format!(", pipelined {p:.2}x"));
-            println!(
-                "{:<22} streaming {s:.2}x{pipelined} over materialised",
-                case.name
-            );
+            println!("{:<22} streaming {s:.2}x over materialised", case.name);
         }
         if let Some(s) = case.speedup_parallel() {
             let pool = case

@@ -30,7 +30,10 @@ use crate::runner::RunSpec;
 /// fabrics + the parallel lane engine), and the canonical encoding started
 /// normalising `parallel_workers` to at most 1 (worker counts beyond 1 are
 /// enforced to be result-invariant, so they must share a key).
-const KEY_VERSION: u32 = 4;
+///
+/// v5: `SimConfig` lost its trace-expansion depth field (the overlapped
+/// expansion pipeline was removed), changing the Debug rendering again.
+const KEY_VERSION: u32 = 5;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -48,15 +51,11 @@ fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
 /// labels, and the debug rendering of the machine configuration (stable
 /// for a given field set; any config change perturbs it).
 fn canonical(app: &str, spec: RunSpec, config: &SimConfig) -> String {
-    // `stream_pipeline_depth` is a host-side wall-clock knob — any depth
-    // produces a bit-identical SimReport (enforced by test) — so it is
-    // normalised out: results computed at different depths share a key.
-    // `parallel_workers` is half a knob: 0 vs ≥1 selects the engine (the
-    // writer-epoch tier legitimately deviates from the classic engine, so
+    // `parallel_workers` is half a knob: 0 vs ≥1 selects the lane shape
+    // (the epoch tiers legitimately deviate from the reference lane, so
     // the two must not share a key), but the count beyond 1 is pure
     // wall-clock (worker-invariance is enforced by test) and collapses to 1.
     let mut config = *config;
-    config.stream_pipeline_depth = 0;
     config.parallel_workers = config.parallel_workers.min(1);
     let config = &config;
     format!(
@@ -197,7 +196,7 @@ mod tests {
 
     #[test]
     fn engine_selection_perturbs_but_worker_count_does_not() {
-        // 0 → sequential engine, ≥1 → lane engine: distinct results for the
+        // 0 → reference lane, ≥1 → per-GPU lanes: distinct results for the
         // writer-epoch tier, so distinct keys. The count beyond 1 is pure
         // wall-clock and must normalise away.
         let sequential = run_key_default_machine("jacobi", spec());
@@ -252,19 +251,5 @@ mod tests {
         let mut c = gps_serve::ServeConfig::default();
         c.jobs += 8;
         assert_ne!(base, serve_key(&c));
-    }
-
-    #[test]
-    fn pipeline_depth_never_perturbs_the_key() {
-        // Depth changes host wall-clock only, never the SimReport, so runs
-        // at any depth must resolve to the same store entry.
-        let config = gps_sim::SimConfig::gv100_system(4);
-        let base = run_key("jacobi", spec(), &config);
-        for depth in [1, 4, 64] {
-            assert_eq!(
-                base,
-                run_key("jacobi", spec(), &config.with_stream_pipeline_depth(depth))
-            );
-        }
     }
 }

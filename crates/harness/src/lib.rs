@@ -43,9 +43,8 @@ pub use html::{html_report, write_html_report};
 pub use key::{run_key, run_key_default_machine, serve_key};
 pub use pool::{parallel_map, run_jobs, JobResult};
 pub use runner::{
-    baseline, geomean, measure, measure_full, measure_pipelined, measure_probed,
-    measure_with_policy, speedup, steady_cycles_per_iteration, steady_traffic_per_iteration,
-    Measurement, RunSpec,
+    baseline, geomean, measure, measure_probed, measure_with_policy, speedup,
+    steady_cycles_per_iteration, steady_traffic_per_iteration, Measurement, RunSpec,
 };
 pub use serve::{
     run_serve, run_serve_telemetry, serve_record, serve_telemetry_summary, ServeTelemetryPaths,

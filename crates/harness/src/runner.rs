@@ -30,7 +30,7 @@ pub struct RunSpec {
     /// Physical link arrangement ([`Topology::Switch`] is the paper's
     /// evaluated fabric; the switch-based 16-GPU fabrics deviate from it).
     pub topology: Topology,
-    /// Parallel lane-engine workers; 0 selects the sequential engine.
+    /// Lane-engine workers; 0 selects the reference lane.
     /// Counts beyond 1 are a wall-clock knob only (worker-invariance is
     /// enforced by test), so the run key normalises them to 1.
     pub parallel: usize,
@@ -39,7 +39,7 @@ pub struct RunSpec {
 impl RunSpec {
     /// The machine a spec implies: the paper's GV100 system at the spec's
     /// GPU count with the pressure, topology and engine selection applied.
-    /// Both [`measure_full`] and the run key derive the machine through
+    /// Both [`measure_probed`] and the run key derive the machine through
     /// here, so a spec's key always addresses exactly what it runs.
     pub fn machine(self) -> SimConfig {
         let mut config = SimConfig::gv100_system(self.gpus)
@@ -94,12 +94,13 @@ pub fn steady_cycles_per_iteration(report: &SimReport, phases_per_iteration: usi
 /// Returns [`GpsError::Config`] if the built workload is inconsistent with
 /// the machine the spec describes.
 pub fn measure(app: &AppEntry, spec: RunSpec) -> Result<Measurement, GpsError> {
-    measure_full(app, spec, 0, ProbeHandle::disabled())
+    measure_probed(app, spec, ProbeHandle::disabled())
 }
 
-/// [`measure`] with a telemetry probe threaded through the simulation.
-/// The probe only observes — the returned [`Measurement`] is bit-identical
-/// to the unprobed one; harvest the recording with [`ProbeHandle::finish`].
+/// [`measure`] with a telemetry probe threaded through the simulation
+/// (what the sweep executor calls). The probe only observes — the returned
+/// [`Measurement`] is bit-identical to the unprobed one; harvest the
+/// recording with [`ProbeHandle::finish`].
 ///
 /// # Errors
 ///
@@ -109,40 +110,9 @@ pub fn measure_probed(
     spec: RunSpec,
     probe: ProbeHandle,
 ) -> Result<Measurement, GpsError> {
-    measure_full(app, spec, 0, probe)
-}
-
-/// [`measure`] with the overlapped trace-expansion pipeline enabled at the
-/// given depth. A wall-clock knob only: the returned [`Measurement`] is
-/// bit-identical to [`measure`]'s, warp expansion just happens on producer
-/// threads ahead of the simulation.
-///
-/// # Errors
-///
-/// Returns [`GpsError::Config`] on a workload/machine mismatch.
-pub fn measure_pipelined(
-    app: &AppEntry,
-    spec: RunSpec,
-    pipeline_depth: usize,
-) -> Result<Measurement, GpsError> {
-    measure_full(app, spec, pipeline_depth, ProbeHandle::disabled())
-}
-
-/// The general form: probe and pipeline depth together (what the sweep
-/// executor calls). Neither knob affects the [`Measurement`].
-///
-/// # Errors
-///
-/// Returns [`GpsError::Config`] on a workload/machine mismatch.
-pub fn measure_full(
-    app: &AppEntry,
-    spec: RunSpec,
-    pipeline_depth: usize,
-    probe: ProbeHandle,
-) -> Result<Measurement, GpsError> {
     let workload = (app.build)(spec.gpus, spec.scale);
-    let config = spec.machine().with_stream_pipeline_depth(pipeline_depth);
-    let report = run_paradigm_configured(spec.paradigm, &workload, config, spec.link, probe)?;
+    let report =
+        run_paradigm_configured(spec.paradigm, &workload, spec.machine(), spec.link, probe)?;
     let steady = steady_cycles_per_iteration(&report, workload.phases_per_iteration);
     Ok(Measurement {
         app: app.name,

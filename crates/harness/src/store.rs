@@ -57,8 +57,8 @@ pub struct RunRecord {
     /// Fabric topology label (`switch`/`ring`/`nvswitch`/`pcietree`;
     /// absent in stores written before switch-based fabrics → `switch`).
     pub topology: String,
-    /// Parallel lane-engine workers the run was executed with (0 = the
-    /// sequential engine; absent in older stores → 0).
+    /// Lane-engine workers the run was executed with (0 = the reference
+    /// lane; absent in older stores → 0).
     pub parallel: u64,
     /// Memory pressure the run was simulated under (absent in stores
     /// written before the oversubscription sweeps → [`MemoryPressure::NONE`]).

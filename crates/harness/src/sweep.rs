@@ -21,7 +21,7 @@ use gps_workloads::{suite, ScaleProfile};
 
 use crate::key::run_key_default_machine;
 use crate::pool::{run_jobs, JobResult};
-use crate::runner::{measure_full, steady_traffic_per_iteration, Measurement, RunSpec};
+use crate::runner::{measure_probed, steady_traffic_per_iteration, Measurement, RunSpec};
 use crate::store::{ResultStore, RunRecord, RunStatus};
 use crate::telemetry;
 
@@ -44,9 +44,9 @@ pub struct SweepSpec {
     /// Fabric topologies (`[Topology::Switch]` reproduces the paper;
     /// `gps-run sweep --topologies` adds the switch-based fabrics).
     pub topologies: Vec<Topology>,
-    /// Parallel lane-engine workers applied to every run (0 = the
-    /// sequential engine, the default; `gps-run sweep --parallel N` opts
-    /// runs into the lane engine).
+    /// Lane-engine workers applied to every run (0 = the reference lane,
+    /// the default; `gps-run sweep --parallel N` opts runs into per-GPU
+    /// lanes).
     pub parallel: usize,
 }
 
@@ -202,10 +202,6 @@ pub struct SweepOptions {
     /// (per-phase counter breakdown) into this directory. Probes only
     /// observe, so the stored results are identical with or without it.
     pub telemetry_dir: Option<PathBuf>,
-    /// Overlapped trace-expansion pipeline depth passed to every run
-    /// ([`gps_sim::SimConfig::stream_pipeline_depth`]). Wall-clock knob
-    /// only: results and run keys are identical at any depth.
-    pub pipeline_depth: usize,
 }
 
 impl Default for SweepOptions {
@@ -217,7 +213,6 @@ impl Default for SweepOptions {
             inject_panic: Vec::new(),
             log: false,
             telemetry_dir: None,
-            pipeline_depth: 0,
         }
     }
 }
@@ -452,7 +447,7 @@ pub fn run_units(
             // A workload/machine mismatch is a typed error now; raising it
             // here routes the unit through the quarantine path instead of
             // aborting the whole sweep.
-            let m = match measure_full(&app, unit.spec, opts.pipeline_depth, probe.clone()) {
+            let m = match measure_probed(&app, unit.spec, probe.clone()) {
                 Ok(m) => m,
                 Err(e) => panic!("{}: {e}", unit.label()),
             };

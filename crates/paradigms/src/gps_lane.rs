@@ -11,14 +11,14 @@
 //! `(cycle, gpu, sequence)` order, making the run deterministic and
 //! worker-count-invariant.
 //!
-//! Semantics vs the classic engine: a subscriber sees a peer's publish
+//! Semantics vs the reference lane: a subscriber sees a peer's publish
 //! only after the barrier that applies it (bounded staleness of at most
 //! one window — the fabric's minimum cross-GPU latency), and the driver
 //! state a router routes from is at most one window old. Timing-wise the
 //! same broadcasts hit the same fabric; their interleave differs, so the
 //! tier is pinned by worker-count invariance and its own golden reports,
 //! with subscription metrics (exact by construction) cross-checked
-//! against the classic engine.
+//! against the reference lane.
 
 use std::any::Any;
 use std::collections::BTreeMap;

@@ -417,7 +417,7 @@ impl MemoryPolicy for GpsPolicy {
         // profiling modes (gps and gps-nosub). Oversubscription routes
         // through fault state that mutates mid-window, and
         // unsubscribed-by-default profiling subscribes on first touch:
-        // both stay on the classic core.
+        // both stay on the reference lane.
         if !self.pressure && self.config.profiling == ProfilingMode::SubscribedByDefault {
             LaneMode::GpsEpochs
         } else {

@@ -123,9 +123,8 @@ pub fn run_paradigm_probed(
 
 /// [`run_paradigm_probed`] against an explicit machine configuration (the
 /// workload's page size is applied on top). This is how the harness passes
-/// host-side knobs such as [`SimConfig::stream_pipeline_depth`] — which
-/// changes wall-clock time but never the report — alongside genuine machine
-/// parameters.
+/// host-side knobs such as [`SimConfig::parallel_workers`] alongside
+/// genuine machine parameters.
 ///
 /// # Errors
 ///

@@ -105,10 +105,10 @@ fn gps_lane_tier_preserves_subscription_metrics_vs_classic() {
 }
 
 #[test]
-fn gps_oversubscribed_falls_back_to_classic_engine() {
-    // Memory pressure keeps the eviction machinery on the classic path; the
-    // lane engine must route the run through `run_classic` and still agree
-    // with an explicit workers=0 run bit-for-bit.
+fn gps_oversubscribed_falls_back_to_the_reference_lane() {
+    // Memory pressure keeps the eviction machinery on the reference lane:
+    // a workers=1 run must pick it and agree with an explicit workers=0
+    // run bit-for-bit.
     let wl = (suite::all()[0].build)(2, ScaleProfile::Tiny);
     let mk = |workers: usize| {
         let cfg = SimConfig::gv100_system(2)

@@ -213,27 +213,20 @@ pub struct SimConfig {
     /// Inter-GPU link arrangement (central switch by default, as in the
     /// paper's evaluated systems).
     pub topology: Topology,
-    /// Depth of the overlapped trace-expansion pipeline: how many CTAs a
-    /// producer thread may pre-expand ahead of the simulation. `0` (the
-    /// default) expands CTAs inline on the simulation thread. Any depth
-    /// produces a bit-identical [`SimReport`](crate::SimReport) — this is a
-    /// host-side wall-clock knob, not a simulated-machine parameter, and it
-    /// is excluded from harness run keys for that reason.
-    pub stream_pipeline_depth: usize,
     /// Memory-oversubscription pressure applied by the pressure-aware
-    /// paradigms ([`MemoryPressure::NONE`] by default). Unlike
-    /// `stream_pipeline_depth` this *is* a simulated-machine parameter
-    /// and participates in harness run keys.
+    /// paradigms ([`MemoryPressure::NONE`] by default). A simulated-machine
+    /// parameter: it participates in harness run keys.
     pub memory_pressure: MemoryPressure,
-    /// Engine selector: `0` (the default) runs the classic single-heap
-    /// sequential engine; any value `N >= 1` runs the per-GPU *lane*
-    /// engine with `N` host worker threads (`1` = the lane engine on the
-    /// simulation thread itself). The lane engine's result is independent
-    /// of `N` — worker count is a wall-clock knob like
-    /// `stream_pipeline_depth`, so harness run keys normalise it to
-    /// `min(parallel_workers, 1)`: they distinguish *which engine* ran
-    /// (the conservative-epoch engine is a different, still deterministic,
-    /// model for writer-tracking paradigms) but never the thread count.
+    /// Lane-shape selector: `0` (the default) runs the reference lane —
+    /// one event lane owning every GPU, routing each access through the
+    /// policy as it happens. Any value `N >= 1` runs one lane per GPU on
+    /// `N` host worker threads (`1` = on the simulation thread itself)
+    /// whenever the policy's [`LaneMode`](crate::LaneMode) admits it, and
+    /// the reference lane otherwise. Per-GPU results are independent of
+    /// `N`, so harness run keys normalise it to `min(parallel_workers, 1)`:
+    /// they distinguish *which lane shape* ran (the epoch tiers are a
+    /// different, still deterministic, model for writer-tracking and GPS
+    /// paradigms) but never the thread count.
     pub parallel_workers: usize,
     /// Number of tenants (concurrently served applications) sharing this
     /// machine. `1` — the default — is the exclusive single-application
@@ -257,7 +250,6 @@ impl SimConfig {
             gpu: GpuConfig::gv100(),
             page_size: PageSize::Standard64K,
             topology: Topology::default(),
-            stream_pipeline_depth: 0,
             memory_pressure: MemoryPressure::NONE,
             parallel_workers: 0,
             tenants: 1,
@@ -293,13 +285,6 @@ impl SimConfig {
         }
     }
 
-    /// Sets the overlapped-expansion pipeline depth.
-    #[must_use]
-    pub fn with_stream_pipeline_depth(mut self, depth: usize) -> Self {
-        self.stream_pipeline_depth = depth;
-        self
-    }
-
     /// Sets the memory-oversubscription pressure.
     #[must_use]
     pub fn with_memory_pressure(mut self, pressure: MemoryPressure) -> Self {
@@ -307,8 +292,8 @@ impl SimConfig {
         self
     }
 
-    /// Selects the engine: `0` = classic sequential, `N >= 1` = the
-    /// per-GPU lane engine with `N` worker threads.
+    /// Selects the lane shape: `0` = the reference lane, `N >= 1` = one
+    /// lane per GPU on `N` worker threads where the policy's tier admits it.
     #[must_use]
     pub fn with_parallel_workers(mut self, workers: usize) -> Self {
         self.parallel_workers = workers;
@@ -443,7 +428,7 @@ mod tests {
     }
 
     #[test]
-    fn parallel_workers_default_to_classic_engine() {
+    fn parallel_workers_default_to_the_reference_lane() {
         let s = SimConfig::gv100_system(4);
         assert_eq!(s.parallel_workers, 0);
         assert_eq!(s.with_parallel_workers(3).parallel_workers, 3);

@@ -3,12 +3,16 @@
 //! One [`Engine`] run replays a [`Workload`] against a machine described by
 //! [`SimConfig`] under a [`MemoryPolicy`], producing a [`SimReport`].
 //!
+//! This module holds the machine model — per-GPU state, warps, kernel
+//! runs and the L2 paths; the event loop that drives it lives in the lane
+//! engine (`lanes.rs`), which runs every configuration.
+//!
 //! # Execution model
 //!
-//! * Warps are the schedulable entities. A global binary heap orders warp
-//!   resume events by `(time, sequence)` across all GPUs, so cross-GPU
-//!   fabric contention is booked in (near) time order and runs are
-//!   deterministic.
+//! * Warps are the schedulable entities. Warp resume events are ordered by
+//!   `(time, sequence)`: over every GPU at once on the reference lane, so
+//!   cross-GPU fabric contention is booked in event order, or per GPU on
+//!   the per-GPU lanes. Runs are deterministic either way.
 //! * Each SM owns an issue port: one warp instruction issues per cycle;
 //!   `Compute(c)` occupies the port for `c` cycles (other warps on other
 //!   SMs proceed; other warps on the *same* SM queue behind it — the
@@ -24,29 +28,20 @@
 //!
 //! [`GpuConfig::cta_slots_per_sm`]: crate::GpuConfig::cta_slots_per_sm
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
-use gps_interconnect::{Fabric, FabricConfig, LinkGen};
+use gps_interconnect::LinkGen;
 use gps_mem::{Tlb, TlbConfig};
-use gps_obs::{names, ProbeHandle, Track};
-use gps_types::{Cycle, GpsError, GpuId, LineAddr, PageSize, Result, Scope, Vpn, CACHE_LINE_BYTES};
-
-use std::sync::Arc;
+use gps_obs::ProbeHandle;
+use gps_types::{Cycle, GpsError, GpuId, LineAddr, Result, CACHE_LINE_BYTES};
 
 use crate::cache::{Cache, CacheConfig, Lookup};
 use crate::config::{GpuConfig, SimConfig};
 use crate::dram::DramModel;
-use crate::instr::{WarpInstr, WarpStream};
-use crate::pipeline::{expand_cta, BufferArena, CtaPrefetcher};
-use crate::policy::{LoadRoute, MemCtx, MemoryPolicy, StoreRoute};
+use crate::instr::WarpStream;
+use crate::policy::MemoryPolicy;
 use crate::stats::{GpuReport, SimReport, TlbCounts};
 use crate::workload::{KernelSpec, Workload};
-
-/// Grids smaller than this run without a prefetch producer even when
-/// [`SimConfig::stream_pipeline_depth`] is non-zero: for tiny kernels the
-/// cost of spawning a worker thread exceeds the expansion it would hide.
-const PREFETCH_MIN_WARPS: u64 = 1024;
 
 /// Retired instruction buffers are returned to the arena in batches of
 /// this size (one lock acquisition per batch instead of per warp).
@@ -102,6 +97,18 @@ pub(crate) struct GpuState {
     pub(crate) instructions: u64,
     pub(crate) warps_done: u64,
     pub(crate) kernels_done: u64,
+    /// This phase's kernels not yet launched, in launch order.
+    pub(crate) queue: VecDeque<KernelSpec>,
+    /// The kernel currently running (one at a time per GPU).
+    pub(crate) running: Option<KernelRun>,
+    /// When the GPU finished its last kernel of the phase.
+    pub(crate) done: Option<Cycle>,
+    /// Kernel-end release awaiting the next barrier's visibility horizon
+    /// ([`LaneMode::GpsEpochs`] only): the next launch (or phase
+    /// completion) happens at `max(horizon, last_done)`.
+    ///
+    /// [`LaneMode::GpsEpochs`]: crate::LaneMode::GpsEpochs
+    pub(crate) pending_kernel: Option<Cycle>,
 }
 
 impl GpuState {
@@ -130,6 +137,10 @@ impl GpuState {
             instructions: 0,
             warps_done: 0,
             kernels_done: 0,
+            queue: VecDeque::new(),
+            running: None,
+            done: None,
+            pending_kernel: None,
         }
     }
 
@@ -156,6 +167,7 @@ impl GpuState {
 }
 
 pub(crate) struct Warp {
+    /// The GPU the warp runs on (an index into the machine's GPUs).
     pub(crate) gpu: usize,
     pub(crate) sm: usize,
     pub(crate) cta: u32,
@@ -183,35 +195,20 @@ pub(crate) struct KernelRun {
     pub(crate) sm_cursor: usize,
     /// Resident CTAs per SM.
     pub(crate) sm_resident: Vec<u32>,
-    /// Producer pre-expanding upcoming CTAs' warp streams
-    /// ([`SimConfig::stream_pipeline_depth`] > 0 and the grid is large
-    /// enough). `None` expands inline at launch.
-    pub(crate) prefetch: Option<CtaPrefetcher>,
 }
 
 impl KernelRun {
-    /// Streams for CTA `cta_idx` — from the prefetch producer when one is
-    /// running, expanded inline otherwise. Both paths walk CTAs in grid
-    /// order and generate streams purely from warp coordinates, so the
-    /// choice never affects simulated timing.
-    pub(crate) fn cta_streams(
-        &mut self,
-        gpu: usize,
-        gpu_count: u32,
-        arena: &BufferArena,
-    ) -> Vec<WarpStream> {
-        let cta_idx = self.next_cta - 1; // caller just claimed this index
-        match &mut self.prefetch {
-            Some(pf) => pf.take(cta_idx),
-            None => expand_cta(
-                self.spec.program.as_ref(),
-                arena,
-                GpuId::new(gpu as u16),
-                gpu_count,
-                cta_idx,
-                self.spec.cta_count,
-                self.spec.warps_per_cta,
-            ),
+    /// A grid launched at `at` on a GPU with `sms` SMs, no CTA placed yet.
+    pub(crate) fn new(spec: KernelSpec, at: Cycle, sms: usize) -> Self {
+        KernelRun {
+            next_cta: 0,
+            cta_live: vec![0; spec.cta_count as usize],
+            live_warps: spec.total_warps(),
+            started: at,
+            last_done: at,
+            sm_cursor: 0,
+            sm_resident: vec![0; sms],
+            spec,
         }
     }
 }
@@ -267,694 +264,13 @@ impl<'a> Engine<'a> {
 
     /// Runs the workload to completion.
     ///
-    /// [`SimConfig::parallel_workers`] selects the core: `0` drains one
-    /// global event heap sequentially; `N >= 1` runs the per-GPU lane
-    /// engine (which itself falls back here when the policy's
-    /// [`LaneMode`](crate::LaneMode) or the fabric rules lanes out).
+    /// [`SimConfig::parallel_workers`] selects the lane shape: `0` runs
+    /// the reference lane, which owns every GPU and routes each access
+    /// through the policy as it happens; `N >= 1` runs one lane per GPU on
+    /// `N` workers whenever the policy's [`LaneMode`](crate::LaneMode)
+    /// and the fabric admit it, and the reference lane otherwise.
     pub fn run(self) -> SimReport {
-        if self.config.parallel_workers > 0 {
-            return crate::lanes::run(self);
-        }
-        self.run_classic()
-    }
-
-    /// The classic sequential core: one global `(time, sequence)` heap.
-    pub(crate) fn run_classic(mut self) -> SimReport {
-        let gc = self.config.gpu_count;
-        let gpu_cfg = self.config.gpu;
-        let tenants = self.config.tenants.max(1);
-        // Tenancy shrinks each application's share of the contended
-        // structures: the last-level TLB loses ways (via `GpuState::new`)
-        // and every fabric link serves at 1/tenants of its rate. With one
-        // tenant both reduce to the exclusive machine exactly.
-        let mut gpus: Vec<GpuState> = (0..gc).map(|_| GpuState::new(&self.config)).collect();
-        let mut fabric = Fabric::new(
-            FabricConfig::new(gc, self.link)
-                .with_topology(self.config.topology)
-                .with_bandwidth_share(tenants),
-        );
-        fabric.set_probe(self.probe.clone());
-        for (g, gpu) in gpus.iter_mut().enumerate() {
-            gpu.dram.set_probe(self.probe.clone(), Track::gpu(g));
-        }
-
-        self.policy.attach_probe(self.probe.clone());
-        self.policy.init(self.workload, &self.config);
-
-        let mut warps: Vec<Warp> = Vec::new();
-        let mut free_slots: Vec<usize> = Vec::new();
-        let mut heap: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
-        let mut seq: u64 = 0;
-        // One buffer pool per run: retired warps' instruction buffers are
-        // recycled into the warps spawned next (shared with any prefetch
-        // producer threads). Retired buffers are stashed locally and
-        // flushed in batches — per-warp arena traffic would contend the
-        // pool lock against prefetch producers.
-        let arena = BufferArena::new();
-        let mut retired: Vec<Vec<WarpInstr>> = Vec::new();
-
-        let mut phase_ends: Vec<Cycle> = Vec::new();
-        let mut phase_traffic: Vec<u64> = Vec::new();
-        let mut phase_start = Cycle::ZERO;
-
-        for (phase_idx, phase) in self.workload.phases.iter().enumerate() {
-            {
-                let mut ctx = MemCtx {
-                    now: phase_start,
-                    fabric: &mut fabric,
-                    page_size: self.config.page_size,
-                };
-                let gate = self.policy.on_phase_start(phase_idx, &mut ctx);
-                phase_start = phase_start.max(gate);
-            }
-            let phase_began = phase_start;
-
-            // Per-GPU launch queues for this phase.
-            let mut queues: Vec<VecDeque<KernelSpec>> = (0..gc)
-                .map(|g| phase.launches_for(GpuId::new(g as u16)).cloned().collect())
-                .collect();
-            let mut running: Vec<Option<KernelRun>> = (0..gc).map(|_| None).collect();
-            let mut gpu_done: Vec<Option<Cycle>> = (0..gc).map(|_| None).collect();
-
-            for g in 0..gc {
-                if let Some(spec) = queues[g].pop_front() {
-                    let at = phase_start + gpu_cfg.kernel_launch_overhead;
-                    let run = start_kernel(
-                        &self.config,
-                        self.workload.gpu_count as u32,
-                        g,
-                        spec,
-                        at,
-                        &arena,
-                        &mut warps,
-                        &mut free_slots,
-                        &mut HeapSink {
-                            heap: &mut heap,
-                            seq: &mut seq,
-                        },
-                    );
-                    running[g] = Some(run);
-                } else {
-                    gpu_done[g] = Some(phase_start);
-                }
-            }
-
-            // Drain the event heap for this phase.
-            while let Some(Reverse((_, _, slot))) = heap.pop() {
-                let g = warps[slot].gpu;
-                self.step_warp(slot, &mut warps, &mut gpus, &mut fabric);
-
-                if !warps[slot].stream.is_exhausted() {
-                    seq += 1;
-                    heap.push(Reverse((warps[slot].ready.as_u64(), seq, slot)));
-                    continue;
-                }
-
-                // Warp retired: the slot frees and its buffer (if any)
-                // returns to the arena for the next spawned warp.
-                let done_at = warps[slot].ready;
-                let cta = warps[slot].cta;
-                let sm = warps[slot].sm;
-                gpus[g].warps_done += 1;
-                free_slots.push(slot);
-                let stream =
-                    std::mem::replace(&mut warps[slot].stream, WarpStream::owned(Vec::new()));
-                if let Some(buf) = stream.into_buffer() {
-                    retired.push(buf);
-                    if retired.len() >= RECYCLE_FLUSH {
-                        arena.put_n(&mut retired);
-                    }
-                }
-
-                let kernel_finished = {
-                    // gps-lint: allow(no_expect) -- a retiring warp's GPU always has a running kernel
-                    let run = running[g].as_mut().expect("warp without kernel");
-                    run.live_warps -= 1;
-                    run.last_done = run.last_done.max(done_at);
-                    run.cta_live[cta as usize] -= 1;
-                    if run.cta_live[cta as usize] == 0 {
-                        run.sm_resident[sm] -= 1;
-                        // Launch a pending CTA into the freed slot.
-                        if run.next_cta < run.spec.cta_count {
-                            let cta_idx = run.next_cta;
-                            run.next_cta += 1;
-                            run.sm_resident[sm] += 1;
-                            run.cta_live[cta_idx as usize] = run.spec.warps_per_cta;
-                            let streams =
-                                run.cta_streams(g, self.workload.gpu_count as u32, &arena);
-                            spawn_cta(
-                                g,
-                                sm,
-                                cta_idx,
-                                done_at,
-                                streams,
-                                &mut warps,
-                                &mut free_slots,
-                                &mut HeapSink {
-                                    heap: &mut heap,
-                                    seq: &mut seq,
-                                },
-                            );
-                        }
-                    }
-                    run.live_warps == 0
-                };
-
-                if kernel_finished {
-                    // gps-lint: allow(no_expect) -- kernel_finished was computed from Some above
-                    let run = running[g].take().expect("just observed");
-                    gpus[g].kernels_done += 1;
-                    self.probe.span(
-                        Track::gpu(g),
-                        &run.spec.name,
-                        "kernel",
-                        run.started,
-                        run.last_done,
-                    );
-                    // Grid-end implicit release: L1s drop everything, the
-                    // L2 drops peer-homed lines, the policy drains.
-                    for l1 in &mut gpus[g].l1[..] {
-                        l1.invalidate_all();
-                    }
-                    gpus[g].l2.invalidate_remote(GpuId::new(g as u16));
-                    let visible = {
-                        let mut ctx = MemCtx {
-                            now: run.last_done,
-                            fabric: &mut fabric,
-                            page_size: self.config.page_size,
-                        };
-                        self.policy.on_kernel_end(GpuId::new(g as u16), &mut ctx)
-                    };
-                    if let Some(spec) = queues[g].pop_front() {
-                        let at = visible + gpu_cfg.kernel_launch_overhead;
-                        let run = start_kernel(
-                            &self.config,
-                            self.workload.gpu_count as u32,
-                            g,
-                            spec,
-                            at,
-                            &arena,
-                            &mut warps,
-                            &mut free_slots,
-                            &mut HeapSink {
-                                heap: &mut heap,
-                                seq: &mut seq,
-                            },
-                        );
-                        running[g] = Some(run);
-                    } else {
-                        gpu_done[g] = Some(visible);
-                    }
-                }
-            }
-
-            let barrier = gpu_done
-                .iter()
-                // gps-lint: allow(no_expect) -- the event loop only exits once every GPU drained
-                .map(|d| d.expect("phase drained with running GPU"))
-                .max()
-                .unwrap_or(phase_start);
-            self.probe.instant(Track::SYSTEM, names::BARRIER, barrier);
-            let release = {
-                let mut ctx = MemCtx {
-                    now: barrier,
-                    fabric: &mut fabric,
-                    page_size: self.config.page_size,
-                };
-                self.policy.on_phase_end(phase_idx, &mut ctx)
-            };
-            if self.probe.is_enabled() {
-                self.probe.span(
-                    Track::SYSTEM,
-                    &format!("phase {phase_idx}"),
-                    "phase",
-                    phase_began,
-                    release,
-                );
-            }
-            phase_ends.push(release);
-            phase_traffic.push(fabric.counters().total_bytes());
-            phase_start = release + gpu_cfg.phase_sync_overhead;
-        }
-
-        let total = phase_ends.last().copied().unwrap_or(Cycle::ZERO);
-        let mut report = SimReport {
-            workload: self.workload.name.clone(),
-            policy: self.policy.name().to_owned(),
-            gpu_count: gc,
-            link: self.link.label().to_owned(),
-            total_cycles: total,
-            phase_ends,
-            phase_traffic,
-            interconnect_bytes: 0,
-            interconnect_transfers: 0,
-            per_gpu: gpus.iter().map(GpuState::report).collect(),
-            policy_metrics: self.policy.metrics(),
-        };
-        report.absorb_traffic(fabric.counters());
-        report
-    }
-
-    /// Executes one instruction of warp `slot`.
-    fn step_warp(
-        &mut self,
-        slot: usize,
-        warps: &mut [Warp],
-        gpus: &mut [GpuState],
-        fabric: &mut Fabric,
-    ) {
-        let w = &mut warps[slot];
-        // gps-lint: allow(no_expect) -- heap slots always hold a next instruction; retire removes exhausted warps
-        let instr = w.stream.next().expect("stepped an exhausted warp");
-        let gcfg = self.config.gpu;
-        let page_size = self.config.page_size;
-        let g = w.gpu;
-        let gpu_id = GpuId::new(g as u16);
-
-        let issue = w.ready.max(gpus[g].sm_issue[w.sm]);
-        gpus[g].instructions += 1;
-
-        match instr {
-            WarpInstr::Compute(c) => {
-                let end = Cycle::new(issue.as_u64() + c as u64);
-                gpus[g].sm_issue[w.sm] = end.max(Cycle::new(issue.as_u64() + 1));
-                gpus[g].sm_busy += (c as u64).max(1);
-                w.ready = end.max(Cycle::new(issue.as_u64() + 1));
-            }
-            WarpInstr::Load(range) => {
-                gpus[g].sm_busy += range.len().max(1) as u64;
-                gpus[g].sm_issue[w.sm] = Cycle::new(issue.as_u64() + range.len().max(1) as u64);
-                let mut ready = Cycle::new(issue.as_u64() + 1);
-                for (i, line) in range.iter().enumerate() {
-                    let t = Cycle::new(issue.as_u64() + i as u64);
-                    let arrival = Self::load_line(
-                        self.policy,
-                        &self.probe,
-                        gcfg,
-                        page_size,
-                        gpus,
-                        fabric,
-                        g,
-                        w.sm,
-                        line,
-                        t,
-                    );
-                    ready = ready.max(arrival);
-                }
-                w.ready = ready;
-            }
-            WarpInstr::Store(range, scope) => {
-                gpus[g].sm_busy += range.len().max(1) as u64;
-                gpus[g].sm_issue[w.sm] = Cycle::new(issue.as_u64() + range.len().max(1) as u64);
-                let mut ready = Cycle::new(issue.as_u64() + 1);
-                for (i, line) in range.iter().enumerate() {
-                    let t = Cycle::new(issue.as_u64() + i as u64);
-                    if let Some(stall) = Self::store_line(
-                        self.policy,
-                        &self.probe,
-                        gcfg,
-                        page_size,
-                        gpus,
-                        fabric,
-                        g,
-                        w.sm,
-                        line,
-                        scope,
-                        t,
-                        false,
-                    ) {
-                        ready = ready.max(stall);
-                    }
-                }
-                w.ready = ready;
-            }
-            WarpInstr::Atomic(line) => {
-                gpus[g].sm_busy += 1;
-                gpus[g].sm_issue[w.sm] = Cycle::new(issue.as_u64() + 1);
-                let mut ready = Cycle::new(issue.as_u64() + 1);
-                if let Some(stall) = Self::store_line(
-                    self.policy,
-                    &self.probe,
-                    gcfg,
-                    page_size,
-                    gpus,
-                    fabric,
-                    g,
-                    w.sm,
-                    line,
-                    Scope::Gpu,
-                    issue,
-                    true,
-                ) {
-                    ready = ready.max(stall);
-                }
-                w.ready = ready;
-            }
-            WarpInstr::Fence(scope) => {
-                gpus[g].sm_busy += 1;
-                gpus[g].sm_issue[w.sm] = Cycle::new(issue.as_u64() + 1);
-                let mut ctx = MemCtx {
-                    now: issue,
-                    fabric,
-                    page_size,
-                };
-                let done = self.policy.on_fence(gpu_id, scope, &mut ctx);
-                w.ready = done.max(Cycle::new(issue.as_u64() + 1));
-            }
-        }
-    }
-
-    /// Full load path for one line; returns the data arrival time.
-    #[allow(clippy::too_many_arguments)]
-    fn load_line(
-        policy: &mut dyn MemoryPolicy,
-        probe: &ProbeHandle,
-        gcfg: crate::config::GpuConfig,
-        page_size: gps_types::PageSize,
-        gpus: &mut [GpuState],
-        fabric: &mut Fabric,
-        g: usize,
-        sm: usize,
-        line: LineAddr,
-        t: Cycle,
-    ) -> Cycle {
-        let gpu_id = GpuId::new(g as u16);
-        // L1 probe.
-        if gpus[g].l1[sm].probe(line) {
-            gpus[g].l1_hits += 1;
-            return t + gcfg.l1_latency;
-        }
-        gpus[g].l1_misses += 1;
-
-        let t = translate(
-            policy,
-            probe,
-            &gcfg,
-            page_size,
-            &mut gpus[g],
-            fabric,
-            g,
-            line,
-            t,
-        );
-        let route = {
-            let mut ctx = MemCtx {
-                now: t,
-                fabric,
-                page_size,
-            };
-            policy.route_load(gpu_id, line, &mut ctx)
-        };
-        match route {
-            LoadRoute::Local => {
-                let arrival = l2_read(&mut gpus[g], &gcfg, line, gpu_id, t);
-                gpus[g].l1[sm].fill(line, gpu_id);
-                arrival
-            }
-            LoadRoute::Remote { from } => Self::remote_read(gpus, fabric, g, sm, from, line, t),
-            LoadRoute::Forwarded => t + gcfg.l2_latency,
-            LoadRoute::StallThenLocal { ready } => {
-                let t = ready.max(t);
-                let arrival = l2_read(&mut gpus[g], &gcfg, line, gpu_id, t);
-                gpus[g].l1[sm].fill(line, gpu_id);
-                arrival
-            }
-            LoadRoute::StallThenRemote { from, ready } => {
-                // Re-fault on an evicted replica: the warp stalls for the
-                // fault overhead, then the access resolves remotely like
-                // any other peer read.
-                Self::remote_read(gpus, fabric, g, sm, from, line, ready.max(t))
-            }
-        }
-    }
-
-    /// Demand-read of one line from a peer GPU's DRAM over the fabric.
-    ///
-    /// Peer loads are not cached in the local L2 — remote data is not kept
-    /// coherent, which is exactly the gap proposals like CARVE fill (§8).
-    /// The per-SM L1 provides the short intra-kernel reuse window real
-    /// hardware exhibits.
-    fn remote_read(
-        gpus: &mut [GpuState],
-        fabric: &mut Fabric,
-        g: usize,
-        sm: usize,
-        from: GpuId,
-        line: LineAddr,
-        t: Cycle,
-    ) -> Cycle {
-        let gpu_id = GpuId::new(g as u16);
-        let req_at = t + fabric.link().latency();
-        let data_at = gpus[from.index()].dram.read(CACHE_LINE_BYTES, req_at);
-        let arrived = fabric
-            .transfer(from, gpu_id, CACHE_LINE_BYTES, data_at)
-            .map(|tr| tr.arrived)
-            .unwrap_or(data_at);
-        gpus[g].l1[sm].fill(line, from);
-        arrived
-    }
-
-    /// Full store/atomic path for one line; returns `Some(ready)` if the
-    /// warp must stall (write faults), else `None`.
-    #[allow(clippy::too_many_arguments)]
-    fn store_line(
-        policy: &mut dyn MemoryPolicy,
-        probe: &ProbeHandle,
-        gcfg: crate::config::GpuConfig,
-        page_size: gps_types::PageSize,
-        gpus: &mut [GpuState],
-        fabric: &mut Fabric,
-        g: usize,
-        sm: usize,
-        line: LineAddr,
-        scope: Scope,
-        t: Cycle,
-        atomic: bool,
-    ) -> Option<Cycle> {
-        let gpu_id = GpuId::new(g as u16);
-        let t = translate(
-            policy,
-            probe,
-            &gcfg,
-            page_size,
-            &mut gpus[g],
-            fabric,
-            g,
-            line,
-            t,
-        );
-        let route = {
-            let mut ctx = MemCtx {
-                now: t,
-                fabric,
-                page_size,
-            };
-            if atomic {
-                policy.route_atomic(gpu_id, line, &mut ctx)
-            } else {
-                policy.route_store(gpu_id, line, scope, &mut ctx)
-            }
-        };
-        // Write-through L1: update in place if present (probe refreshes
-        // LRU); no allocation on store miss.
-        let _ = gpus[g].l1[sm].probe(line);
-        match route {
-            StoreRoute::Local | StoreRoute::LocalReplicated => {
-                l2_write(&mut gpus[g], line, gpu_id, t);
-                None
-            }
-            StoreRoute::Remote { to } => {
-                // gps-lint: allow(lane_tier_purity) -- serial engine store path: lanes reach it only in single-worker tiers
-                let _ = fabric.transfer(gpu_id, to, CACHE_LINE_BYTES, t);
-                None
-            }
-            StoreRoute::StallThenLocal { ready } => {
-                let at = ready.max(t);
-                l2_write(&mut gpus[g], line, gpu_id, at);
-                Some(at)
-            }
-        }
-    }
-}
-
-/// Destination for warp wake-up events. [`start_kernel`] and [`spawn_cta`]
-/// are shared between the classic engine (one global `(time, sequence)`
-/// heap) and the lane engine (a calendar queue per lane); this trait is
-/// the seam between the scheduling logic and the queue representation.
-pub(crate) trait EventSink {
-    /// Schedules warp `slot` to step at cycle `at`. Implementations must
-    /// preserve push order among events at the same cycle.
-    fn push_event(&mut self, at: Cycle, slot: usize);
-}
-
-/// The classic engine's sink: the global heap ordered by `(time, sequence)`.
-pub(crate) struct HeapSink<'a> {
-    pub heap: &'a mut BinaryHeap<Reverse<(u64, u64, usize)>>,
-    pub seq: &'a mut u64,
-}
-
-impl EventSink for HeapSink<'_> {
-    fn push_event(&mut self, at: Cycle, slot: usize) {
-        *self.seq += 1;
-        self.heap.push(Reverse((at.as_u64(), *self.seq, slot)));
-    }
-}
-
-/// Creates the runtime state for a kernel and spawns its first wave of
-/// CTAs. Free-standing (rather than an `Engine` method) so the lane engine
-/// can drive per-GPU kernel scheduling with exactly the classic logic.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn start_kernel(
-    config: &SimConfig,
-    workload_gpu_count: u32,
-    gpu: usize,
-    spec: KernelSpec,
-    at: Cycle,
-    arena: &BufferArena,
-    warps: &mut Vec<Warp>,
-    free_slots: &mut Vec<usize>,
-    events: &mut dyn EventSink,
-) -> KernelRun {
-    let gpu_cfg = config.gpu;
-    let slots_per_sm = gpu_cfg.cta_slots_per_sm(spec.warps_per_cta);
-    let depth = config.stream_pipeline_depth;
-    let prefetch = if depth > 0 && spec.total_warps() >= PREFETCH_MIN_WARPS {
-        Some(CtaPrefetcher::spawn(
-            Arc::clone(&spec.program),
-            arena.clone(),
-            GpuId::new(gpu as u16),
-            workload_gpu_count,
-            spec.cta_count,
-            spec.warps_per_cta,
-            depth,
-        ))
-    } else {
-        None
-    };
-    let mut run = KernelRun {
-        next_cta: 0,
-        cta_live: vec![0; spec.cta_count as usize],
-        live_warps: 0,
-        started: at,
-        last_done: at,
-        sm_cursor: 0,
-        sm_resident: vec![0; gpu_cfg.sms],
-        prefetch,
-        spec,
-    };
-    run.live_warps = run.spec.total_warps() as u64;
-
-    // First wave: round-robin CTAs over SMs until residency is full or
-    // CTAs run out.
-    let capacity = slots_per_sm as u64 * gpu_cfg.sms as u64;
-    let first_wave = (run.spec.cta_count as u64).min(capacity) as u32;
-    for _ in 0..first_wave {
-        let cta_idx = run.next_cta;
-        run.next_cta += 1;
-        // Find next SM with room.
-        let mut sm = run.sm_cursor;
-        while run.sm_resident[sm] >= slots_per_sm {
-            sm = (sm + 1) % gpu_cfg.sms;
-        }
-        run.sm_cursor = (sm + 1) % gpu_cfg.sms;
-        run.sm_resident[sm] += 1;
-        run.cta_live[cta_idx as usize] = run.spec.warps_per_cta;
-        let streams = run.cta_streams(gpu, workload_gpu_count, arena);
-        spawn_cta(gpu, sm, cta_idx, at, streams, warps, free_slots, events);
-    }
-    run
-}
-
-/// Schedules the warps of one CTA from their pre-built streams.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn spawn_cta(
-    gpu: usize,
-    sm: usize,
-    cta_idx: u32,
-    at: Cycle,
-    streams: Vec<WarpStream>,
-    warps: &mut Vec<Warp>,
-    free_slots: &mut Vec<usize>,
-    events: &mut dyn EventSink,
-) {
-    for mut stream in streams {
-        // Degenerate empty warp: give it a single no-op so the retire
-        // bookkeeping path still sees it.
-        stream.ensure_nonempty();
-        let warp = Warp {
-            gpu,
-            sm,
-            cta: cta_idx,
-            stream,
-            ready: at,
-        };
-        let slot = match free_slots.pop() {
-            Some(s) => {
-                warps[s] = warp;
-                s
-            }
-            None => {
-                warps.push(warp);
-                warps.len() - 1
-            }
-        };
-        events.push_event(at, slot);
-    }
-}
-
-/// Translates `line`'s page, charging a walk on a miss; returns the time
-/// translation completes. Operates on one GPU's state (`g` is that GPU's
-/// index, used only for probe attribution and the policy callback) so both
-/// the classic core and a single lane can share it.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn translate(
-    policy: &mut dyn MemoryPolicy,
-    probe: &ProbeHandle,
-    gcfg: &GpuConfig,
-    page_size: PageSize,
-    gpu: &mut GpuState,
-    fabric: &mut Fabric,
-    g: usize,
-    line: LineAddr,
-    t: Cycle,
-) -> Cycle {
-    let (done, missed) = translate_inner(probe, gcfg, page_size, gpu, g, line, t);
-    if let Some(vpn) = missed {
-        let mut ctx = MemCtx {
-            now: t,
-            fabric,
-            page_size,
-        };
-        policy.on_tlb_miss(GpuId::new(g as u16), vpn, &mut ctx);
-    }
-    done
-}
-
-/// The policy-free core of [`translate`]: conventional TLB lookup, walker
-/// serialisation, probe counters. Returns the completion time and, on a
-/// miss, the page — the caller forwards it to the policy (classic core) or
-/// the lane's router (lane engine), which is the only difference between
-/// the two paths.
-pub(crate) fn translate_inner(
-    probe: &ProbeHandle,
-    gcfg: &GpuConfig,
-    page_size: PageSize,
-    gpu: &mut GpuState,
-    g: usize,
-    line: LineAddr,
-    t: Cycle,
-) -> (Cycle, Option<Vpn>) {
-    let vpn = line.vpn(page_size);
-    if gpu.tlb.lookup(vpn).is_some() {
-        probe.counter(Track::gpu(g), names::TLB_HIT, t, 1.0);
-        (t, None)
-    } else {
-        probe.counter(Track::gpu(g), names::TLB_MISS, t, 1.0);
-        gpu.tlb.insert(vpn, ());
-        // Walks serialise on the GPU's shared page walker.
-        let start = gpu.walker_free.max(t);
-        gpu.walker_free = start + gcfg.tlb_walker_interval;
-        (start + gcfg.tlb_walk_latency, Some(vpn))
+        crate::lanes::run(self)
     }
 }
 

@@ -1,21 +1,31 @@
-//! The deterministic per-GPU lane engine.
+//! The event loop: GPUs simulated on deterministic event *lanes*.
 //!
-//! [`run`] simulates each GPU on its own event *lane* — a private
-//! `(time, sequence)` event queue ([`LaneQueue`]) plus that GPU's caches,
-//! TLB and DRAM — and advances all lanes through conservative time
-//! windows, MGSim-style.
-//! Cross-lane effects are exchanged only at window barriers, so lanes may
-//! be driven by any number of worker threads without changing the result.
+//! A lane owns a set of GPUs — their caches, TLBs, DRAM and kernel queues
+//! — and one private `(time, sequence)` event queue ([`LaneQueue`]) over
+//! all of their warps. [`run`] drives the lanes through time windows,
+//! MGSim-style, and every configuration runs on one of two lane shapes:
 //!
-//! Execution tiers (declared by the policy via [`MemoryPolicy::lane_mode`]):
+//! * **The reference lane** owns every GPU and drains each phase in one
+//!   window of unbounded length. It routes *eagerly*: each load, store,
+//!   atomic, TLB miss, fence and kernel end calls the policy's hook
+//!   mid-step against the shared fabric, and a remote read is booked at
+//!   once against the owner GPU's DRAM, which this lane also owns. With a
+//!   single queue the pop order is the global `(time, sequence)` order
+//!   over all GPUs, and the lane emits straight into the run's probe.
+//!   `parallel_workers == 0` and the [`LaneMode::Fallback`] tier run here.
+//! * **Per-GPU lanes** own one GPU each. Cross-lane effects are exchanged
+//!   only at window barriers, so the lanes may be driven by any number of
+//!   worker threads without changing the result.
+//!
+//! Per-GPU tiers (declared by the policy via [`MemoryPolicy::lane_mode`]):
 //!
 //! * [`LaneMode::PureLocal`] — every access is local, so the lanes never
 //!   interact inside a phase: one window of infinite length per phase.
 //!   Within a lane, the pop order under `(time, lane seq)` equals the
-//!   classic engine's `(time, global seq)` order restricted to that lane
+//!   reference lane's `(time, seq)` order restricted to that GPU
 //!   (relative sequence order is push order in both), and every timing
-//!   input is lane-local, so the [`SimReport`] is **bit-identical** to the
-//!   classic engine's.
+//!   input is GPU-local, so the [`SimReport`] is **bit-identical** to the
+//!   reference lane's.
 //! * [`LaneMode::WriterEpochs`] — routing depends only on which GPU last
 //!   wrote a shared page. Lanes advance in windows of the fabric's minimum
 //!   cross-GPU latency `E` ([`Topology::min_cross_gpu_latency`]): an
@@ -28,7 +38,7 @@
 //!   leaves at `t >= W` and pays at least `E` in flight). Results are
 //!   deterministic and worker-count-invariant, but writer visibility is
 //!   bounded-stale (at most one window), so this tier is pinned by its own
-//!   golden reports rather than the classic engine's.
+//!   golden reports rather than the reference lane's.
 //! * [`LaneMode::GpsEpochs`] — the conservative GPS tier. Each lane owns a
 //!   [`LaneRouter`] (its GPU's write queue, GPS-TLB and a driver-state
 //!   snapshot); stores route through the write queue locally while the
@@ -40,7 +50,10 @@
 //!   to those horizons. Like `WriterEpochs`, subscriber visibility is
 //!   bounded-stale by one window, so the tier is pinned by worker-count
 //!   invariance and its own goldens.
-//! * [`LaneMode::Fallback`] — delegate to [`Engine::run_classic`].
+//!
+//! A latency-free fabric admits no conservative window, and a policy that
+//! cannot hand out routers cannot run the GPS tier: both run on the
+//! reference lane instead.
 //!
 //! # Epoch-window boundary
 //!
@@ -56,7 +69,7 @@
 //!
 //! # Worker pool
 //!
-//! `SimConfig::parallel_workers > 1` drives the lanes from a persistent
+//! `SimConfig::parallel_workers > 1` drives per-GPU lanes from a persistent
 //! [`std::thread::scope`] pool: `N` workers pull lane indices from an
 //! atomic work queue each window and park on a barrier between windows,
 //! while the coordinator thread runs the policy, the shared fabric and all
@@ -66,11 +79,11 @@
 //! read-only inputs regardless of which worker claims it, reports *and*
 //! telemetry are bit-identical for 1 vs `N` workers (pinned by tests).
 //!
-//! Telemetry: each lane buffers its probe emissions tagged with the event
-//! time ([`ProbeHandle::buffering`]); at each phase end the coordinator
-//! merges all lanes' buffers by `(tag, lane, queue position)` and replays
-//! them into the run's real probe, so `--telemetry` output is independent
-//! of lane interleaving.
+//! Telemetry: each per-GPU lane buffers its probe emissions tagged with
+//! the event time ([`ProbeHandle::buffering`]); at each phase end the
+//! coordinator merges all lanes' buffers by `(tag, lane, queue position)`
+//! and replays them into the run's real probe, so `--telemetry` output is
+//! independent of lane interleaving.
 //!
 //! [`MemoryPolicy::lane_mode`]: crate::MemoryPolicy::lane_mode
 //! [`MemoryPolicy::lane_barrier`]: crate::MemoryPolicy::lane_barrier
@@ -81,27 +94,26 @@
 //! [`LaneRouter`]: crate::LaneRouter
 //! [`SimReport`]: crate::SimReport
 //! [`Topology::min_cross_gpu_latency`]: gps_interconnect::Topology::min_cross_gpu_latency
-//! [`Engine::run_classic`]: Engine::run_classic
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 
 use gps_interconnect::{Fabric, FabricConfig, LinkGen};
 use gps_obs::{names, Emission, ProbeHandle, Track};
-use gps_types::{Cycle, GpuId, LineAddr, Scope, Vpn, CACHE_LINE_BYTES};
+use gps_types::{Cycle, GpuId, LineAddr, PageSize, Scope, Vpn, CACHE_LINE_BYTES};
 
 use crate::config::SimConfig;
-use crate::engine::{
-    l2_read, l2_write, start_kernel, translate_inner, Engine, EventSink, GpuState, KernelRun, Warp,
-    RECYCLE_FLUSH,
-};
+use crate::dram::DramModel;
+use crate::engine::{l2_read, l2_write, Engine, GpuState, KernelRun, Warp, RECYCLE_FLUSH};
 use crate::instr::{WarpInstr, WarpStream};
-use crate::pipeline::BufferArena;
-use crate::policy::{LaneLoad, LaneMode, LaneRouter, LaneStore, MemCtx, MemoryPolicy};
+use crate::pipeline::{expand_cta, BufferArena};
+use crate::policy::{
+    LaneLoad, LaneMode, LaneRouter, LaneStore, LoadRoute, MemCtx, MemoryPolicy, StoreRoute,
+};
 use crate::stats::SimReport;
-use crate::workload::{KernelSpec, SharedIndex, Workload};
+use crate::workload::{SharedIndex, Workload};
 
 /// Per-lane event queue: a binary heap of `(time, sequence, slot)` keys
 /// packed into one `u128` — time in the top 56 bits, a per-lane push
@@ -109,12 +121,10 @@ use crate::workload::{KernelSpec, SharedIndex, Workload};
 /// compare is a single branch on 16-byte keys instead of a
 /// lexicographic tuple walk.
 ///
-/// Within one lane the sequence is assigned in push order, so the pop
-/// order under the packed key equals the classic engine's
-/// `(time, global sequence)` order restricted to that lane: relative
-/// sequence order is push order in both. The slot bits are never reached
-/// as a tie-break (sequences are unique); they just ride along so the pop
-/// returns the payload.
+/// The sequence is assigned in push order, so two events at the same
+/// cycle pop in the order they were pushed. The slot bits are never
+/// reached as a tie-break (sequences are unique); they just ride along so
+/// the pop returns the payload.
 struct LaneQueue {
     heap: BinaryHeap<Reverse<u128>>,
     seq: u64,
@@ -169,12 +179,6 @@ impl LaneQueue {
     }
 }
 
-impl EventSink for LaneQueue {
-    fn push_event(&mut self, at: Cycle, slot: usize) {
-        self.push(at.as_u64(), slot);
-    }
-}
-
 /// Shared, read-only inputs every lane needs while draining a window.
 struct LaneCtx<'w> {
     config: &'w SimConfig,
@@ -188,6 +192,56 @@ struct LaneCtx<'w> {
     /// copy; the coordinator mutates it between windows via
     /// [`Arc::make_mut`] while no lane holds a clone.
     writers: &'w Arc<BTreeMap<Vpn, GpuId>>,
+}
+
+/// Eager routing, the reference lane's mode: the policy and the shared
+/// fabric, handed to the step so every hook runs in event order.
+struct Eager<'e> {
+    policy: &'e mut dyn MemoryPolicy,
+    fabric: &'e mut Fabric,
+    page_size: PageSize,
+}
+
+impl Eager<'_> {
+    /// Calls one policy hook with a memory context at `now`.
+    fn call<R>(
+        &mut self,
+        now: Cycle,
+        hook: impl FnOnce(&mut dyn MemoryPolicy, &mut MemCtx<'_>) -> R,
+    ) -> R {
+        let mut ctx = MemCtx {
+            now,
+            fabric: self.fabric,
+            page_size: self.page_size,
+        };
+        hook(self.policy, &mut ctx)
+    }
+}
+
+/// Books one cache line from `from` to `to` on the shared fabric at `at`;
+/// returns its arrival (`at` itself when the fabric refuses the pair).
+fn book_line(fabric: &mut Fabric, from: GpuId, to: GpuId, at: Cycle) -> Cycle {
+    // gps-lint: allow(lane_tier_purity) -- the lane's single fabric booking point: mid-window only the reference lane reaches it (eager routing, one lane on one worker); per-GPU lanes reach it from coordinator barrier work
+    let booked = fabric.transfer(from, to, CACHE_LINE_BYTES, at);
+    booked.map(|tr| tr.arrived).unwrap_or(at)
+}
+
+/// Demand-read of one line from a peer GPU's DRAM over the fabric: request
+/// hop, owner DRAM, fabric transfer back. Returns the data arrival.
+///
+/// Peer loads are not cached in the local L2 — remote data is not kept
+/// coherent, which is exactly the gap proposals like CARVE fill (§8). The
+/// caller fills the requester's per-SM L1, which provides the short
+/// intra-kernel reuse window real hardware exhibits.
+fn remote_read(
+    owner: &mut DramModel,
+    fabric: &mut Fabric,
+    from: GpuId,
+    to: GpuId,
+    t: Cycle,
+) -> Cycle {
+    let data_at = owner.read(CACHE_LINE_BYTES, t + fabric.link().latency());
+    book_line(fabric, from, to, data_at)
 }
 
 /// A warp parked mid-instruction: its completion depends on cross-lane
@@ -212,27 +266,29 @@ enum Stepped {
 
 /// How one coalesced load routes, after the mode-specific lookup.
 enum RoutedLoad {
-    Local,
+    /// Local hierarchy from the given cycle (past the translated time when
+    /// a fault stalls the access first).
+    Local(Cycle),
     /// Serviced by the issuing GPU's own write queue (§5.1 forwarding):
     /// L2-latency hit, no fill, no L2 access.
     Forwarded,
-    /// Demand-read from the owner at the next window barrier.
-    Remote(GpuId),
+    /// Demand-read from the owner, issued at the given cycle: booked at
+    /// once by the reference lane, at the next window barrier otherwise.
+    Remote(GpuId, Cycle),
 }
 
-/// One GPU's private simulation state.
+/// The simulation state of the GPUs `first..first + gpus.len()`.
 struct Lane {
-    g: usize,
-    gpu: GpuState,
+    first: usize,
+    gpus: Vec<GpuState>,
     warps: Vec<Warp>,
     free_slots: Vec<usize>,
     events: LaneQueue,
     arena: BufferArena,
     retired: Vec<Vec<WarpInstr>>,
-    queue: VecDeque<KernelSpec>,
-    running: Option<KernelRun>,
-    done: Option<Cycle>,
     suspended: Vec<Suspend>,
+    // Epoch-tier state below: those tiers run only on per-GPU lanes, so
+    // "this lane" and "this lane's GPU" coincide.
     /// Shared pages this lane itself wrote (self-visibility is immediate).
     overlay: BTreeSet<Vpn>,
     /// This window's writer updates: `(cycle, lane delta seq, page)`.
@@ -240,63 +296,73 @@ struct Lane {
     delta_seq: u64,
     remote_loads: u64,
     local_loads: u64,
-    /// Buffering handle when telemetry is on, disabled otherwise.
-    probe: ProbeHandle,
-    buffered: bool,
     /// Per-GPU routing state ([`LaneMode::GpsEpochs`] only).
     router: Option<Box<dyn LaneRouter>>,
-    /// Kernel-end release awaiting the next barrier's visibility horizon
-    /// ([`LaneMode::GpsEpochs`] only): the next launch (or lane
-    /// completion) happens at `max(horizon, last_done)`.
-    pending_kernel: Option<Cycle>,
+    /// The run's probe on the reference lane; a buffering handle on a
+    /// per-GPU lane when telemetry is on; disabled otherwise.
+    probe: ProbeHandle,
+    buffered: bool,
 }
 
 impl Lane {
-    fn new(g: usize, config: &SimConfig, telemetry: bool) -> Self {
-        let probe = if telemetry {
-            ProbeHandle::buffering()
-        } else {
-            ProbeHandle::disabled()
-        };
-        let mut gpu = GpuState::new(config);
-        gpu.dram.set_probe(probe.clone(), Track::gpu(g));
+    fn new(
+        first: usize,
+        count: usize,
+        config: &SimConfig,
+        probe: ProbeHandle,
+        buffered: bool,
+    ) -> Self {
+        let gpus = (first..first + count)
+            .map(|g| {
+                let mut gpu = GpuState::new(config);
+                gpu.dram.set_probe(probe.clone(), Track::gpu(g));
+                gpu
+            })
+            .collect();
         Lane {
-            g,
-            gpu,
+            first,
+            gpus,
             warps: Vec::new(),
             free_slots: Vec::new(),
             events: LaneQueue::new(),
             arena: BufferArena::new(),
             retired: Vec::new(),
-            queue: VecDeque::new(),
-            running: None,
-            done: None,
             suspended: Vec::new(),
             overlay: BTreeSet::new(),
             deltas: Vec::new(),
             delta_seq: 0,
             remote_loads: 0,
             local_loads: 0,
-            probe,
-            buffered: telemetry,
             router: None,
-            pending_kernel: None,
+            probe,
+            buffered,
         }
     }
 
     /// Processes every queued event strictly before `window_end`.
-    fn drain_window(&mut self, ctx: &LaneCtx<'_>, window_end: u64) {
+    fn drain_window(
+        &mut self,
+        ctx: &LaneCtx<'_>,
+        mut eager: Option<&mut Eager<'_>>,
+        window_end: u64,
+    ) {
         'events: while let Some((t, slot)) = self.events.pop_before(window_end) {
             let mut t = t;
             loop {
                 if self.buffered {
                     self.probe.set_tag(t);
                 }
-                match self.step(ctx, slot) {
+                match self.step(ctx, eager.as_deref_mut(), slot) {
                     Stepped::Ready => {
                         if self.warps[slot].stream.is_exhausted() {
                             let done_at = self.warps[slot].ready;
-                            self.retire_warp(ctx.config, ctx.gpu_count, slot, done_at);
+                            self.retire_warp(
+                                ctx.config,
+                                ctx.gpu_count,
+                                eager.as_deref_mut(),
+                                slot,
+                                done_at,
+                            );
                             continue 'events;
                         }
                         let ready = self.warps[slot].ready.as_u64();
@@ -324,57 +390,71 @@ impl Lane {
         }
     }
 
-    /// Executes one instruction of warp `slot` — the lane port of the
-    /// classic engine's `step_warp`, with routing resolved from the
-    /// engine-owned writer state or the lane's [`LaneRouter`] instead of a
-    /// policy callback.
-    fn step(&mut self, ctx: &LaneCtx<'_>, slot: usize) -> Stepped {
+    /// Executes one instruction of warp `slot`, routing through the policy
+    /// (`eager`, the reference lane) or through the engine-owned writer
+    /// state or the lane's [`LaneRouter`] (per-GPU lanes).
+    fn step(
+        &mut self,
+        ctx: &LaneCtx<'_>,
+        mut eager: Option<&mut Eager<'_>>,
+        slot: usize,
+    ) -> Stepped {
         let gcfg = ctx.config.gpu;
-        let page_size = ctx.config.page_size;
-        let g = self.g;
-        let gpu_id = GpuId::new(g as u16);
-
-        let (sm, instr) = {
+        let (g, sm, instr) = {
             let w = &mut self.warps[slot];
-            // gps-lint: allow(no_expect) -- heap slots always hold a next instruction; retire removes exhausted warps
+            // gps-lint: allow(no_expect) -- queued slots always hold a next instruction; retire removes exhausted warps
             let instr = w.stream.next().expect("stepped an exhausted warp");
-            (w.sm, instr)
+            (w.gpu, w.sm, instr)
         };
-        let issue = self.warps[slot].ready.max(self.gpu.sm_issue[sm]);
-        self.gpu.instructions += 1;
+        let lg = g - self.first;
+        let gpu_id = GpuId::new(g as u16);
+        let issue = self.warps[slot].ready.max(self.gpus[lg].sm_issue[sm]);
+        self.gpus[lg].instructions += 1;
 
         match instr {
             WarpInstr::Compute(c) => {
+                let gpu = &mut self.gpus[lg];
                 let end = Cycle::new(issue.as_u64() + c as u64);
-                self.gpu.sm_issue[sm] = end.max(Cycle::new(issue.as_u64() + 1));
-                self.gpu.sm_busy += (c as u64).max(1);
+                gpu.sm_issue[sm] = end.max(Cycle::new(issue.as_u64() + 1));
+                gpu.sm_busy += (c as u64).max(1);
                 self.warps[slot].ready = end.max(Cycle::new(issue.as_u64() + 1));
                 Stepped::Ready
             }
             WarpInstr::Load(range) => {
-                self.gpu.sm_busy += range.len().max(1) as u64;
-                self.gpu.sm_issue[sm] = Cycle::new(issue.as_u64() + range.len().max(1) as u64);
+                let gpu = &mut self.gpus[lg];
+                gpu.sm_busy += range.len().max(1) as u64;
+                gpu.sm_issue[sm] = Cycle::new(issue.as_u64() + range.len().max(1) as u64);
                 let mut ready = Cycle::new(issue.as_u64() + 1);
                 let mut pending: Vec<(GpuId, LineAddr, Cycle)> = Vec::new();
                 for (i, line) in range.iter().enumerate() {
                     let t0 = Cycle::new(issue.as_u64() + i as u64);
-                    if self.gpu.l1[sm].probe(line) {
-                        self.gpu.l1_hits += 1;
+                    let gpu = &mut self.gpus[lg];
+                    if gpu.l1[sm].probe(line) {
+                        gpu.l1_hits += 1;
                         ready = ready.max(t0 + gcfg.l1_latency);
                         continue;
                     }
-                    self.gpu.l1_misses += 1;
-                    let t = self.translate(&gcfg, page_size, line, t0);
-                    match self.route_load(ctx, line) {
-                        RoutedLoad::Local => {
-                            let arrival = l2_read(&mut self.gpu, &gcfg, line, gpu_id, t);
-                            self.gpu.l1[sm].fill(line, gpu_id);
+                    gpu.l1_misses += 1;
+                    let t = self.translate(ctx, eager.as_deref_mut(), lg, line, t0);
+                    match self.route_load(ctx, eager.as_deref_mut(), gpu_id, line, t) {
+                        RoutedLoad::Local(at) => {
+                            let gpu = &mut self.gpus[lg];
+                            let arrival = l2_read(gpu, &gcfg, line, gpu_id, at);
+                            gpu.l1[sm].fill(line, gpu_id);
                             ready = ready.max(arrival);
                         }
                         RoutedLoad::Forwarded => {
                             ready = ready.max(t + gcfg.l2_latency);
                         }
-                        RoutedLoad::Remote(from) => pending.push((from, line, t)),
+                        RoutedLoad::Remote(from, at) => match eager.as_deref_mut() {
+                            Some(ex) => {
+                                let owner = &mut self.gpus[from.index() - self.first].dram;
+                                let arrival = remote_read(owner, ex.fabric, from, gpu_id, at);
+                                self.gpus[lg].l1[sm].fill(line, from);
+                                ready = ready.max(arrival);
+                            }
+                            None => pending.push((from, line, at)),
+                        },
                     }
                 }
                 if pending.is_empty() {
@@ -390,13 +470,16 @@ impl Lane {
                 }
             }
             WarpInstr::Store(range, scope) => {
-                self.gpu.sm_busy += range.len().max(1) as u64;
-                self.gpu.sm_issue[sm] = Cycle::new(issue.as_u64() + range.len().max(1) as u64);
+                let gpu = &mut self.gpus[lg];
+                gpu.sm_busy += range.len().max(1) as u64;
+                gpu.sm_issue[sm] = Cycle::new(issue.as_u64() + range.len().max(1) as u64);
                 let mut ready = Cycle::new(issue.as_u64() + 1);
                 for (i, line) in range.iter().enumerate() {
                     let t0 = Cycle::new(issue.as_u64() + i as u64);
-                    let t = self.translate(&gcfg, page_size, line, t0);
-                    if let Some(stall) = self.store_line(ctx, sm, line, scope, t, false) {
+                    let t = self.translate(ctx, eager.as_deref_mut(), lg, line, t0);
+                    if let Some(stall) =
+                        self.store_line(ctx, eager.as_deref_mut(), lg, sm, line, scope, t, false)
+                    {
                         ready = ready.max(stall);
                     }
                 }
@@ -404,20 +487,28 @@ impl Lane {
                 Stepped::Ready
             }
             WarpInstr::Atomic(line) => {
-                self.gpu.sm_busy += 1;
-                self.gpu.sm_issue[sm] = Cycle::new(issue.as_u64() + 1);
-                let t = self.translate(&gcfg, page_size, line, issue);
+                let gpu = &mut self.gpus[lg];
+                gpu.sm_busy += 1;
+                gpu.sm_issue[sm] = Cycle::new(issue.as_u64() + 1);
+                let t = self.translate(ctx, eager.as_deref_mut(), lg, line, issue);
                 let mut ready = Cycle::new(issue.as_u64() + 1);
-                if let Some(stall) = self.store_line(ctx, sm, line, Scope::Gpu, t, true) {
+                if let Some(stall) = self.store_line(ctx, eager, lg, sm, line, Scope::Gpu, t, true)
+                {
                     ready = ready.max(stall);
                 }
                 self.warps[slot].ready = ready;
                 Stepped::Ready
             }
             WarpInstr::Fence(scope) => {
-                self.gpu.sm_busy += 1;
-                self.gpu.sm_issue[sm] = Cycle::new(issue.as_u64() + 1);
+                let gpu = &mut self.gpus[lg];
+                gpu.sm_busy += 1;
+                gpu.sm_issue[sm] = Cycle::new(issue.as_u64() + 1);
                 let ready = Cycle::new(issue.as_u64() + 1);
+                if let Some(ex) = eager {
+                    let done = ex.call(issue, |p, c| p.on_fence(gpu_id, scope, c));
+                    self.warps[slot].ready = done.max(ready);
+                    return Stepped::Ready;
+                }
                 if scope.drains_write_queue() {
                     if let Some(router) = self.router.as_mut() {
                         // Sys-scoped fence: queue the flush; visibility
@@ -439,118 +530,168 @@ impl Lane {
         }
     }
 
-    /// Conventional-TLB translation for one line: the lane port of the
-    /// classic engine's `translate`, feeding misses to the lane's router
-    /// (access tracking) instead of a policy callback.
+    /// Conventional-TLB translation of `line` on owned GPU `lg`, charging a
+    /// walk on a miss; returns when translation completes. A miss is
+    /// reported at the pre-walk time `t0` to the policy (eager) or the
+    /// lane's router (access tracking).
     fn translate(
         &mut self,
-        gcfg: &crate::config::GpuConfig,
-        page_size: gps_types::PageSize,
+        ctx: &LaneCtx<'_>,
+        eager: Option<&mut Eager<'_>>,
+        lg: usize,
         line: LineAddr,
         t0: Cycle,
     ) -> Cycle {
-        let (t, missed) = translate_inner(
-            &self.probe,
-            gcfg,
-            page_size,
-            &mut self.gpu,
-            self.g,
-            line,
-            t0,
-        );
-        if let Some(vpn) = missed {
-            if let Some(router) = self.router.as_mut() {
-                // gps-lint: allow(lane_tier_purity) -- receiver is the per-lane router, the sanctioned channel; name-based resolution cannot see receiver types
-                router.tlb_miss(vpn, t0);
-            }
+        let g = self.first + lg;
+        let gcfg = &ctx.config.gpu;
+        let gpu = &mut self.gpus[lg];
+        let vpn = line.vpn(ctx.config.page_size);
+        if gpu.tlb.lookup(vpn).is_some() {
+            self.probe.counter(Track::gpu(g), names::TLB_HIT, t0, 1.0);
+            return t0;
         }
-        t
+        self.probe.counter(Track::gpu(g), names::TLB_MISS, t0, 1.0);
+        gpu.tlb.insert(vpn, ());
+        // Walks serialise on the GPU's shared page walker.
+        let start = gpu.walker_free.max(t0);
+        gpu.walker_free = start + gcfg.tlb_walker_interval;
+        if let Some(ex) = eager {
+            ex.call(t0, |p, c| p.on_tlb_miss(GpuId::new(g as u16), vpn, c));
+        } else if let Some(router) = self.router.as_mut() {
+            // gps-lint: allow(lane_tier_purity) -- receiver is the per-lane router, the sanctioned channel; name-based resolution cannot see receiver types
+            router.tlb_miss(vpn, t0);
+        }
+        start + gcfg.tlb_walk_latency
     }
 
-    /// Routes one coalesced load. Mirrors `RdlPolicy::route_load` exactly
-    /// in [`LaneMode::WriterEpochs`] (private lines route local without
-    /// touching either counter); defers to the router in
-    /// [`LaneMode::GpsEpochs`].
-    fn route_load(&mut self, ctx: &LaneCtx<'_>, line: LineAddr) -> RoutedLoad {
+    /// Routes one coalesced load by `gpu` at translated time `t`: through
+    /// the policy (eager), the lane's router ([`LaneMode::GpsEpochs`]), or
+    /// the writer map — mirroring `RdlPolicy::route_load` exactly in
+    /// [`LaneMode::WriterEpochs`] (private lines route local without
+    /// touching either counter).
+    fn route_load(
+        &mut self,
+        ctx: &LaneCtx<'_>,
+        eager: Option<&mut Eager<'_>>,
+        gpu: GpuId,
+        line: LineAddr,
+        t: Cycle,
+    ) -> RoutedLoad {
+        if let Some(ex) = eager {
+            return match ex.call(t, |p, c| p.route_load(gpu, line, c)) {
+                LoadRoute::Local => RoutedLoad::Local(t),
+                LoadRoute::Remote { from } => RoutedLoad::Remote(from, t),
+                LoadRoute::Forwarded => RoutedLoad::Forwarded,
+                LoadRoute::StallThenLocal { ready } => RoutedLoad::Local(ready.max(t)),
+                // Re-fault on an evicted replica: the warp stalls for the
+                // fault overhead, then the access resolves remotely like
+                // any other peer read.
+                LoadRoute::StallThenRemote { from, ready } => {
+                    RoutedLoad::Remote(from, ready.max(t))
+                }
+            };
+        }
         if let Some(router) = self.router.as_mut() {
             return match router.load(line) {
-                LaneLoad::Local => RoutedLoad::Local,
+                LaneLoad::Local => RoutedLoad::Local(t),
                 LaneLoad::Forwarded => RoutedLoad::Forwarded,
-                LaneLoad::Remote { from } => RoutedLoad::Remote(from),
+                LaneLoad::Remote { from } => RoutedLoad::Remote(from, t),
             };
         }
         if ctx.mode != LaneMode::WriterEpochs {
-            return RoutedLoad::Local;
+            return RoutedLoad::Local(t);
         }
         // gps-lint: allow(no_expect) -- run() builds the index for every WriterEpochs lane
         let index = ctx.index.expect("writer mode without a shared index");
         if !index.is_shared(line) {
-            return RoutedLoad::Local;
+            return RoutedLoad::Local(t);
         }
         let vpn = line.vpn(ctx.config.page_size);
         let writer = if self.overlay.contains(&vpn) {
-            Some(GpuId::new(self.g as u16))
+            Some(gpu)
         } else {
             ctx.writers.get(&vpn).copied()
         };
         match writer {
-            Some(w) if w.index() != self.g => {
+            Some(w) if w != gpu => {
                 self.remote_loads += 1;
-                RoutedLoad::Remote(w)
+                RoutedLoad::Remote(w, t)
             }
             _ => {
                 self.local_loads += 1;
-                RoutedLoad::Local
+                RoutedLoad::Local(t)
             }
         }
     }
 
-    /// One coalesced store (or atomic) to `line` at translated time `t` —
-    /// the lane port of the classic engine's `store_line`. Returns the
-    /// stall completion for collapse-stalled stores.
+    /// One coalesced store (or atomic) to `line` by owned GPU `lg` at
+    /// translated time `t`. Returns the stall completion for stores the
+    /// route stalls (faults, collapses).
+    #[allow(clippy::too_many_arguments)]
     fn store_line(
         &mut self,
         ctx: &LaneCtx<'_>,
+        eager: Option<&mut Eager<'_>>,
+        lg: usize,
         sm: usize,
         line: LineAddr,
         scope: Scope,
         t: Cycle,
         atomic: bool,
     ) -> Option<Cycle> {
-        let gpu_id = GpuId::new(self.g as u16);
-        if let Some(router) = self.router.as_mut() {
-            let route = if atomic {
+        let gpu_id = GpuId::new((self.first + lg) as u16);
+        let route = if let Some(ex) = eager {
+            let route = ex.call(t, |p, c| {
+                if atomic {
+                    p.route_atomic(gpu_id, line, c)
+                } else {
+                    p.route_store(gpu_id, line, scope, c)
+                }
+            });
+            match route {
+                StoreRoute::Local => LaneStore::Local,
+                StoreRoute::LocalReplicated => LaneStore::Replicated,
+                StoreRoute::Remote { to } => {
+                    let _ = book_line(ex.fabric, gpu_id, to, t);
+                    LaneStore::Remote
+                }
+                StoreRoute::StallThenLocal { ready } => LaneStore::Stall { ready },
+            }
+        } else if let Some(router) = self.router.as_mut() {
+            if atomic {
                 // gps-lint: allow(lane_tier_purity) -- receiver is the per-lane router, the sanctioned channel; name-based resolution cannot see receiver types
                 router.atomic(line, t)
             } else {
                 // gps-lint: allow(lane_tier_purity) -- receiver is the per-lane router, the sanctioned channel; name-based resolution cannot see receiver types
                 router.store(line, scope, t)
-            };
-            let _ = self.gpu.l1[sm].probe(line);
-            return match route {
-                LaneStore::Local | LaneStore::Replicated => {
-                    l2_write(&mut self.gpu, line, gpu_id, t);
-                    None
-                }
-                // Peer store: the router buffered the transfer for the
-                // barrier; nothing is written locally (classic parity).
-                LaneStore::Remote => None,
-                LaneStore::Stall { ready } => {
-                    let at = ready.max(t);
-                    l2_write(&mut self.gpu, line, gpu_id, at);
-                    Some(at)
-                }
-            };
+            }
+        } else {
+            self.record_write(ctx, line, t);
+            LaneStore::Local
+        };
+        // Write-through L1: update in place if present (probe refreshes
+        // LRU); no allocation on store miss.
+        let gpu = &mut self.gpus[lg];
+        let _ = gpu.l1[sm].probe(line);
+        match route {
+            LaneStore::Local | LaneStore::Replicated => {
+                l2_write(gpu, line, gpu_id, t);
+                None
+            }
+            // Peer store: booked above (eager) or buffered by the router
+            // for the barrier; nothing is written locally.
+            LaneStore::Remote => None,
+            LaneStore::Stall { ready } => {
+                let at = ready.max(t);
+                l2_write(gpu, line, gpu_id, at);
+                Some(at)
+            }
         }
-        self.route_store(ctx, line, t);
-        let _ = self.gpu.l1[sm].probe(line);
-        l2_write(&mut self.gpu, line, gpu_id, t);
-        None
     }
 
     /// Records a store's writer update ([`LaneMode::WriterEpochs`] only;
     /// the store itself always completes locally, like `RdlPolicy`).
-    fn route_store(&mut self, ctx: &LaneCtx<'_>, line: LineAddr, t: Cycle) {
+    fn record_write(&mut self, ctx: &LaneCtx<'_>, line: LineAddr, t: Cycle) {
         if ctx.mode != LaneMode::WriterEpochs {
             return;
         }
@@ -566,18 +707,21 @@ impl Lane {
     }
 
     /// Retires warp `slot` at `done_at`: frees the slot, recycles the
-    /// stream buffer and runs the classic kernel bookkeeping (CTA refill,
-    /// kernel finish, next launch or lane completion).
+    /// stream buffer and runs the kernel bookkeeping (CTA refill, kernel
+    /// finish, next launch or phase completion).
     fn retire_warp(
         &mut self,
         config: &SimConfig,
-        workload_gpu_count: u32,
+        wl_gc: u32,
+        eager: Option<&mut Eager<'_>>,
         slot: usize,
         done_at: Cycle,
     ) {
-        let cta = self.warps[slot].cta;
-        let sm = self.warps[slot].sm;
-        self.gpu.warps_done += 1;
+        let Warp {
+            gpu: g, sm, cta, ..
+        } = self.warps[slot];
+        let lg = g - self.first;
+        self.gpus[lg].warps_done += 1;
         self.free_slots.push(slot);
         let stream = std::mem::replace(&mut self.warps[slot].stream, WarpStream::owned(Vec::new()));
         if let Some(buf) = stream.into_buffer() {
@@ -587,90 +731,126 @@ impl Lane {
             }
         }
 
-        let kernel_finished = {
-            // gps-lint: allow(no_expect) -- a live warp's lane always has a running kernel
-            let run = self.running.as_mut().expect("warp without kernel");
-            run.live_warps -= 1;
-            run.last_done = run.last_done.max(done_at);
-            run.cta_live[cta as usize] -= 1;
-            if run.cta_live[cta as usize] == 0 {
-                run.sm_resident[sm] -= 1;
-                if run.next_cta < run.spec.cta_count {
-                    let cta_idx = run.next_cta;
-                    run.next_cta += 1;
-                    run.sm_resident[sm] += 1;
-                    run.cta_live[cta_idx as usize] = run.spec.warps_per_cta;
-                    let streams = run.cta_streams(self.g, workload_gpu_count, &self.arena);
-                    crate::engine::spawn_cta(
-                        self.g,
-                        sm,
-                        cta_idx,
-                        done_at,
-                        streams,
-                        &mut self.warps,
-                        &mut self.free_slots,
-                        &mut self.events,
-                    );
-                }
+        // gps-lint: allow(no_expect) -- a live warp's GPU always has a running kernel
+        let mut run = self.gpus[lg].running.take().expect("warp without kernel");
+        run.live_warps -= 1;
+        run.last_done = run.last_done.max(done_at);
+        run.cta_live[cta as usize] -= 1;
+        if run.cta_live[cta as usize] == 0 {
+            run.sm_resident[sm] -= 1;
+            // Launch a pending CTA into the freed slot.
+            if run.next_cta < run.spec.cta_count {
+                self.spawn_cta(&mut run, g, sm, done_at, wl_gc);
             }
-            run.live_warps == 0
-        };
+        }
+        if run.live_warps > 0 {
+            self.gpus[lg].running = Some(run);
+            return;
+        }
 
-        if kernel_finished {
-            // gps-lint: allow(no_expect) -- just observed Some above
-            let run = self.running.take().expect("just observed");
-            self.gpu.kernels_done += 1;
-            self.probe.span(
-                Track::gpu(self.g),
-                &run.spec.name,
-                "kernel",
-                run.started,
-                run.last_done,
-            );
-            // Grid-end implicit release, as in the classic engine.
-            for l1 in &mut self.gpu.l1[..] {
-                l1.invalidate_all();
-            }
-            self.gpu.l2.invalidate_remote(GpuId::new(self.g as u16));
-            let visible = run.last_done;
-            if let Some(router) = self.router.as_mut() {
-                // GPS grid-end release: queue the write-queue flush; the
-                // next launch waits on the barrier's visibility horizon.
-                router.flush(visible);
-                self.pending_kernel = Some(visible);
-            } else {
-                // Other lane-capable policies keep the default
-                // `on_kernel_end`.
-                self.advance_kernel(config, workload_gpu_count, visible);
-            }
+        let gpu_id = GpuId::new(g as u16);
+        self.gpus[lg].kernels_done += 1;
+        self.probe.span(
+            Track::gpu(g),
+            &run.spec.name,
+            "kernel",
+            run.started,
+            run.last_done,
+        );
+        // Grid-end implicit release: L1s drop everything, the L2 drops
+        // peer-homed lines, the policy drains.
+        let gpu = &mut self.gpus[lg];
+        for l1 in &mut gpu.l1[..] {
+            l1.invalidate_all();
+        }
+        gpu.l2.invalidate_remote(gpu_id);
+        let last_done = run.last_done;
+        if let Some(ex) = eager {
+            let visible = ex.call(last_done, |p, c| p.on_kernel_end(gpu_id, c));
+            self.advance_kernel(config, wl_gc, lg, visible);
+        } else if let Some(router) = self.router.as_mut() {
+            // GPS grid-end release: queue the write-queue flush; the
+            // next launch waits on the barrier's visibility horizon.
+            router.flush(last_done);
+            self.gpus[lg].pending_kernel = Some(last_done);
+        } else {
+            // Other lane-capable policies keep the default
+            // `on_kernel_end`.
+            self.advance_kernel(config, wl_gc, lg, last_done);
         }
     }
 
-    /// Launches the next queued kernel at `visible` (plus launch overhead)
-    /// or marks the lane done for the phase.
-    fn advance_kernel(&mut self, config: &SimConfig, workload_gpu_count: u32, visible: Cycle) {
-        if let Some(spec) = self.queue.pop_front() {
-            let at = visible + config.gpu.kernel_launch_overhead;
-            let next = start_kernel(
-                config,
-                workload_gpu_count,
-                self.g,
-                spec,
-                at,
-                &self.arena,
-                &mut self.warps,
-                &mut self.free_slots,
-                &mut self.events,
-            );
-            self.running = Some(next);
-        } else {
-            self.done = Some(visible);
+    /// Launches owned GPU `lg`'s next queued kernel at `visible` plus the
+    /// launch overhead, spawning its first wave of CTAs round-robin over
+    /// the SMs until residency is full or CTAs run out; with no kernel
+    /// left, marks the GPU done for the phase at `visible`.
+    fn advance_kernel(&mut self, config: &SimConfig, wl_gc: u32, lg: usize, visible: Cycle) {
+        let Some(spec) = self.gpus[lg].queue.pop_front() else {
+            self.gpus[lg].done = Some(visible);
+            return;
+        };
+        let gpu_cfg = config.gpu;
+        let at = visible + gpu_cfg.kernel_launch_overhead;
+        let slots_per_sm = gpu_cfg.cta_slots_per_sm(spec.warps_per_cta);
+        let mut run = KernelRun::new(spec, at, gpu_cfg.sms);
+        let capacity = slots_per_sm as u64 * gpu_cfg.sms as u64;
+        let first_wave = (run.spec.cta_count as u64).min(capacity) as u32;
+        for _ in 0..first_wave {
+            // Find next SM with room.
+            let mut sm = run.sm_cursor;
+            while run.sm_resident[sm] >= slots_per_sm {
+                sm = (sm + 1) % gpu_cfg.sms;
+            }
+            run.sm_cursor = (sm + 1) % gpu_cfg.sms;
+            self.spawn_cta(&mut run, self.first + lg, sm, at, wl_gc);
+        }
+        self.gpus[lg].running = Some(run);
+    }
+
+    /// Places `run`'s next CTA on SM `sm` of GPU `g` and schedules its
+    /// warps at `at`.
+    fn spawn_cta(&mut self, run: &mut KernelRun, g: usize, sm: usize, at: Cycle, wl_gc: u32) {
+        let cta = run.next_cta;
+        run.next_cta += 1;
+        run.sm_resident[sm] += 1;
+        run.cta_live[cta as usize] = run.spec.warps_per_cta;
+        let streams = expand_cta(
+            run.spec.program.as_ref(),
+            &self.arena,
+            GpuId::new(g as u16),
+            wl_gc,
+            cta,
+            run.spec.cta_count,
+            run.spec.warps_per_cta,
+        );
+        for mut stream in streams {
+            // Degenerate empty warp: give it a single no-op so the retire
+            // bookkeeping path still sees it.
+            stream.ensure_nonempty();
+            let warp = Warp {
+                gpu: g,
+                sm,
+                cta,
+                stream,
+                ready: at,
+            };
+            let slot = match self.free_slots.pop() {
+                Some(s) => {
+                    self.warps[s] = warp;
+                    s
+                }
+                None => {
+                    self.warps.push(warp);
+                    self.warps.len() - 1
+                }
+            };
+            self.events.push(at.as_u64(), slot);
         }
     }
 }
 
 /// Merges every lane's buffered writer updates into the master map in
-/// `(cycle, gpu, sequence)` order — the tentpole's deterministic merge.
+/// `(cycle, gpu, sequence)` order — the deterministic writer merge.
 ///
 /// Each lane's self-write overlay is cleared afterwards: its entries are
 /// now reflected in `writers` (at their true merge rank, so a peer's later
@@ -679,7 +859,7 @@ impl Lane {
 fn barrier_merge(lanes: &mut [&mut Lane], writers: &mut BTreeMap<Vpn, GpuId>) {
     let mut all: Vec<(u64, u16, u64, Vpn)> = Vec::new();
     for lane in lanes.iter_mut() {
-        let g = lane.g as u16;
+        let g = lane.first as u16;
         all.extend(lane.deltas.drain(..).map(|(t, s, vpn)| (t, g, s, vpn)));
         lane.overlay.clear();
     }
@@ -692,13 +872,13 @@ fn barrier_merge(lanes: &mut [&mut Lane], writers: &mut BTreeMap<Vpn, GpuId>) {
 /// Books every suspended warp's remote lines against the owners' DRAM and
 /// the shared fabric in deterministic `(issue time, lane, position)` order,
 /// then resumes (or retires) each warp at its merged arrival time. Fence
-/// (flush) suspends resume at the lane's visibility horizon (`vis`,
+/// (flush) suspends resume at the GPU's visibility horizon (`vis`,
 /// [`LaneMode::GpsEpochs`] only), no earlier than the window end.
 fn resolve_suspended(
     lanes: &mut [&mut Lane],
     fabric: &mut Fabric,
     config: &SimConfig,
-    workload_gpu_count: u32,
+    wl_gc: u32,
     telemetry: bool,
     window_end: u64,
     vis: Option<&[Cycle]>,
@@ -722,12 +902,12 @@ fn resolve_suspended(
         line: LineAddr,
     }
     let mut reqs: Vec<Req> = Vec::new();
-    for (g, lane) in lanes.iter().enumerate() {
+    for (li, lane) in lanes.iter().enumerate() {
         for (si, susp) in lane.suspended.iter().enumerate() {
             for (pi, &(from, line, t)) in susp.pending.iter().enumerate() {
                 reqs.push(Req {
-                    key: (t.as_u64(), g, si, pi),
-                    lane: g,
+                    key: (t.as_u64(), li, si, pi),
+                    lane: li,
                     sidx: si,
                     from,
                     line,
@@ -737,26 +917,28 @@ fn resolve_suspended(
     }
     reqs.sort_unstable_by_key(|r| r.key);
 
-    let link_latency = fabric.link().latency();
     for r in reqs {
-        // Same shape as the classic engine's `remote_read`: request hop,
-        // owner DRAM, cut-through fabric transfer, requester L1 fill.
-        let req_at = Cycle::new(r.key.0) + link_latency;
-        let data_at = lanes[r.from.index()]
-            .gpu
-            .dram
-            .read(CACHE_LINE_BYTES, req_at);
-        let arrived = fabric
-            .transfer(r.from, GpuId::new(r.lane as u16), CACHE_LINE_BYTES, data_at)
-            .map(|tr| tr.arrived)
-            .unwrap_or(data_at);
+        let slot = lanes[r.lane].suspended[r.sidx].slot;
+        let (g, sm) = (lanes[r.lane].warps[slot].gpu, lanes[r.lane].warps[slot].sm);
+        let owner = lanes
+            .iter_mut()
+            .find_map(|l| l.gpus.get_mut(r.from.index().checked_sub(l.first)?))
+            // gps-lint: allow(no_expect) -- the lanes together own every GPU
+            .expect("remote owner outside every lane");
+        let arrived = remote_read(
+            &mut owner.dram,
+            fabric,
+            r.from,
+            GpuId::new(g as u16),
+            Cycle::new(r.key.0),
+        );
         debug_assert!(
             window_end == u64::MAX || arrived.as_u64() >= window_end,
             "a barrier-resolved remote load must land at or after the window end"
         );
-        let sm = lanes[r.lane].warps[lanes[r.lane].suspended[r.sidx].slot].sm;
-        lanes[r.lane].gpu.l1[sm].fill(r.line, r.from);
-        let susp = &mut lanes[r.lane].suspended[r.sidx];
+        let lane = &mut lanes[r.lane];
+        lane.gpus[g - lane.first].l1[sm].fill(r.line, r.from);
+        let susp = &mut lane.suspended[r.sidx];
         susp.ready = susp.ready.max(arrived);
     }
 
@@ -766,7 +948,7 @@ fn resolve_suspended(
             let mut ready = susp.ready;
             if susp.flush {
                 if let Some(vis) = vis {
-                    ready = ready.max(vis[lane.g]);
+                    ready = ready.max(vis[lane.warps[susp.slot].gpu]);
                 }
                 if window_end != u64::MAX {
                     // A resumed fence must not reenter the closed window.
@@ -780,7 +962,7 @@ fn resolve_suspended(
                 if lane.buffered {
                     lane.probe.set_tag(ready.as_u64());
                 }
-                lane.retire_warp(config, workload_gpu_count, susp.slot, ready);
+                lane.retire_warp(config, wl_gc, None, susp.slot, ready);
             }
         }
     }
@@ -793,8 +975,9 @@ fn resolve_suspended(
 /// [`drain`]: LaneExec::drain
 /// [`with_all`]: LaneExec::with_all
 trait LaneExec {
-    /// Drains every lane's events strictly before `window_end`.
-    fn drain(&mut self, ctx: &LaneCtx<'_>, window_end: u64);
+    /// Drains every lane's events strictly before `window_end`, routing
+    /// through `eager` on the reference lane.
+    fn drain(&mut self, ctx: &LaneCtx<'_>, eager: Option<&mut Eager<'_>>, window_end: u64);
 
     /// Runs `f` over all lanes (in lane order) with exclusive access.
     fn with_all<R>(&mut self, f: impl FnOnce(&mut [&mut Lane]) -> R) -> R;
@@ -806,9 +989,9 @@ struct InlineExec<'l> {
 }
 
 impl LaneExec for InlineExec<'_> {
-    fn drain(&mut self, ctx: &LaneCtx<'_>, window_end: u64) {
+    fn drain(&mut self, ctx: &LaneCtx<'_>, mut eager: Option<&mut Eager<'_>>, window_end: u64) {
         for lane in self.lanes.iter_mut() {
-            lane.drain_window(ctx, window_end);
+            lane.drain_window(ctx, eager.as_deref_mut(), window_end);
         }
     }
 
@@ -881,7 +1064,7 @@ fn lane_worker(pool: &Pool<'_>) {
                 .lock()
                 // gps-lint: allow(no_expect) -- a poisoned cell means a sibling worker already panicked
                 .expect("lane mutex poisoned")
-                .drain_window(&ctx, window_end);
+                .drain_window(&ctx, None, window_end);
         }
         // Release the window's writer snapshot before the end barrier so
         // the coordinator sees the only remaining Arc reference.
@@ -890,14 +1073,15 @@ fn lane_worker(pool: &Pool<'_>) {
     }
 }
 
-/// Multi-worker execution: the coordinator publishes a job and rides the
+/// Multi-worker execution (per-GPU lanes only): the coordinator publishes a job and rides the
 /// start/end barriers.
 struct PoolExec<'p, 'w> {
     pool: &'p Pool<'w>,
 }
 
 impl LaneExec for PoolExec<'_, '_> {
-    fn drain(&mut self, ctx: &LaneCtx<'_>, window_end: u64) {
+    fn drain(&mut self, ctx: &LaneCtx<'_>, eager: Option<&mut Eager<'_>>, window_end: u64) {
+        debug_assert!(eager.is_none(), "the reference lane runs inline");
         // gps-lint: allow(lane_tier_purity) -- receiver is the pool's AtomicUsize claim counter, not the shared system
         self.pool.queue.store(0, Ordering::SeqCst);
         {
@@ -941,78 +1125,87 @@ impl Drop for PoolShutdown<'_, '_> {
     }
 }
 
-/// Runs `engine`'s workload on the lane engine (or falls back to the
-/// classic core when the policy or fabric rules lanes out).
+/// Runs `engine`'s workload: on per-GPU lanes when `parallel_workers >= 1`,
+/// the policy's tier admits them and (for the epoch tiers) the fabric has
+/// a non-zero cross-GPU latency; on the reference lane otherwise.
 pub(crate) fn run(engine: Engine<'_>) -> SimReport {
-    let mode = engine.policy.lane_mode();
-    let epoch = match mode {
-        LaneMode::Fallback => return engine.run_classic(),
-        LaneMode::PureLocal => 0,
-        LaneMode::WriterEpochs | LaneMode::GpsEpochs => {
-            let e = engine
-                .config
-                .topology
-                .min_cross_gpu_latency(engine.link)
-                .as_u64();
-            if e == 0 {
-                // A latency-free fabric admits no conservative window.
-                return engine.run_classic();
-            }
-            e
-        }
-    };
-    let gps = mode == LaneMode::GpsEpochs;
-
-    let gc = engine.config.gpu_count;
-    let tenants = engine.config.tenants.max(1);
-    let master_probe = engine.probe.clone();
-    let telemetry = master_probe.is_enabled();
-
-    // Coordinator-owned fabric: books barrier-resolved remote reads and
-    // publishes, and backs the policy's phase hooks. Lanes never touch it
-    // mid-window.
-    let mut fabric = Fabric::new(
-        FabricConfig::new(gc, engine.link)
-            .with_topology(engine.config.topology)
-            .with_bandwidth_share(tenants),
-    );
-    fabric.set_probe(master_probe.clone());
-
-    engine.policy.attach_probe(master_probe.clone());
-    engine.policy.init(engine.workload, &engine.config);
-
-    // GPS tier: one router per GPU, moved out of the policy. An empty
-    // vector means the policy cannot run this workload on lanes.
-    let routers = if gps {
-        engine.policy.lane_routers()
-    } else {
-        Vec::new()
-    };
-    if gps && routers.len() != gc {
-        return engine.run_classic();
-    }
-
     let Engine {
         config,
         link,
         workload,
         policy,
-        probe: _,
+        probe,
     } = engine;
-    let wl_gc = workload.gpu_count as u32;
+    let gc = config.gpu_count;
+    let declared = if config.parallel_workers == 0 {
+        LaneMode::Fallback
+    } else {
+        policy.lane_mode()
+    };
+    let epoch = match declared {
+        LaneMode::WriterEpochs | LaneMode::GpsEpochs => {
+            config.topology.min_cross_gpu_latency(link).as_u64()
+        }
+        LaneMode::PureLocal | LaneMode::Fallback => 0,
+    };
+    // A latency-free fabric admits no conservative window.
+    let mut mode = if declared != LaneMode::PureLocal && epoch == 0 {
+        LaneMode::Fallback
+    } else {
+        declared
+    };
+    let telemetry = probe.is_enabled();
+
+    // Coordinator-owned fabric: books barrier-resolved remote reads and
+    // publishes, backs the policy's phase hooks, and — on the reference
+    // lane only — serves the policy's mid-step routing.
+    let mut fabric = Fabric::new(
+        FabricConfig::new(gc, link)
+            .with_topology(config.topology)
+            .with_bandwidth_share(config.tenants.max(1)),
+    );
+    fabric.set_probe(probe.clone());
+
+    policy.attach_probe(probe.clone());
+    policy.init(workload, &config);
+
+    // GPS tier: one router per GPU, moved out of the policy. An empty
+    // vector means the policy cannot run this workload on lanes.
+    let routers = if mode == LaneMode::GpsEpochs {
+        policy.lane_routers()
+    } else {
+        Vec::new()
+    };
+    if mode == LaneMode::GpsEpochs && routers.len() != gc {
+        mode = LaneMode::Fallback;
+    }
+
+    let mut lanes: Vec<Lane> = if mode == LaneMode::Fallback {
+        vec![Lane::new(0, gc, &config, probe.clone(), false)]
+    } else {
+        (0..gc)
+            .map(|g| {
+                let lane_probe = if telemetry {
+                    ProbeHandle::buffering()
+                } else {
+                    ProbeHandle::disabled()
+                };
+                Lane::new(g, 1, &config, lane_probe, telemetry)
+            })
+            .collect()
+    };
+    for (lane, mut router) in lanes.iter_mut().zip(routers) {
+        router.attach_probe(lane.probe.clone());
+        lane.router = Some(router);
+    }
 
     // Engine-owned writer-tracking state (WriterEpochs only): lanes route
     // from a read-only snapshot, so the policy object never crosses a
     // thread boundary.
     let index: Option<SharedIndex> = (mode == LaneMode::WriterEpochs).then(|| workload.index());
     let mut writers: Arc<BTreeMap<Vpn, GpuId>> = Arc::new(BTreeMap::new());
-
-    let mut lanes: Vec<Lane> = (0..gc).map(|g| Lane::new(g, &config, telemetry)).collect();
-    for (lane, mut router) in lanes.iter_mut().zip(routers) {
-        router.attach_probe(lane.probe.clone());
-        lane.router = Some(router);
-    }
-    let workers = config.parallel_workers.min(gc).max(1);
+    let wl_gc = workload.gpu_count as u32;
+    let workers = config.parallel_workers.min(lanes.len()).max(1);
 
     if workers == 1 {
         run_phases(
@@ -1021,7 +1214,7 @@ pub(crate) fn run(engine: Engine<'_>) -> SimReport {
             workload,
             &config,
             link,
-            &master_probe,
+            &probe,
             &mut fabric,
             &mut writers,
             index.as_ref(),
@@ -1058,7 +1251,7 @@ pub(crate) fn run(engine: Engine<'_>) -> SimReport {
                 workload,
                 &config,
                 link,
-                &master_probe,
+                &probe,
                 &mut fabric,
                 &mut writers,
                 index.as_ref(),
@@ -1087,8 +1280,8 @@ fn run_phases<E: LaneExec>(
     epoch: u64,
     wl_gc: u32,
 ) -> SimReport {
-    let pure = mode == LaneMode::PureLocal;
     let gps = mode == LaneMode::GpsEpochs;
+    let eager = mode == LaneMode::Fallback;
     let gpu_cfg = config.gpu;
     let telemetry = master_probe.is_enabled();
 
@@ -1110,34 +1303,22 @@ fn run_phases<E: LaneExec>(
 
         exec.with_all(|lanes| {
             for lane in lanes.iter_mut() {
-                let g = lane.g;
-                lane.queue = phase.launches_for(GpuId::new(g as u16)).cloned().collect();
-                lane.done = None;
-                lane.pending_kernel = None;
-                if let Some(spec) = lane.queue.pop_front() {
-                    let at = phase_start + gpu_cfg.kernel_launch_overhead;
-                    let run = start_kernel(
-                        config,
-                        wl_gc,
-                        g,
-                        spec,
-                        at,
-                        &lane.arena,
-                        &mut lane.warps,
-                        &mut lane.free_slots,
-                        &mut lane.events,
-                    );
-                    lane.running = Some(run);
-                } else {
-                    lane.done = Some(phase_start);
+                for lg in 0..lane.gpus.len() {
+                    let gpu = &mut lane.gpus[lg];
+                    let id = GpuId::new((lane.first + lg) as u16);
+                    gpu.queue = phase.launches_for(id).cloned().collect();
+                    gpu.done = None;
+                    gpu.pending_kernel = None;
+                    lane.advance_kernel(config, wl_gc, lg, phase_start);
                 }
             }
         });
 
         // Window loop. Each window starts at the earliest pending event
         // across non-empty lanes (idle lanes never hold the epoch back)
-        // and spans `E` cycles; barrier work re-queues events at or after
-        // the window's end, so the loop terminates when every lane drains.
+        // and spans `E` cycles — unbounded on the reference lane and the
+        // PureLocal tier; barrier work re-queues events at or after the
+        // window's end, so the loop terminates when every lane drains.
         // On the GPS tier a kernel-end release may leave a lane with no
         // events but a launch pending on the barrier's visibility horizon:
         // those rounds run barrier work only.
@@ -1145,14 +1326,17 @@ fn run_phases<E: LaneExec>(
         loop {
             let (next, has_pending) = exec.with_all(|lanes| {
                 let next = lanes.iter().filter_map(|l| l.events.peek_time()).min();
-                let pending = gps && lanes.iter().any(|l| l.pending_kernel.is_some());
+                let pending = gps
+                    && lanes
+                        .iter()
+                        .any(|l| l.gpus.iter().any(|g| g.pending_kernel.is_some()));
                 (next, pending)
             });
             if next.is_none() && !has_pending {
                 break;
             }
             let window_end = match next {
-                Some(_) if pure => u64::MAX,
+                Some(_) if epoch == 0 => u64::MAX,
                 Some(n) => n.saturating_add(epoch),
                 None => last_window_end,
             };
@@ -1165,7 +1349,12 @@ fn run_phases<E: LaneExec>(
                     index,
                     writers: &*writers,
                 };
-                exec.drain(&ctx, window_end);
+                let mut routing = eager.then_some(Eager {
+                    policy: &mut *policy,
+                    fabric: &mut *fabric,
+                    page_size: config.page_size,
+                });
+                exec.drain(&ctx, routing.as_mut(), window_end);
             }
             exec.with_all(|lanes| {
                 if mode == LaneMode::WriterEpochs {
@@ -1182,8 +1371,11 @@ fn run_phases<E: LaneExec>(
                 };
                 if let Some(vis) = vis.as_deref() {
                     for lane in lanes.iter_mut() {
-                        if let Some(t) = lane.pending_kernel.take() {
-                            lane.advance_kernel(config, wl_gc, vis[lane.g].max(t));
+                        for lg in 0..lane.gpus.len() {
+                            if let Some(t) = lane.gpus[lg].pending_kernel.take() {
+                                let g = lane.first + lg;
+                                lane.advance_kernel(config, wl_gc, lg, vis[g].max(t));
+                            }
                         }
                     }
                 }
@@ -1202,8 +1394,9 @@ fn run_phases<E: LaneExec>(
         let barrier = exec.with_all(|lanes| {
             lanes
                 .iter()
+                .flat_map(|l| &l.gpus)
                 // gps-lint: allow(no_expect) -- the window loop only exits once every lane drained
-                .map(|l| l.done.expect("phase drained with running GPU"))
+                .map(|g| g.done.expect("phase drained with running GPU"))
                 .max()
                 .unwrap_or(phase_start)
         });
@@ -1211,10 +1404,9 @@ fn run_phases<E: LaneExec>(
         if telemetry {
             let mut all: Vec<(u64, usize, usize, Emission)> = exec.with_all(|lanes| {
                 let mut all = Vec::new();
-                for lane in lanes.iter() {
-                    let g = lane.g;
+                for (li, lane) in lanes.iter().enumerate() {
                     for (i, (tag, e)) in lane.probe.drain_buffered().into_iter().enumerate() {
-                        all.push((tag, g, i, e));
+                        all.push((tag, li, i, e));
                     }
                 }
                 all
@@ -1277,7 +1469,13 @@ fn run_phases<E: LaneExec>(
         _ => {}
     }
 
-    let per_gpu = exec.with_all(|lanes| lanes.iter().map(|l| l.gpu.report()).collect::<Vec<_>>());
+    let per_gpu = exec.with_all(|lanes| {
+        lanes
+            .iter()
+            .flat_map(|l| &l.gpus)
+            .map(GpuState::report)
+            .collect::<Vec<_>>()
+    });
 
     let total = phase_ends.last().copied().unwrap_or(Cycle::ZERO);
     let mut report = SimReport {

@@ -21,7 +21,8 @@
 //!   access and route it.
 //! * [`Engine`] — the deterministic event-driven core: per-SM issue ports,
 //!   CTA residency scheduling, per-SM L1s, per-GPU L2 + TLB + DRAM, kernel
-//!   launch and phase-barrier orchestration.
+//!   launch and phase-barrier orchestration, run on event lanes that own
+//!   every GPU (the reference lane) or one GPU each.
 //! * [`SimReport`] — cycle counts, cache/TLB statistics, DRAM and
 //!   interconnect traffic for the figure harness.
 //! * [`Trace`] — NVBit-style record/replay of expanded warp instruction
@@ -48,7 +49,7 @@ pub use dram::DramModel;
 pub use engine::Engine;
 pub use gps_mem::VictimPolicy;
 pub use instr::{FillProgram, WarpCtx, WarpInstr, WarpProgram, WarpStream};
-pub use pipeline::{BoundedQueue, BufferArena};
+pub use pipeline::BufferArena;
 pub use policy::{
     AllLocalPolicy, LaneLoad, LaneMode, LaneRouter, LaneStore, LoadRoute, MemCtx, MemoryPolicy,
     StoreRoute,

@@ -1,34 +1,13 @@
-//! The streaming warp-program pipeline: buffer pooling and overlapped
-//! trace expansion.
+//! Warp-program expansion and instruction-buffer pooling.
 //!
-//! At paper scale the engine launches millions of warps, and before this
-//! module every launch materialised a fresh `Vec<WarpInstr>` — millions of
-//! short-lived heap allocations sitting squarely on the simulation's
-//! critical path. The pieces here take that work off the hot path:
-//!
-//! * [`BufferArena`] — a shared pool of instruction buffers. A warp's
-//!   owned buffer is returned to the arena when the warp retires and
-//!   handed to the next warp spawned, so steady-state simulation performs
-//!   no per-warp allocation at all.
-//! * [`BoundedQueue`] — a zero-dependency bounded MPSC hand-off
-//!   (`Mutex` + `Condvar`, the same pattern as `gps-harness`'s worker
-//!   pool) used to ship pre-expanded CTAs from a producer thread to the
-//!   engine.
-//! * [`CtaPrefetcher`] — the overlap: a producer thread pre-decodes (or
-//!   pre-generates) the warp streams of upcoming CTAs into pooled owned
-//!   buffers (bounded by [`SimConfig::stream_pipeline_depth`] batches)
-//!   while the engine simulates the current ones. The hand-off is
-//!   deterministic — CTAs are produced and consumed in grid order and
-//!   stream contents are a pure function of warp coordinates — so a
-//!   pipelined run produces a bit-identical [`SimReport`] to a sequential
-//!   one.
-//!
-//! [`SimConfig::stream_pipeline_depth`]: crate::SimConfig::stream_pipeline_depth
-//! [`SimReport`]: crate::SimReport
+//! At paper scale the engine launches millions of warps, and materialising
+//! a fresh `Vec<WarpInstr>` per launch puts millions of short-lived heap
+//! allocations on the simulation's critical path. [`BufferArena`] takes
+//! that work off the hot path: a warp's owned buffer is returned to the
+//! arena when the warp retires and handed to the next warp spawned, so
+//! steady-state simulation performs no per-warp allocation at all.
 
-use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::{Arc, Mutex};
 
 use gps_types::{CtaId, GpuId};
 
@@ -40,10 +19,8 @@ const ARENA_MAX_BUFFERS: usize = 4096;
 
 /// A shared pool of instruction buffers.
 ///
-/// Cloning an arena is cheap and produces a handle to the *same* pool, so
-/// the engine and its prefetcher threads recycle through one free list:
-/// buffers released by retiring warps on the simulation thread are reused
-/// by the producer expanding the next CTAs.
+/// Cloning an arena is cheap and produces a handle to the *same* pool:
+/// every clone recycles through one free list.
 #[derive(Debug, Clone, Default)]
 pub struct BufferArena {
     free: Arc<Mutex<Vec<Vec<WarpInstr>>>>,
@@ -64,24 +41,6 @@ impl BufferArena {
             .expect("arena lock")
             .pop()
             .unwrap_or_default()
-    }
-
-    /// Takes up to `n` pooled buffers in one lock acquisition, topping up
-    /// with fresh (empty) buffers so `out` always gains exactly `n`. The
-    /// batched form exists for the prefetch producer: taking per warp
-    /// would contend the arena lock once per warp across threads, which
-    /// costs more than the allocation it avoids.
-    pub fn take_n(&self, n: usize, out: &mut Vec<Vec<WarpInstr>>) {
-        {
-            // gps-lint: allow(no_expect) -- poison implies a prior panic; arena users never panic while holding the lock
-            let mut free = self.free.lock().expect("arena lock");
-            let from_pool = n.min(free.len());
-            let start = free.len() - from_pool;
-            out.extend(free.drain(start..));
-        }
-        while out.len() < n {
-            out.push(Vec::new());
-        }
     }
 
     /// Returns a buffer to the pool. The buffer is cleared; its capacity is
@@ -120,100 +79,6 @@ impl BufferArena {
     }
 }
 
-#[derive(Debug)]
-struct QueueState<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-/// A bounded blocking queue (`Mutex` + `Condvar`, no dependencies).
-///
-/// `push` blocks while the queue is full, `pop` blocks while it is empty;
-/// [`BoundedQueue::close`] wakes every waiter so both sides shut down
-/// promptly even mid-stream (the engine closes the queue when a run is
-/// dropped during a panic unwind, which is how a quarantined simulation
-/// avoids leaking a blocked producer thread).
-#[derive(Debug)]
-pub struct BoundedQueue<T> {
-    state: Mutex<QueueState<T>>,
-    not_full: Condvar,
-    not_empty: Condvar,
-    capacity: usize,
-}
-
-impl<T> BoundedQueue<T> {
-    /// Creates a queue holding at most `capacity` items (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        Self {
-            state: Mutex::new(QueueState {
-                items: VecDeque::new(),
-                closed: false,
-            }),
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Blocks until there is room, then enqueues `item`. Returns `false`
-    /// (dropping the item) if the queue was closed.
-    pub fn push(&self, item: T) -> bool {
-        // gps-lint: allow(no_expect) -- poison implies a prior panic; queue users never panic while holding the lock
-        let mut state = self.state.lock().expect("queue lock");
-        while state.items.len() >= self.capacity && !state.closed {
-            // gps-lint: allow(no_expect) -- poison implies a prior panic; queue users never panic while holding the lock
-            state = self.not_full.wait(state).expect("queue lock");
-        }
-        if state.closed {
-            return false;
-        }
-        state.items.push_back(item);
-        self.not_empty.notify_one();
-        true
-    }
-
-    /// Blocks until an item is available and dequeues it. Returns `None`
-    /// once the queue is closed *and* drained.
-    pub fn pop(&self) -> Option<T> {
-        // gps-lint: allow(no_expect) -- poison implies a prior panic; queue users never panic while holding the lock
-        let mut state = self.state.lock().expect("queue lock");
-        loop {
-            if let Some(item) = state.items.pop_front() {
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if state.closed {
-                return None;
-            }
-            // gps-lint: allow(no_expect) -- poison implies a prior panic; queue users never panic while holding the lock
-            state = self.not_empty.wait(state).expect("queue lock");
-        }
-    }
-
-    /// Closes the queue, waking all blocked pushers and poppers.
-    pub fn close(&self) {
-        // gps-lint: allow(no_expect) -- poison implies a prior panic; queue users never panic while holding the lock
-        self.state.lock().expect("queue lock").closed = true;
-        self.not_full.notify_all();
-        self.not_empty.notify_all();
-    }
-}
-
-/// One pre-expanded CTA: its grid index and one stream per warp, in
-/// `warp_in_cta` order.
-struct CtaBatch {
-    cta: u32,
-    streams: Vec<WarpStream>,
-}
-
-/// Warps per queue item: the producer groups consecutive CTAs into batches
-/// of at least this many warps before pushing, so the hand-off cost (one
-/// mutex/condvar round trip per item, ~µs when both sides block) amortises
-/// over real expansion work. Without batching, a kernel with 8-warp CTAs
-/// pays a producer/consumer wake-up every 8 warps — far more than the
-/// expansion it overlaps.
-const PREFETCH_BATCH_MIN_WARPS: u32 = 1024;
-
 /// Expands the warp streams of one CTA in `warp_in_cta` order.
 pub(crate) fn expand_cta(
     program: &dyn WarpProgram,
@@ -239,115 +104,6 @@ pub(crate) fn expand_cta(
             )
         })
         .collect()
-}
-
-/// A bounded producer that pre-expands the next CTAs of a running kernel
-/// on a worker thread.
-///
-/// The producer walks CTA indices `0..cta_count` in grid order — exactly
-/// the order the engine launches them — grouping CTAs into batches of at
-/// least [`PREFETCH_BATCH_MIN_WARPS`] warps and parking at most `depth`
-/// batches in the queue. [`CtaPrefetcher::take`] is the deterministic
-/// hand-off: the engine asks for a specific CTA index and the prefetcher
-/// asserts the produced order matches, so a pipelined run cannot silently
-/// reorder work.
-pub(crate) struct CtaPrefetcher {
-    queue: Arc<BoundedQueue<Vec<CtaBatch>>>,
-    pending: VecDeque<CtaBatch>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl CtaPrefetcher {
-    /// Spawns the producer for a kernel grid.
-    pub(crate) fn spawn(
-        program: Arc<dyn WarpProgram>,
-        arena: BufferArena,
-        gpu: GpuId,
-        gpu_count: u32,
-        cta_count: u32,
-        warps_per_cta: u32,
-        depth: usize,
-    ) -> Self {
-        let queue = Arc::new(BoundedQueue::new(depth));
-        let producer_queue = Arc::clone(&queue);
-        let ctas_per_batch = (PREFETCH_BATCH_MIN_WARPS / warps_per_cta.max(1)).max(1);
-        let handle = std::thread::spawn(move || {
-            // The producer always expands into *owned*, pooled buffers.
-            // Unlike the inline path (`expand_cta`), which lets the program
-            // choose its stream representation (a zero-copy cursor for
-            // trace replay), decoding or generating instructions here is
-            // exactly the work the pipeline exists to overlap, and an
-            // owned stream hands the consumer instructions that cost
-            // nothing further to read on the simulation thread.
-            let mut bufs: Vec<Vec<WarpInstr>> = Vec::new();
-            for batch_start in (0..cta_count).step_by(ctas_per_batch.max(1) as usize) {
-                let batch_end = batch_start.saturating_add(ctas_per_batch).min(cta_count);
-                let batch_warps = (batch_end - batch_start) as usize * warps_per_cta as usize;
-                arena.take_n(batch_warps, &mut bufs);
-                let mut batch = Vec::with_capacity((batch_end - batch_start) as usize);
-                for cta in batch_start..batch_end {
-                    let streams = (0..warps_per_cta)
-                        .map(|warp_in_cta| {
-                            // gps-lint: allow(no_expect) -- take_n topped the pool up to exactly batch_warps buffers
-                            let mut buf = bufs.pop().expect("take_n delivered batch_warps");
-                            program.fill_warp(
-                                WarpCtx {
-                                    gpu,
-                                    gpu_count,
-                                    cta: CtaId::new(cta),
-                                    cta_count,
-                                    warp_in_cta,
-                                    warps_per_cta,
-                                },
-                                &mut buf,
-                            );
-                            WarpStream::owned(buf)
-                        })
-                        .collect();
-                    batch.push(CtaBatch { cta, streams });
-                }
-                if !producer_queue.push(batch) {
-                    return; // consumer gone (engine unwound) — stop early
-                }
-            }
-        });
-        Self {
-            queue,
-            pending: VecDeque::new(),
-            handle: Some(handle),
-        }
-    }
-
-    /// Takes the streams of CTA `cta`. CTAs must be taken in grid order —
-    /// the same order the producer generates them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the hand-off order diverges from grid order (an engine
-    /// scheduling bug, never data-dependent) or the producer died.
-    pub(crate) fn take(&mut self, cta: u32) -> Vec<WarpStream> {
-        if self.pending.is_empty() {
-            // gps-lint: allow(no_expect) -- documented panic: the producer outlives the grid unless the engine unwound first
-            let batch = self.queue.pop().expect("prefetch producer ended early");
-            self.pending.extend(batch);
-        }
-        // gps-lint: allow(no_expect) -- the refill above extends pending from a non-empty batch
-        let next = self.pending.pop_front().expect("refill is non-empty");
-        assert_eq!(next.cta, cta, "CTA hand-off out of grid order");
-        next.streams
-    }
-}
-
-impl Drop for CtaPrefetcher {
-    fn drop(&mut self) {
-        // Wake the producer if it is blocked on a full queue and join it.
-        // On the normal path the producer has already exited (every CTA
-        // consumed); this matters when the engine unwinds mid-kernel.
-        self.queue.close();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -384,72 +140,5 @@ mod tests {
         buf.reserve(8);
         clone.put(buf);
         assert_eq!(arena.pooled(), 1);
-    }
-
-    #[test]
-    fn queue_is_fifo_and_bounded() {
-        let q = Arc::new(BoundedQueue::new(2));
-        let producer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || {
-                for i in 0..10u32 {
-                    assert!(q.push(i));
-                }
-            })
-        };
-        let got: Vec<u32> = (0..10).map(|_| q.pop().unwrap()).collect();
-        producer.join().unwrap();
-        assert_eq!(got, (0..10).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn closing_unblocks_both_sides() {
-        let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(1));
-        assert!(q.push(1));
-        let blocked_producer = {
-            let q = Arc::clone(&q);
-            std::thread::spawn(move || q.push(2))
-        };
-        let blocked_consumer = {
-            let q: Arc<BoundedQueue<u32>> = Arc::new(BoundedQueue::new(1));
-            let handle = {
-                let q = Arc::clone(&q);
-                std::thread::spawn(move || q.pop())
-            };
-            q.close();
-            handle
-        };
-        q.close();
-        assert!(!blocked_producer.join().unwrap(), "push after close fails");
-        assert_eq!(blocked_consumer.join().unwrap(), None);
-        // Items already queued still drain after close.
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn prefetcher_hands_ctas_over_in_grid_order() {
-        let program: Arc<dyn WarpProgram> = Arc::new(|ctx: WarpCtx| {
-            vec![WarpInstr::Compute(ctx.cta.raw() * 10 + ctx.warp_in_cta + 1)]
-        });
-        let arena = BufferArena::new();
-        let mut pf = CtaPrefetcher::spawn(program, arena.clone(), GpuId::new(0), 1, 5, 2, 2);
-        for cta in 0..5 {
-            let mut streams = pf.take(cta);
-            assert_eq!(streams.len(), 2);
-            for (w, s) in streams.iter_mut().enumerate() {
-                assert_eq!(s.next(), Some(WarpInstr::Compute(cta * 10 + w as u32 + 1)));
-                assert_eq!(s.next(), None);
-            }
-        }
-    }
-
-    #[test]
-    fn dropping_a_prefetcher_mid_stream_does_not_hang() {
-        let program: Arc<dyn WarpProgram> = Arc::new(|_: WarpCtx| vec![WarpInstr::Compute(1)]);
-        let mut pf =
-            CtaPrefetcher::spawn(program, BufferArena::new(), GpuId::new(0), 1, 1000, 4, 1);
-        let _ = pf.take(0);
-        drop(pf); // producer is blocked on the full queue; drop must join cleanly
     }
 }

@@ -85,18 +85,19 @@ pub enum StoreRoute {
     },
 }
 
-/// How the parallel lane engine may run a policy.
+/// How the engine may run a policy on per-GPU lanes.
 ///
-/// The lane engine simulates each GPU on its own event lane. A policy
-/// declares, via [`MemoryPolicy::lane_mode`], which lane execution tier its
-/// routing semantics admit; the engine falls back to the classic
-/// sequential core whenever the declared tier (or the configured fabric)
-/// rules lanes out.
+/// With `parallel_workers >= 1` the engine simulates each GPU on its own
+/// event lane. A policy declares, via [`MemoryPolicy::lane_mode`], which
+/// per-GPU tier its routing semantics admit; the engine runs the
+/// reference lane — one lane owning every GPU, calling the policy's hooks
+/// as each access happens — whenever the declared tier (or the configured
+/// fabric) rules per-GPU lanes out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaneMode {
     /// Every access routes `Local` and no hook observes cross-GPU state:
-    /// lanes are fully independent and the lane engine is bit-identical to
-    /// the classic engine.
+    /// per-GPU lanes are fully independent and bit-identical to the
+    /// reference lane.
     PureLocal,
     /// Routing depends only on *which GPU last wrote a shared page*
     /// (e.g. the reverse-data-lookup paradigm). Lanes advance in
@@ -104,7 +105,7 @@ pub enum LaneMode {
     /// writer updates merge deterministically at every epoch barrier. The
     /// result is deterministic and worker-count-invariant but reflects
     /// bounded-staleness writer visibility, so this tier is pinned by its
-    /// own golden reports rather than the classic engine's.
+    /// own golden reports rather than the reference lane's.
     WriterEpochs,
     /// The GPS conservative tier. Per-GPU routing state (remote write
     /// queue, GPS-TLB) moves into a [`LaneRouter`] owned by each lane;
@@ -115,11 +116,13 @@ pub enum LaneMode {
     /// them on the shared fabric at the window barrier in global
     /// `(cycle, gpu, sequence)` order via [`MemoryPolicy::lane_barrier`].
     /// Like [`LaneMode::WriterEpochs`] this is deterministic and
-    /// worker-count-invariant but bounded-stale versus the classic engine,
+    /// worker-count-invariant but bounded-stale versus the reference lane,
     /// so it is pinned by its own golden reports.
     GpsEpochs,
-    /// The policy's hooks need globally ordered state the lane engine
-    /// cannot provide; the engine silently delegates to the classic core.
+    /// The policy's hooks need globally ordered state that per-GPU lanes
+    /// cannot provide; the engine runs the reference lane, whose single
+    /// queue orders every GPU's events and routes through the hooks
+    /// eagerly.
     Fallback,
 }
 
@@ -279,9 +282,9 @@ pub trait MemoryPolicy {
         Vec::new()
     }
 
-    /// Which lane-engine tier this policy's semantics admit. The
-    /// conservative default keeps every existing policy on the classic
-    /// sequential core under `parallel_workers >= 1`.
+    /// Which per-GPU tier this policy's semantics admit. The conservative
+    /// default keeps a policy on the reference lane under
+    /// `parallel_workers >= 1`.
     fn lane_mode(&self) -> LaneMode {
         LaneMode::Fallback
     }
@@ -300,7 +303,7 @@ pub trait MemoryPolicy {
     /// moving the per-GPU routing state out of the policy. Called once,
     /// after [`init`]. Returning an empty vector (the default) means the
     /// policy cannot run this workload on the GPS tier and the engine
-    /// falls back to the classic core.
+    /// runs the reference lane.
     ///
     /// [`init`]: MemoryPolicy::init
     fn lane_routers(&mut self) -> Vec<Box<dyn LaneRouter>> {

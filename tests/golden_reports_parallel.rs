@@ -3,17 +3,17 @@
 //!
 //! Three pins, in increasing order of subtlety:
 //!
-//! 1. For every paradigm on the PureLocal or Fallback tier, the parallel
-//!    engine must be **bit-identical** to the sequential engine on every
-//!    suite application (the PureLocal tier proves identity, the Fallback
-//!    tier delegates to the classic core). GPS and GPS-nosub are not in
+//! 1. For every paradigm on the PureLocal or Fallback tier, a
+//!    `parallel_workers >= 1` run must be **bit-identical** to the
+//!    reference lane on every suite application (the PureLocal tier
+//!    proves identity, the Fallback tier runs the reference lane itself). GPS and GPS-nosub are not in
 //!    this set any more: they run the conservative `GpsEpochs` tier,
 //!    whose window-buffered publishes legitimately deviate — their
 //!    reports are pinned by `crates/paradigms/tests/lane_gps.rs` and
 //!    `lane_boundary.rs` instead.
 //! 2. RDL runs on the writer-epoch tier, whose bounded-stale writer
 //!    visibility legitimately (and deterministically) deviates from the
-//!    classic engine; its reports are pinned by their own committed golden
+//!    reference lane; its reports are pinned by their own committed golden
 //!    file, regenerated with `GPS_UPDATE_GOLDENS=1` like the sequential
 //!    goldens.
 //! 3. Every lane-engine report must be invariant to the worker count —
@@ -31,9 +31,9 @@ use gps::workloads::{suite, ScaleProfile};
 const GOLDEN_PATH: &str = "tests/goldens/sim_reports_tiny_rdl_lanes.txt";
 const GPUS: usize = 4;
 
-/// Paradigms whose lane tier (PureLocal or Fallback) promises classic
-/// bit-identity. GPS-oversub qualifies: memory pressure keeps it on the
-/// classic core even though plain GPS runs conservative epochs.
+/// Paradigms whose lane tier (PureLocal or Fallback) promises bit-identity
+/// with the reference lane. GPS-oversub qualifies: memory pressure keeps
+/// it on the reference lane even though plain GPS runs conservative epochs.
 const BIT_IDENTICAL: [Paradigm; 5] = [
     Paradigm::Um,
     Paradigm::UmHints,

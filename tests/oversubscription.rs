@@ -10,17 +10,15 @@
 use gps::interconnect::LinkGen;
 use gps::obs::ProbeHandle;
 use gps::paradigms::{run_paradigm_configured, Paradigm};
-use gps::sim::{MemoryPressure, SimConfig, SimReport, VictimPolicy};
+use gps::sim::{MemoryPressure, SimConfig, SimReport};
 use gps::workloads::{suite, ScaleProfile};
 
 const GPUS: usize = 4;
 
-fn oversub_report(app: &str, pressure: MemoryPressure, depth: usize) -> SimReport {
+fn oversub_report(app: &str, pressure: MemoryPressure) -> SimReport {
     let app = suite::by_name(app).unwrap();
     let wl = (app.build)(GPUS, ScaleProfile::Tiny);
-    let config = SimConfig::gv100_system(GPUS)
-        .with_stream_pipeline_depth(depth)
-        .with_memory_pressure(pressure);
+    let config = SimConfig::gv100_system(GPUS).with_memory_pressure(pressure);
     run_paradigm_configured(
         Paradigm::GpsOversub,
         &wl,
@@ -43,26 +41,12 @@ fn metric(report: &SimReport, name: &str) -> f64 {
 #[test]
 fn oversubscribed_runs_are_bit_identical_across_repeats() {
     let pressure = MemoryPressure::from_ratio(2.0);
-    let a = oversub_report("jacobi", pressure, 4);
-    let b = oversub_report("jacobi", pressure, 4);
+    let a = oversub_report("jacobi", pressure);
+    let b = oversub_report("jacobi", pressure);
     assert_eq!(a, b, "repeat run diverged under oversubscription");
     assert!(
         metric(&a, "evicted_replicas") + metric(&a, "skipped_subscriptions") > 0.0,
         "2x oversubscription on 4 GPUs must actually evict"
-    );
-}
-
-#[test]
-fn pipeline_depth_never_changes_an_oversubscribed_report() {
-    // stream_pipeline_depth is a host-side wall-clock knob; the simulated
-    // outcome must be identical whether expansion is sequential (0) or
-    // pipelined (4) — including the eviction and refault bookkeeping.
-    let pressure = MemoryPressure::from_ratio(2.0).with_victim_policy(VictimPolicy::Random);
-    let sequential = oversub_report("diffusion", pressure, 0);
-    let pipelined = oversub_report("diffusion", pressure, 4);
-    assert_eq!(
-        sequential, pipelined,
-        "pipeline depth leaked into the model"
     );
 }
 
@@ -77,7 +61,7 @@ fn slowdown_is_monotone_in_the_subscription_ratio() {
         let app = suite::by_name(app_name).unwrap();
         let reports: Vec<SimReport> = ratios
             .iter()
-            .map(|&r| oversub_report(app.name, MemoryPressure::from_ratio(r), 4))
+            .map(|&r| oversub_report(app.name, MemoryPressure::from_ratio(r)))
             .collect();
         for (w, r) in reports.windows(2).zip(ratios.windows(2)) {
             assert!(
@@ -116,7 +100,7 @@ fn no_pressure_degenerates_to_plain_gps_bit_for_bit() {
     for app_name in ["jacobi", "hit"] {
         // Ratios at or below 1.0 mean demand fits: the paradigm must not
         // perturb the simulation at all, only its policy label differs.
-        let mut oversub = oversub_report(app_name, MemoryPressure::from_ratio(1.0), 4);
+        let mut oversub = oversub_report(app_name, MemoryPressure::from_ratio(1.0));
         assert_eq!(oversub.policy, "gps-oversub");
         for name in ["evicted_replicas", "skipped_subscriptions", "refaults"] {
             assert_eq!(metric(&oversub, name), 0.0, "{app_name}: {name}");
@@ -127,7 +111,7 @@ fn no_pressure_degenerates_to_plain_gps_bit_for_bit() {
         let plain = run_paradigm_configured(
             Paradigm::Gps,
             &wl,
-            SimConfig::gv100_system(GPUS).with_stream_pipeline_depth(4),
+            SimConfig::gv100_system(GPUS),
             LinkGen::Pcie3,
             ProbeHandle::disabled(),
         )

@@ -1,16 +1,14 @@
-//! Cross-crate integration for the streaming warp-program pipeline.
+//! Cross-crate integration for streaming trace replay.
 //!
-//! Zero-copy trace replay, pooled instruction buffers and overlapped trace
-//! expansion are pure wall-clock optimisations: every combination must
-//! produce a [`gps::sim::SimReport`] bit-identical to the sequential,
-//! materialised path. These tests pin that invariant across the whole
+//! Zero-copy trace replay and pooled instruction buffers are pure
+//! wall-clock optimisations: they must produce a [`gps::sim::SimReport`]
+//! bit-identical to the materialised path. These tests pin that invariant across the whole
 //! application suite, plus the failure mode (truncated traces error, never
 //! panic) and the `gps-run bench` output schema the CI smoke step greps.
 
 use gps::interconnect::LinkGen;
-use gps::obs::ProbeHandle;
-use gps::paradigms::{run_paradigm, run_paradigm_configured, Paradigm};
-use gps::sim::{SimConfig, Trace};
+use gps::paradigms::{run_paradigm, Paradigm};
+use gps::sim::Trace;
 use gps::workloads::{suite, ScaleProfile};
 
 /// Streaming (zero-copy cursor) replay vs materialised replay of the same
@@ -26,38 +24,6 @@ fn streaming_replay_matches_materialised_across_the_suite() {
             let a = run_paradigm(paradigm, &streamed, 2, LinkGen::Pcie3).unwrap();
             let b = run_paradigm(paradigm, &materialised, 2, LinkGen::Pcie3).unwrap();
             assert_eq!(a, b, "{}/{paradigm}: streaming decode diverged", app.name);
-        }
-    }
-}
-
-/// Overlapped trace expansion (producer threads, pooled hand-off) vs the
-/// sequential path, on both the generator and the trace-replay front end:
-/// `stream_pipeline_depth` must never leak into the report.
-#[test]
-fn pipeline_depth_never_changes_the_report() {
-    for app in suite::all() {
-        let wl = (app.build)(2, ScaleProfile::Tiny);
-        let streamed = Trace::record(&wl).replay(&wl.name).unwrap();
-        for workload in [&wl, &streamed] {
-            let sequential = run_paradigm_configured(
-                Paradigm::Gps,
-                workload,
-                SimConfig::gv100_system(2).with_stream_pipeline_depth(0),
-                LinkGen::Pcie3,
-                ProbeHandle::disabled(),
-            );
-            let overlapped = run_paradigm_configured(
-                Paradigm::Gps,
-                workload,
-                SimConfig::gv100_system(2).with_stream_pipeline_depth(4),
-                LinkGen::Pcie3,
-                ProbeHandle::disabled(),
-            );
-            assert_eq!(
-                sequential, overlapped,
-                "{}: overlapped expansion diverged",
-                workload.name
-            );
         }
     }
 }
@@ -95,7 +61,6 @@ fn bench_quick_output_schema_is_stable() {
     let report = gps_harness::bench::run_bench_logged(
         &BenchOptions {
             quick: true,
-            pipeline_depth: 2,
             out: out.clone(),
         },
         false,

@@ -33,7 +33,7 @@ fn artifacts(t: &Telemetry) -> (String, String) {
 fn pure_tier_telemetry_is_byte_identical_to_sequential() {
     // GPS left this set when it moved to the conservative GpsEpochs tier
     // (its telemetry pin is worker invariance, below); GpsOversub stays
-    // because memory pressure keeps it on the classic (Fallback) core.
+    // because memory pressure keeps it on the reference lane (Fallback).
     for paradigm in [Paradigm::GpsOversub, Paradigm::InfiniteBw] {
         let sequential = artifacts(&capture("jacobi", paradigm, 0));
         let parallel = artifacts(&capture("jacobi", paradigm, 2));
@@ -76,8 +76,9 @@ fn rdl_lane_telemetry_is_worker_invariant() {
 fn disabled_probe_parallel_run_still_matches_sequential_report() {
     // Telemetry off is the common case; buffering must be skipped without
     // perturbing results (the `buffered` guard in the lane engine).
-    // InfiniteBw pins classic-vs-lane identity; GPS (whose conservative
-    // tier deviates from the classic loop by design) pins 1-vs-2 workers.
+    // InfiniteBw pins reference-vs-per-GPU-lane identity; GPS (whose
+    // conservative tier deviates from the reference lane by design) pins
+    // 1-vs-2 workers.
     let app = suite::by_name("jacobi").unwrap();
     let wl = (app.build)(GPUS, ScaleProfile::Tiny);
     let run = |paradigm, workers| {
