@@ -157,8 +157,8 @@ enum ArgError {
     PresetConflict { preset: String, other: String },
     /// `--gpus` listed a zero GPU count.
     ZeroGpus,
-    /// `--parallel 0`: the sequential engine is selected by omitting the
-    /// flag, not by a zero worker count.
+    /// `--parallel 0`: the reference lane (one lane owning every GPU) is
+    /// selected by omitting the flag, not by a zero worker count.
     ZeroParallel,
     /// `resume --fresh`: resume exists to keep the store.
     FreshOnResume,
@@ -185,7 +185,7 @@ impl std::fmt::Display for ArgError {
             ArgError::ZeroGpus => write!(f, "--gpus: a GPU count must be at least 1"),
             ArgError::ZeroParallel => write!(
                 f,
-                "--parallel: worker count must be at least 1 (omit the flag for the sequential engine)"
+                "--parallel: worker count must be at least 1 (omit the flag for the reference lane)"
             ),
             ArgError::FreshOnResume => write!(f, "resume cannot take --fresh (use sweep)"),
             ArgError::Invalid { message } => write!(f, "{message}"),

@@ -197,7 +197,7 @@ mod tests {
     #[test]
     fn engine_selection_perturbs_but_worker_count_does_not() {
         // 0 → reference lane, ≥1 → per-GPU lanes: distinct results for the
-        // writer-epoch tier, so distinct keys. The count beyond 1 is pure
+        // epoch tier, so distinct keys. The count beyond 1 is pure
         // wall-clock and must normalise away.
         let sequential = run_key_default_machine("jacobi", spec());
         let mut s = spec();

@@ -50,7 +50,7 @@ fn parallel_zero_is_rejected() {
     assert_rejected(
         "par0",
         &["--parallel", "0"],
-        "omit the flag for the sequential engine",
+        "omit the flag for the reference lane",
     );
 }
 

@@ -1,5 +1,5 @@
-//! The GPS conservative lane tier: per-GPU routers for
-//! [`gps_sim::LaneMode::GpsEpochs`].
+//! GPS on the conservative lane tier: per-GPU routers for
+//! [`gps_sim::LaneMode::Epochs`].
 //!
 //! Each router owns its GPU's remote write queue and GPS-TLB (detached
 //! from the [`GpsSystem`]) plus an immutable [`RouteSnapshot`] of the
@@ -279,10 +279,13 @@ impl LaneRouter for GpsLaneRouter {
         self.atu.push(vpn);
     }
 
-    fn flush(&mut self, now: Cycle) {
+    /// Queues the full write-queue drain; the release waits for the
+    /// barrier's broadcast-visibility horizon.
+    fn flush(&mut self, now: Cycle) -> bool {
         for line in self.rwq.flush() {
             self.publish(line, now);
         }
+        true
     }
 
     fn as_any_mut(&mut self) -> &mut dyn Any {

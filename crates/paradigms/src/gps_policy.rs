@@ -419,7 +419,7 @@ impl MemoryPolicy for GpsPolicy {
         // unsubscribed-by-default profiling subscribes on first touch:
         // both stay on the reference lane.
         if !self.pressure && self.config.profiling == ProfilingMode::SubscribedByDefault {
-            LaneMode::GpsEpochs
+            LaneMode::Epochs
         } else {
             LaneMode::Fallback
         }

@@ -1,4 +1,4 @@
-//! Goldens for the GPS conservative lane tier (`LaneMode::GpsEpochs`).
+//! Goldens for GPS on the conservative lane tier (`LaneMode::Epochs`).
 //!
 //! The lane engine buffers RWQ publishes per writer epoch and applies the
 //! subscriber-visible effects at the window barrier, so GPS timing is *not*

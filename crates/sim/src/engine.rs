@@ -43,10 +43,6 @@ use crate::policy::MemoryPolicy;
 use crate::stats::{GpuReport, SimReport, TlbCounts};
 use crate::workload::{KernelSpec, Workload};
 
-/// Retired instruction buffers are returned to the arena in batches of
-/// this size (one lock acquisition per batch instead of per warp).
-pub(crate) const RECYCLE_FLUSH: usize = 256;
-
 /// Replays one workload under one memory policy.
 ///
 /// ```
@@ -104,10 +100,11 @@ pub(crate) struct GpuState {
     /// When the GPU finished its last kernel of the phase.
     pub(crate) done: Option<Cycle>,
     /// Kernel-end release awaiting the next barrier's visibility horizon
-    /// ([`LaneMode::GpsEpochs`] only): the next launch (or phase
-    /// completion) happens at `max(horizon, last_done)`.
+    /// ([`LaneMode::Epochs`] only, when the router's flush asks to wait):
+    /// the next launch (or phase completion) happens at
+    /// `max(horizon, last_done)`.
     ///
-    /// [`LaneMode::GpsEpochs`]: crate::LaneMode::GpsEpochs
+    /// [`LaneMode::Epochs`]: crate::LaneMode::Epochs
     pub(crate) pending_kernel: Option<Cycle>,
 }
 

@@ -157,19 +157,9 @@ impl WarpStream {
 
     /// Consumes the stream, returning an owned buffer to `arena` for reuse.
     /// Replay cursors hold no buffer and are simply dropped.
-    pub fn recycle(self, arena: &BufferArena) {
-        if let Some(buf) = self.into_buffer() {
+    pub fn recycle(self, arena: &mut BufferArena) {
+        if let WarpStream::Owned { buf, .. } = self {
             arena.put(buf);
-        }
-    }
-
-    /// Consumes the stream, extracting its owned buffer if it has one (the
-    /// engine stashes retired buffers and returns them to the arena in
-    /// batches, keeping arena lock traffic off the per-warp path).
-    pub(crate) fn into_buffer(self) -> Option<Vec<WarpInstr>> {
-        match self {
-            WarpStream::Owned { buf, .. } => Some(buf),
-            WarpStream::Replay(_) => None,
         }
     }
 }
@@ -225,7 +215,7 @@ pub trait WarpProgram: Send + Sync {
     /// from `arena`. The default fills a pooled buffer via
     /// [`fill_warp`](WarpProgram::fill_warp); recorded traces override this
     /// to return a zero-copy [`WarpStream::Replay`] cursor.
-    fn warp_stream(&self, ctx: WarpCtx, arena: &BufferArena) -> WarpStream {
+    fn warp_stream(&self, ctx: WarpCtx, arena: &mut BufferArena) -> WarpStream {
         let mut buf = arena.take();
         self.fill_warp(ctx, &mut buf);
         WarpStream::owned(buf)
@@ -255,7 +245,7 @@ impl WarpProgram for Arc<dyn WarpProgram> {
         (**self).fill_warp(ctx, out)
     }
 
-    fn warp_stream(&self, ctx: WarpCtx, arena: &BufferArena) -> WarpStream {
+    fn warp_stream(&self, ctx: WarpCtx, arena: &mut BufferArena) -> WarpStream {
         (**self).warp_stream(ctx, arena)
     }
 
@@ -396,17 +386,17 @@ mod tests {
 
     #[test]
     fn default_warp_stream_uses_the_arena() {
-        let arena = BufferArena::new();
+        let mut arena = BufferArena::new();
         let prog = |_ctx: WarpCtx| vec![WarpInstr::Compute(7)];
-        let mut s = prog.warp_stream(ctx0(), &arena);
+        let mut s = prog.warp_stream(ctx0(), &mut arena);
         assert_eq!(s.next(), Some(WarpInstr::Compute(7)));
         assert_eq!(s.next(), None);
-        s.recycle(&arena);
+        s.recycle(&mut arena);
         assert_eq!(arena.pooled(), 1);
         // The next stream reuses the pooled buffer.
-        let s2 = prog.warp_stream(ctx0(), &arena);
+        let s2 = prog.warp_stream(ctx0(), &mut arena);
         assert_eq!(arena.pooled(), 0);
-        s2.recycle(&arena);
+        s2.recycle(&mut arena);
         assert_eq!(arena.pooled(), 1);
     }
 

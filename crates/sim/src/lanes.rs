@@ -26,34 +26,31 @@
 //!   (relative sequence order is push order in both), and every timing
 //!   input is GPU-local, so the [`SimReport`] is **bit-identical** to the
 //!   reference lane's.
-//! * [`LaneMode::WriterEpochs`] — routing depends only on which GPU last
-//!   wrote a shared page. Lanes advance in windows of the fabric's minimum
-//!   cross-GPU latency `E` ([`Topology::min_cross_gpu_latency`]): an
-//!   access at `t < W + E` cannot observe data published after `W`, so
-//!   buffering writer updates until the barrier and merging them in
-//!   `(cycle, gpu, sequence)` order is *conservative*. Remote loads
+//! * [`LaneMode::Epochs`] — the conservative tier. Each lane owns a
+//!   [`LaneRouter`] handed out by the policy, the engine's one per-GPU
+//!   routing channel: the router decides every load, store, atomic, TLB
+//!   miss and release from lane-local state plus a snapshot of the
+//!   policy's shared state, and *buffers* every cross-lane effect. Lanes
+//!   advance in windows of the fabric's minimum cross-GPU latency `E`
+//!   ([`Topology::min_cross_gpu_latency`]): an access at `t < W + E`
+//!   cannot observe data published after `W`, so applying the buffered
+//!   effects at the barrier in `(cycle, gpu, sequence)` order
+//!   ([`MemoryPolicy::lane_barrier`]) is *conservative*. Remote loads
 //!   suspend their warp; the barrier books them against the owner's DRAM
 //!   and the shared fabric in deterministic order and resumes the warp at
 //!   its arrival (which lands at or after `W + E` because the request
-//!   leaves at `t >= W` and pays at least `E` in flight). Results are
-//!   deterministic and worker-count-invariant, but writer visibility is
-//!   bounded-stale (at most one window), so this tier is pinned by its own
-//!   golden reports rather than the reference lane's.
-//! * [`LaneMode::GpsEpochs`] — the conservative GPS tier. Each lane owns a
-//!   [`LaneRouter`] (its GPU's write queue, GPS-TLB and a driver-state
-//!   snapshot); stores route through the write queue locally while the
-//!   router *buffers* every cross-lane effect — RWQ publishes, peer
-//!   stores, collapses, access-tracking records. The policy applies the
-//!   buffered effects at each window barrier ([`MemoryPolicy::lane_barrier`])
-//!   in `(cycle, gpu, sequence)` order and returns per-GPU broadcast
-//!   visibility horizons; kernel-end releases and sys-scoped fences defer
-//!   to those horizons. Like `WriterEpochs`, subscriber visibility is
-//!   bounded-stale by one window, so the tier is pinned by worker-count
-//!   invariance and its own goldens.
+//!   leaves at `t >= W` and pays at least `E` in flight). A release whose
+//!   [`LaneRouter::flush`] asks to wait (GPS's write-queue drain at a
+//!   kernel end or sys-scoped fence) resumes at the per-GPU visibility
+//!   horizon the barrier returns. GPS routers publish broadcasts, RDL
+//!   routers publish last-writer updates; the engine knows neither rule.
+//!   Results are deterministic and worker-count-invariant, but cross-GPU
+//!   visibility is bounded-stale (at most one window), so the tier is
+//!   pinned by its own golden reports rather than the reference lane's.
 //!
 //! A latency-free fabric admits no conservative window, and a policy that
-//! cannot hand out routers cannot run the GPS tier: both run on the
-//! reference lane instead.
+//! cannot hand out one router per GPU cannot run the epoch tier: both run
+//! on the reference lane instead.
 //!
 //! # Epoch-window boundary
 //!
@@ -88,32 +85,32 @@
 //! [`MemoryPolicy::lane_mode`]: crate::MemoryPolicy::lane_mode
 //! [`MemoryPolicy::lane_barrier`]: crate::MemoryPolicy::lane_barrier
 //! [`LaneMode::PureLocal`]: crate::LaneMode::PureLocal
-//! [`LaneMode::WriterEpochs`]: crate::LaneMode::WriterEpochs
-//! [`LaneMode::GpsEpochs`]: crate::LaneMode::GpsEpochs
+//! [`LaneMode::Epochs`]: crate::LaneMode::Epochs
 //! [`LaneMode::Fallback`]: crate::LaneMode::Fallback
 //! [`LaneRouter`]: crate::LaneRouter
+//! [`LaneRouter::flush`]: crate::LaneRouter::flush
 //! [`SimReport`]: crate::SimReport
 //! [`Topology::min_cross_gpu_latency`]: gps_interconnect::Topology::min_cross_gpu_latency
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier, Mutex};
+use std::sync::{Barrier, Mutex};
 
 use gps_interconnect::{Fabric, FabricConfig, LinkGen};
 use gps_obs::{names, Emission, ProbeHandle, Track};
-use gps_types::{Cycle, GpuId, LineAddr, PageSize, Scope, Vpn, CACHE_LINE_BYTES};
+use gps_types::{Cycle, GpuId, LineAddr, PageSize, Scope, CACHE_LINE_BYTES};
 
 use crate::config::SimConfig;
 use crate::dram::DramModel;
-use crate::engine::{l2_read, l2_write, Engine, GpuState, KernelRun, Warp, RECYCLE_FLUSH};
+use crate::engine::{l2_read, l2_write, Engine, GpuState, KernelRun, Warp};
 use crate::instr::{WarpInstr, WarpStream};
 use crate::pipeline::{expand_cta, BufferArena};
 use crate::policy::{
     LaneLoad, LaneMode, LaneRouter, LaneStore, LoadRoute, MemCtx, MemoryPolicy, StoreRoute,
 };
 use crate::stats::SimReport;
-use crate::workload::{SharedIndex, Workload};
+use crate::workload::Workload;
 
 /// Per-lane event queue: a binary heap of `(time, sequence, slot)` keys
 /// packed into one `u128` — time in the top 56 bits, a per-lane push
@@ -180,18 +177,11 @@ impl LaneQueue {
 }
 
 /// Shared, read-only inputs every lane needs while draining a window.
+#[derive(Clone, Copy)]
 struct LaneCtx<'w> {
     config: &'w SimConfig,
     /// GPU count the workload was partitioned for (CTA stream expansion).
     gpu_count: u32,
-    mode: LaneMode,
-    /// Line/page classifier ([`LaneMode::WriterEpochs`] only).
-    index: Option<&'w SharedIndex>,
-    /// Last-writer map as of the previous barrier (engine-owned). Shared
-    /// by `Arc` so the worker pool can snapshot it per window without a
-    /// copy; the coordinator mutates it between windows via
-    /// [`Arc::make_mut`] while no lane holds a clone.
-    writers: &'w Arc<BTreeMap<Vpn, GpuId>>,
 }
 
 /// Eager routing, the reference lane's mode: the policy and the shared
@@ -253,9 +243,9 @@ struct Suspend {
     ready: Cycle,
     /// `(owner, line, issue time)` per remote line.
     pending: Vec<(GpuId, LineAddr, Cycle)>,
-    /// Sys-scoped fence ([`LaneMode::GpsEpochs`]): the router queued a
-    /// write-queue flush; the barrier resumes the warp no earlier than
-    /// the lane's broadcast-visibility horizon and the window end.
+    /// Sys-scoped fence whose release waits for the barrier (the router's
+    /// [`LaneRouter::flush`] said so): the barrier resumes the warp no
+    /// earlier than the GPU's visibility horizon and the window end.
     flush: bool,
 }
 
@@ -285,18 +275,9 @@ struct Lane {
     free_slots: Vec<usize>,
     events: LaneQueue,
     arena: BufferArena,
-    retired: Vec<Vec<WarpInstr>>,
     suspended: Vec<Suspend>,
-    // Epoch-tier state below: those tiers run only on per-GPU lanes, so
-    // "this lane" and "this lane's GPU" coincide.
-    /// Shared pages this lane itself wrote (self-visibility is immediate).
-    overlay: BTreeSet<Vpn>,
-    /// This window's writer updates: `(cycle, lane delta seq, page)`.
-    deltas: Vec<(u64, u64, Vpn)>,
-    delta_seq: u64,
-    remote_loads: u64,
-    local_loads: u64,
-    /// Per-GPU routing state ([`LaneMode::GpsEpochs`] only).
+    /// The GPU's routing channel to the policy ([`LaneMode::Epochs`]
+    /// only, so "this lane" and "this lane's GPU" coincide).
     router: Option<Box<dyn LaneRouter>>,
     /// The run's probe on the reference lane; a buffering handle on a
     /// per-GPU lane when telemetry is on; disabled otherwise.
@@ -326,13 +307,7 @@ impl Lane {
             free_slots: Vec::new(),
             events: LaneQueue::new(),
             arena: BufferArena::new(),
-            retired: Vec::new(),
             suspended: Vec::new(),
-            overlay: BTreeSet::new(),
-            deltas: Vec::new(),
-            delta_seq: 0,
-            remote_loads: 0,
-            local_loads: 0,
             router: None,
             probe,
             buffered,
@@ -356,13 +331,7 @@ impl Lane {
                     Stepped::Ready => {
                         if self.warps[slot].stream.is_exhausted() {
                             let done_at = self.warps[slot].ready;
-                            self.retire_warp(
-                                ctx.config,
-                                ctx.gpu_count,
-                                eager.as_deref_mut(),
-                                slot,
-                                done_at,
-                            );
+                            self.retire_warp(ctx, eager.as_deref_mut(), slot, done_at);
                             continue 'events;
                         }
                         let ready = self.warps[slot].ready.as_u64();
@@ -391,8 +360,9 @@ impl Lane {
     }
 
     /// Executes one instruction of warp `slot`, routing through the policy
-    /// (`eager`, the reference lane) or through the engine-owned writer
-    /// state or the lane's [`LaneRouter`] (per-GPU lanes).
+    /// (`eager`, the reference lane) or the lane's [`LaneRouter`] (per-GPU
+    /// lanes of the epoch tier); a per-GPU lane without a router routes
+    /// everything locally.
     fn step(
         &mut self,
         ctx: &LaneCtx<'_>,
@@ -436,7 +406,7 @@ impl Lane {
                     }
                     gpu.l1_misses += 1;
                     let t = self.translate(ctx, eager.as_deref_mut(), lg, line, t0);
-                    match self.route_load(ctx, eager.as_deref_mut(), gpu_id, line, t) {
+                    match self.route_load(eager.as_deref_mut(), gpu_id, line, t) {
                         RoutedLoad::Local(at) => {
                             let gpu = &mut self.gpus[lg];
                             let arrival = l2_read(gpu, &gcfg, line, gpu_id, at);
@@ -478,7 +448,7 @@ impl Lane {
                     let t0 = Cycle::new(issue.as_u64() + i as u64);
                     let t = self.translate(ctx, eager.as_deref_mut(), lg, line, t0);
                     if let Some(stall) =
-                        self.store_line(ctx, eager.as_deref_mut(), lg, sm, line, scope, t, false)
+                        self.store_line(eager.as_deref_mut(), lg, sm, line, scope, t, false)
                     {
                         ready = ready.max(stall);
                     }
@@ -492,8 +462,7 @@ impl Lane {
                 gpu.sm_issue[sm] = Cycle::new(issue.as_u64() + 1);
                 let t = self.translate(ctx, eager.as_deref_mut(), lg, line, issue);
                 let mut ready = Cycle::new(issue.as_u64() + 1);
-                if let Some(stall) = self.store_line(ctx, eager, lg, sm, line, Scope::Gpu, t, true)
-                {
+                if let Some(stall) = self.store_line(eager, lg, sm, line, Scope::Gpu, t, true) {
                     ready = ready.max(stall);
                 }
                 self.warps[slot].ready = ready;
@@ -509,21 +478,18 @@ impl Lane {
                     self.warps[slot].ready = done.max(ready);
                     return Stepped::Ready;
                 }
-                if scope.drains_write_queue() {
-                    if let Some(router) = self.router.as_mut() {
-                        // Sys-scoped fence: queue the flush; visibility
-                        // resolves at the barrier.
-                        router.flush(issue);
-                        return Stepped::Suspended(Suspend {
-                            slot,
-                            ready,
-                            pending: Vec::new(),
-                            flush: true,
-                        });
-                    }
+                // Sys-scoped fence: a release the router makes wait resolves
+                // at the barrier; any other fence never stalls past issue.
+                if scope.drains_write_queue()
+                    && self.router.as_mut().is_some_and(|r| r.flush(issue))
+                {
+                    return Stepped::Suspended(Suspend {
+                        slot,
+                        ready,
+                        pending: Vec::new(),
+                        flush: true,
+                    });
                 }
-                // Other lane-capable policies keep the default `on_fence`
-                // (returns `now`), so a fence never stalls past issue.
                 self.warps[slot].ready = ready;
                 Stepped::Ready
             }
@@ -565,13 +531,10 @@ impl Lane {
     }
 
     /// Routes one coalesced load by `gpu` at translated time `t`: through
-    /// the policy (eager), the lane's router ([`LaneMode::GpsEpochs`]), or
-    /// the writer map — mirroring `RdlPolicy::route_load` exactly in
-    /// [`LaneMode::WriterEpochs`] (private lines route local without
-    /// touching either counter).
+    /// the policy (eager) or the lane's router ([`LaneMode::Epochs`]);
+    /// local otherwise.
     fn route_load(
         &mut self,
-        ctx: &LaneCtx<'_>,
         eager: Option<&mut Eager<'_>>,
         gpu: GpuId,
         line: LineAddr,
@@ -598,30 +561,7 @@ impl Lane {
                 LaneLoad::Remote { from } => RoutedLoad::Remote(from, t),
             };
         }
-        if ctx.mode != LaneMode::WriterEpochs {
-            return RoutedLoad::Local(t);
-        }
-        // gps-lint: allow(no_expect) -- run() builds the index for every WriterEpochs lane
-        let index = ctx.index.expect("writer mode without a shared index");
-        if !index.is_shared(line) {
-            return RoutedLoad::Local(t);
-        }
-        let vpn = line.vpn(ctx.config.page_size);
-        let writer = if self.overlay.contains(&vpn) {
-            Some(gpu)
-        } else {
-            ctx.writers.get(&vpn).copied()
-        };
-        match writer {
-            Some(w) if w != gpu => {
-                self.remote_loads += 1;
-                RoutedLoad::Remote(w, t)
-            }
-            _ => {
-                self.local_loads += 1;
-                RoutedLoad::Local(t)
-            }
-        }
+        RoutedLoad::Local(t)
     }
 
     /// One coalesced store (or atomic) to `line` by owned GPU `lg` at
@@ -630,7 +570,6 @@ impl Lane {
     #[allow(clippy::too_many_arguments)]
     fn store_line(
         &mut self,
-        ctx: &LaneCtx<'_>,
         eager: Option<&mut Eager<'_>>,
         lg: usize,
         sm: usize,
@@ -666,7 +605,6 @@ impl Lane {
                 router.store(line, scope, t)
             }
         } else {
-            self.record_write(ctx, line, t);
             LaneStore::Local
         };
         // Write-through L1: update in place if present (probe refreshes
@@ -689,30 +627,12 @@ impl Lane {
         }
     }
 
-    /// Records a store's writer update ([`LaneMode::WriterEpochs`] only;
-    /// the store itself always completes locally, like `RdlPolicy`).
-    fn record_write(&mut self, ctx: &LaneCtx<'_>, line: LineAddr, t: Cycle) {
-        if ctx.mode != LaneMode::WriterEpochs {
-            return;
-        }
-        // gps-lint: allow(no_expect) -- run() builds the index for every WriterEpochs lane
-        let index = ctx.index.expect("writer mode without a shared index");
-        if !index.is_shared(line) {
-            return;
-        }
-        let vpn = line.vpn(ctx.config.page_size);
-        self.overlay.insert(vpn);
-        self.delta_seq += 1;
-        self.deltas.push((t.as_u64(), self.delta_seq, vpn));
-    }
-
     /// Retires warp `slot` at `done_at`: frees the slot, recycles the
     /// stream buffer and runs the kernel bookkeeping (CTA refill, kernel
     /// finish, next launch or phase completion).
     fn retire_warp(
         &mut self,
-        config: &SimConfig,
-        wl_gc: u32,
+        ctx: &LaneCtx<'_>,
         eager: Option<&mut Eager<'_>>,
         slot: usize,
         done_at: Cycle,
@@ -723,13 +643,8 @@ impl Lane {
         let lg = g - self.first;
         self.gpus[lg].warps_done += 1;
         self.free_slots.push(slot);
-        let stream = std::mem::replace(&mut self.warps[slot].stream, WarpStream::owned(Vec::new()));
-        if let Some(buf) = stream.into_buffer() {
-            self.retired.push(buf);
-            if self.retired.len() >= RECYCLE_FLUSH {
-                self.arena.put_n(&mut self.retired);
-            }
-        }
+        std::mem::replace(&mut self.warps[slot].stream, WarpStream::owned(Vec::new()))
+            .recycle(&mut self.arena);
 
         // gps-lint: allow(no_expect) -- a live warp's GPU always has a running kernel
         let mut run = self.gpus[lg].running.take().expect("warp without kernel");
@@ -740,7 +655,7 @@ impl Lane {
             run.sm_resident[sm] -= 1;
             // Launch a pending CTA into the freed slot.
             if run.next_cta < run.spec.cta_count {
-                self.spawn_cta(&mut run, g, sm, done_at, wl_gc);
+                self.spawn_cta(&mut run, g, sm, done_at, ctx.gpu_count);
             }
         }
         if run.live_warps > 0 {
@@ -765,31 +680,29 @@ impl Lane {
         }
         gpu.l2.invalidate_remote(gpu_id);
         let last_done = run.last_done;
-        if let Some(ex) = eager {
-            let visible = ex.call(last_done, |p, c| p.on_kernel_end(gpu_id, c));
-            self.advance_kernel(config, wl_gc, lg, visible);
-        } else if let Some(router) = self.router.as_mut() {
-            // GPS grid-end release: queue the write-queue flush; the
-            // next launch waits on the barrier's visibility horizon.
-            router.flush(last_done);
+        let visible = if let Some(ex) = eager {
+            ex.call(last_done, |p, c| p.on_kernel_end(gpu_id, c))
+        } else if self.router.as_mut().is_some_and(|r| r.flush(last_done)) {
+            // The release waits for the barrier: the next launch happens
+            // at the GPU's visibility horizon.
             self.gpus[lg].pending_kernel = Some(last_done);
+            return;
         } else {
-            // Other lane-capable policies keep the default
-            // `on_kernel_end`.
-            self.advance_kernel(config, wl_gc, lg, last_done);
-        }
+            last_done
+        };
+        self.advance_kernel(ctx, lg, visible);
     }
 
     /// Launches owned GPU `lg`'s next queued kernel at `visible` plus the
     /// launch overhead, spawning its first wave of CTAs round-robin over
     /// the SMs until residency is full or CTAs run out; with no kernel
     /// left, marks the GPU done for the phase at `visible`.
-    fn advance_kernel(&mut self, config: &SimConfig, wl_gc: u32, lg: usize, visible: Cycle) {
+    fn advance_kernel(&mut self, ctx: &LaneCtx<'_>, lg: usize, visible: Cycle) {
         let Some(spec) = self.gpus[lg].queue.pop_front() else {
             self.gpus[lg].done = Some(visible);
             return;
         };
-        let gpu_cfg = config.gpu;
+        let gpu_cfg = ctx.config.gpu;
         let at = visible + gpu_cfg.kernel_launch_overhead;
         let slots_per_sm = gpu_cfg.cta_slots_per_sm(spec.warps_per_cta);
         let mut run = KernelRun::new(spec, at, gpu_cfg.sms);
@@ -802,7 +715,7 @@ impl Lane {
                 sm = (sm + 1) % gpu_cfg.sms;
             }
             run.sm_cursor = (sm + 1) % gpu_cfg.sms;
-            self.spawn_cta(&mut run, self.first + lg, sm, at, wl_gc);
+            self.spawn_cta(&mut run, self.first + lg, sm, at, ctx.gpu_count);
         }
         self.gpus[lg].running = Some(run);
     }
@@ -816,7 +729,7 @@ impl Lane {
         run.cta_live[cta as usize] = run.spec.warps_per_cta;
         let streams = expand_cta(
             run.spec.program.as_ref(),
-            &self.arena,
+            &mut self.arena,
             GpuId::new(g as u16),
             wl_gc,
             cta,
@@ -849,49 +762,25 @@ impl Lane {
     }
 }
 
-/// Merges every lane's buffered writer updates into the master map in
-/// `(cycle, gpu, sequence)` order — the deterministic writer merge.
-///
-/// Each lane's self-write overlay is cleared afterwards: its entries are
-/// now reflected in `writers` (at their true merge rank, so a peer's later
-/// write correctly steals ownership), and keeping them would pin pages
-/// local to any past writer forever instead of to the *last* writer.
-fn barrier_merge(lanes: &mut [&mut Lane], writers: &mut BTreeMap<Vpn, GpuId>) {
-    let mut all: Vec<(u64, u16, u64, Vpn)> = Vec::new();
-    for lane in lanes.iter_mut() {
-        let g = lane.first as u16;
-        all.extend(lane.deltas.drain(..).map(|(t, s, vpn)| (t, g, s, vpn)));
-        lane.overlay.clear();
-    }
-    all.sort_unstable();
-    for (_, g, _, vpn) in all {
-        writers.insert(vpn, GpuId::new(g));
-    }
-}
-
 /// Books every suspended warp's remote lines against the owners' DRAM and
 /// the shared fabric in deterministic `(issue time, lane, position)` order,
 /// then resumes (or retires) each warp at its merged arrival time. Fence
 /// (flush) suspends resume at the GPU's visibility horizon (`vis`,
-/// [`LaneMode::GpsEpochs`] only), no earlier than the window end.
+/// [`LaneMode::Epochs`] only), no earlier than the window end.
 fn resolve_suspended(
     lanes: &mut [&mut Lane],
     fabric: &mut Fabric,
-    config: &SimConfig,
-    wl_gc: u32,
-    telemetry: bool,
+    ctx: &LaneCtx<'_>,
     window_end: u64,
     vis: Option<&[Cycle]>,
 ) {
     if lanes.iter().all(|l| l.suspended.is_empty()) {
         return;
     }
-    if telemetry {
-        // Barrier-time DRAM/fabric emissions land in the owner lanes'
-        // buffers; tag them with the barrier so the merge stays ordered.
-        for lane in lanes.iter() {
-            lane.probe.set_tag(window_end);
-        }
+    // Barrier-time DRAM/fabric emissions land in the owner lanes' buffers;
+    // tag them with the barrier so the merge stays ordered.
+    for lane in lanes.iter().filter(|l| l.buffered) {
+        lane.probe.set_tag(window_end);
     }
 
     struct Req {
@@ -962,7 +851,7 @@ fn resolve_suspended(
                 if lane.buffered {
                     lane.probe.set_tag(ready.as_u64());
                 }
-                lane.retire_warp(config, wl_gc, None, susp.slot, ready);
+                lane.retire_warp(ctx, None, susp.slot, ready);
             }
         }
     }
@@ -1001,19 +890,10 @@ impl LaneExec for InlineExec<'_> {
     }
 }
 
-/// One window's inputs for the worker pool.
-struct PoolJob {
-    window_end: u64,
-    /// Snapshot of the writer map for this window (cloned handle per
-    /// worker; the coordinator drops all pool clones after the window so
-    /// its `Arc::make_mut` mutates in place).
-    writers: Arc<BTreeMap<Vpn, GpuId>>,
-}
-
 /// The persistent worker pool: lanes live in per-lane mutex cells and are
 /// claimed by index from an atomic queue, so the lane→worker assignment is
 /// irrelevant to the result (each drain sees only the lane itself plus the
-/// read-only job). Workers park on `start` between windows; the
+/// read-only window end). Workers park on `start` between windows; the
 /// coordinator holds no cell lock while workers run and workers hold none
 /// while the coordinator runs barrier work — `end.wait()` hands exclusive
 /// access back.
@@ -1021,16 +901,12 @@ struct Pool<'w> {
     cells: Vec<Mutex<Lane>>,
     /// Next unclaimed lane index for the current window.
     queue: AtomicUsize,
-    job: Mutex<PoolJob>,
+    /// The current window's end, set by the coordinator before `start`.
+    window_end: Mutex<u64>,
     start: Barrier,
     end: Barrier,
     stop: AtomicBool,
-    /// Permanently empty map parked in `job.writers` between windows.
-    empty: Arc<BTreeMap<Vpn, GpuId>>,
-    config: &'w SimConfig,
-    wl_gc: u32,
-    mode: LaneMode,
-    index: Option<&'w SharedIndex>,
+    ctx: LaneCtx<'w>,
 }
 
 /// Worker loop: wait for a window, claim lanes until the queue runs dry,
@@ -1042,18 +918,11 @@ fn lane_worker(pool: &Pool<'_>) {
         if pool.stop.load(Ordering::Acquire) {
             return;
         }
-        let (window_end, writers) = {
-            // gps-lint: allow(no_expect) -- the job mutex is only held across plain field reads/writes
-            let job = pool.job.lock().expect("job mutex poisoned");
-            (job.window_end, Arc::clone(&job.writers))
-        };
-        let ctx = LaneCtx {
-            config: pool.config,
-            gpu_count: pool.wl_gc,
-            mode: pool.mode,
-            index: pool.index,
-            writers: &writers,
-        };
+        // gps-lint: allow(no_expect) -- the window-end mutex is only held across a plain read/write
+        let window_end = *pool.window_end.lock().expect("window mutex poisoned");
+        // Worker-local copy: the per-step reads stay off the pool's shared
+        // cache lines, which the claim counter writes.
+        let ctx = pool.ctx;
         loop {
             // gps-lint: allow(relaxed_atomic_ordering) -- pure work-claim counter: only claim uniqueness matters, each lane lands in its own cell
             let i = pool.queue.fetch_add(1, Ordering::Relaxed);
@@ -1066,37 +935,24 @@ fn lane_worker(pool: &Pool<'_>) {
                 .expect("lane mutex poisoned")
                 .drain_window(&ctx, None, window_end);
         }
-        // Release the window's writer snapshot before the end barrier so
-        // the coordinator sees the only remaining Arc reference.
-        drop(writers);
         pool.end.wait();
     }
 }
 
-/// Multi-worker execution (per-GPU lanes only): the coordinator publishes a job and rides the
-/// start/end barriers.
+/// Multi-worker execution (per-GPU lanes only): the coordinator publishes
+/// the window end and rides the start/end barriers.
 struct PoolExec<'p, 'w> {
     pool: &'p Pool<'w>,
 }
 
 impl LaneExec for PoolExec<'_, '_> {
-    fn drain(&mut self, ctx: &LaneCtx<'_>, eager: Option<&mut Eager<'_>>, window_end: u64) {
+    fn drain(&mut self, _ctx: &LaneCtx<'_>, eager: Option<&mut Eager<'_>>, window_end: u64) {
         debug_assert!(eager.is_none(), "the reference lane runs inline");
-        // gps-lint: allow(lane_tier_purity) -- receiver is the pool's AtomicUsize claim counter, not the shared system
         self.pool.queue.store(0, Ordering::SeqCst);
-        {
-            // gps-lint: allow(no_expect) -- the job mutex is only held across plain field reads/writes
-            let mut job = self.pool.job.lock().expect("job mutex poisoned");
-            job.window_end = window_end;
-            job.writers = Arc::clone(ctx.writers);
-        }
+        // gps-lint: allow(no_expect) -- the window-end mutex is only held across a plain read/write
+        *self.pool.window_end.lock().expect("window mutex poisoned") = window_end;
         self.pool.start.wait();
         self.pool.end.wait();
-        // Park the empty map so the coordinator's writer-map handle is
-        // unique again (keeps `Arc::make_mut` allocation-free).
-        // gps-lint: allow(no_expect) -- the job mutex is only held across plain field reads/writes
-        let mut job = self.pool.job.lock().expect("job mutex poisoned");
-        job.writers = Arc::clone(&self.pool.empty);
     }
 
     fn with_all<R>(&mut self, f: impl FnOnce(&mut [&mut Lane]) -> R) -> R {
@@ -1126,8 +982,9 @@ impl Drop for PoolShutdown<'_, '_> {
 }
 
 /// Runs `engine`'s workload: on per-GPU lanes when `parallel_workers >= 1`,
-/// the policy's tier admits them and (for the epoch tiers) the fabric has
-/// a non-zero cross-GPU latency; on the reference lane otherwise.
+/// the policy's tier admits them and (for the epoch tier) the fabric has
+/// a non-zero cross-GPU latency and the policy hands out one router per
+/// GPU; on the reference lane otherwise.
 pub(crate) fn run(engine: Engine<'_>) -> SimReport {
     let Engine {
         config,
@@ -1143,9 +1000,7 @@ pub(crate) fn run(engine: Engine<'_>) -> SimReport {
         policy.lane_mode()
     };
     let epoch = match declared {
-        LaneMode::WriterEpochs | LaneMode::GpsEpochs => {
-            config.topology.min_cross_gpu_latency(link).as_u64()
-        }
+        LaneMode::Epochs => config.topology.min_cross_gpu_latency(link).as_u64(),
         LaneMode::PureLocal | LaneMode::Fallback => 0,
     };
     // A latency-free fabric admits no conservative window.
@@ -1169,14 +1024,14 @@ pub(crate) fn run(engine: Engine<'_>) -> SimReport {
     policy.attach_probe(probe.clone());
     policy.init(workload, &config);
 
-    // GPS tier: one router per GPU, moved out of the policy. An empty
-    // vector means the policy cannot run this workload on lanes.
-    let routers = if mode == LaneMode::GpsEpochs {
+    // Epoch tier: one router per GPU, moved out of the policy. Any other
+    // count means the policy cannot run this workload on lanes.
+    let routers = if mode == LaneMode::Epochs {
         policy.lane_routers()
     } else {
         Vec::new()
     };
-    if mode == LaneMode::GpsEpochs && routers.len() != gc {
+    if mode == LaneMode::Epochs && routers.len() != gc {
         mode = LaneMode::Fallback;
     }
 
@@ -1199,12 +1054,10 @@ pub(crate) fn run(engine: Engine<'_>) -> SimReport {
         lane.router = Some(router);
     }
 
-    // Engine-owned writer-tracking state (WriterEpochs only): lanes route
-    // from a read-only snapshot, so the policy object never crosses a
-    // thread boundary.
-    let index: Option<SharedIndex> = (mode == LaneMode::WriterEpochs).then(|| workload.index());
-    let mut writers: Arc<BTreeMap<Vpn, GpuId>> = Arc::new(BTreeMap::new());
-    let wl_gc = workload.gpu_count as u32;
+    let ctx = LaneCtx {
+        config: &config,
+        gpu_count: workload.gpu_count as u32,
+    };
     let workers = config.parallel_workers.min(lanes.len()).max(1);
 
     if workers == 1 {
@@ -1212,33 +1065,22 @@ pub(crate) fn run(engine: Engine<'_>) -> SimReport {
             &mut InlineExec { lanes: &mut lanes },
             policy,
             workload,
-            &config,
+            &ctx,
             link,
             &probe,
             &mut fabric,
-            &mut writers,
-            index.as_ref(),
             mode,
             epoch,
-            wl_gc,
         )
     } else {
-        let empty: Arc<BTreeMap<Vpn, GpuId>> = Arc::new(BTreeMap::new());
         let pool = Pool {
             cells: lanes.into_iter().map(Mutex::new).collect(),
             queue: AtomicUsize::new(0),
-            job: Mutex::new(PoolJob {
-                window_end: 0,
-                writers: Arc::clone(&empty),
-            }),
+            window_end: Mutex::new(0),
             start: Barrier::new(workers + 1),
             end: Barrier::new(workers + 1),
             stop: AtomicBool::new(false),
-            empty,
-            config: &config,
-            wl_gc,
-            mode,
-            index: index.as_ref(),
+            ctx,
         };
         std::thread::scope(|s| {
             for _ in 0..workers {
@@ -1249,15 +1091,12 @@ pub(crate) fn run(engine: Engine<'_>) -> SimReport {
                 &mut PoolExec { pool: &pool },
                 policy,
                 workload,
-                &config,
+                &pool.ctx,
                 link,
                 &probe,
                 &mut fabric,
-                &mut writers,
-                index.as_ref(),
                 mode,
                 epoch,
-                wl_gc,
             )
         })
     }
@@ -1270,17 +1109,16 @@ fn run_phases<E: LaneExec>(
     exec: &mut E,
     policy: &mut dyn MemoryPolicy,
     workload: &Workload,
-    config: &SimConfig,
+    ctx: &LaneCtx<'_>,
     link: LinkGen,
     master_probe: &ProbeHandle,
     fabric: &mut Fabric,
-    writers: &mut Arc<BTreeMap<Vpn, GpuId>>,
-    index: Option<&SharedIndex>,
     mode: LaneMode,
     epoch: u64,
-    wl_gc: u32,
 ) -> SimReport {
-    let gps = mode == LaneMode::GpsEpochs;
+    let config = ctx.config;
+    // The epoch tier: every lane routes through its policy router.
+    let routed = mode == LaneMode::Epochs;
     let eager = mode == LaneMode::Fallback;
     let gpu_cfg = config.gpu;
     let telemetry = master_probe.is_enabled();
@@ -1309,7 +1147,7 @@ fn run_phases<E: LaneExec>(
                     gpu.queue = phase.launches_for(id).cloned().collect();
                     gpu.done = None;
                     gpu.pending_kernel = None;
-                    lane.advance_kernel(config, wl_gc, lg, phase_start);
+                    lane.advance_kernel(ctx, lg, phase_start);
                 }
             }
         });
@@ -1319,17 +1157,16 @@ fn run_phases<E: LaneExec>(
         // and spans `E` cycles — unbounded on the reference lane and the
         // PureLocal tier; barrier work re-queues events at or after the
         // window's end, so the loop terminates when every lane drains.
-        // On the GPS tier a kernel-end release may leave a lane with no
+        // On the epoch tier a kernel-end release may leave a lane with no
         // events but a launch pending on the barrier's visibility horizon:
         // those rounds run barrier work only.
         let mut last_window_end = phase_start.as_u64();
         loop {
             let (next, has_pending) = exec.with_all(|lanes| {
                 let next = lanes.iter().filter_map(|l| l.events.peek_time()).min();
-                let pending = gps
-                    && lanes
-                        .iter()
-                        .any(|l| l.gpus.iter().any(|g| g.pending_kernel.is_some()));
+                let pending = lanes
+                    .iter()
+                    .any(|l| l.gpus.iter().any(|g| g.pending_kernel.is_some()));
                 (next, pending)
             });
             if next.is_none() && !has_pending {
@@ -1342,52 +1179,32 @@ fn run_phases<E: LaneExec>(
             };
             last_window_end = window_end;
             if next.is_some() {
-                let ctx = LaneCtx {
-                    config,
-                    gpu_count: wl_gc,
-                    mode,
-                    index,
-                    writers: &*writers,
-                };
                 let mut routing = eager.then_some(Eager {
                     policy: &mut *policy,
                     fabric: &mut *fabric,
                     page_size: config.page_size,
                 });
-                exec.drain(&ctx, routing.as_mut(), window_end);
+                exec.drain(ctx, routing.as_mut(), window_end);
             }
             exec.with_all(|lanes| {
-                if mode == LaneMode::WriterEpochs {
-                    barrier_merge(lanes, Arc::make_mut(writers));
-                }
-                let vis = if gps {
+                let vis = routed.then(|| {
                     let mut routers: Vec<&mut dyn LaneRouter> = lanes
                         .iter_mut()
                         .filter_map(|l| l.router.as_deref_mut())
                         .collect();
-                    Some(policy.lane_barrier(&mut routers, fabric))
-                } else {
-                    None
-                };
+                    policy.lane_barrier(&mut routers, fabric)
+                });
                 if let Some(vis) = vis.as_deref() {
                     for lane in lanes.iter_mut() {
                         for lg in 0..lane.gpus.len() {
                             if let Some(t) = lane.gpus[lg].pending_kernel.take() {
                                 let g = lane.first + lg;
-                                lane.advance_kernel(config, wl_gc, lg, vis[g].max(t));
+                                lane.advance_kernel(ctx, lg, vis[g].max(t));
                             }
                         }
                     }
                 }
-                resolve_suspended(
-                    lanes,
-                    fabric,
-                    config,
-                    wl_gc,
-                    telemetry,
-                    window_end,
-                    vis.as_deref(),
-                );
+                resolve_suspended(lanes, fabric, ctx, window_end, vis.as_deref());
             });
         }
 
@@ -1426,9 +1243,10 @@ fn run_phases<E: LaneExec>(
             };
             policy.on_phase_end(phase_idx, &mut ctx)
         };
-        if gps {
-            // The phase hook may have pruned subscriptions or shot down
-            // GPS TLBs: resynchronise every router's snapshot.
+        if routed {
+            // The phase hook may have changed shared state (GPS prunes
+            // subscriptions, shoots down GPS TLBs): resynchronise every
+            // router's snapshot.
             exec.with_all(|lanes| {
                 let mut routers: Vec<&mut dyn LaneRouter> = lanes
                     .iter_mut()
@@ -1451,22 +1269,10 @@ fn run_phases<E: LaneExec>(
         phase_start = release + gpu_cfg.phase_sync_overhead;
     }
 
-    match mode {
-        LaneMode::WriterEpochs => {
-            let (remote, local) = exec.with_all(|lanes| {
-                (
-                    lanes.iter().map(|l| l.remote_loads).sum(),
-                    lanes.iter().map(|l| l.local_loads).sum(),
-                )
-            });
-            policy.absorb_lane_loads(remote, local);
-        }
-        LaneMode::GpsEpochs => {
-            let routers: Vec<Box<dyn LaneRouter>> =
-                exec.with_all(|lanes| lanes.iter_mut().filter_map(|l| l.router.take()).collect());
-            policy.absorb_lane_routers(routers);
-        }
-        _ => {}
+    if routed {
+        let routers: Vec<Box<dyn LaneRouter>> =
+            exec.with_all(|lanes| lanes.iter_mut().filter_map(|l| l.router.take()).collect());
+        policy.absorb_lane_routers(routers);
     }
 
     let per_gpu = exec.with_all(|lanes| {

@@ -89,36 +89,29 @@ pub enum StoreRoute {
 ///
 /// With `parallel_workers >= 1` the engine simulates each GPU on its own
 /// event lane. A policy declares, via [`MemoryPolicy::lane_mode`], which
-/// per-GPU tier its routing semantics admit; the engine runs the
-/// reference lane — one lane owning every GPU, calling the policy's hooks
-/// as each access happens — whenever the declared tier (or the configured
-/// fabric) rules per-GPU lanes out.
+/// of the two per-GPU tiers its routing semantics admit; the engine runs
+/// the reference lane — one lane owning every GPU, calling the policy's
+/// hooks as each access happens — whenever the declared tier (or the
+/// configured fabric) rules per-GPU lanes out.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaneMode {
     /// Every access routes `Local` and no hook observes cross-GPU state:
     /// per-GPU lanes are fully independent and bit-identical to the
     /// reference lane.
     PureLocal,
-    /// Routing depends only on *which GPU last wrote a shared page*
-    /// (e.g. the reverse-data-lookup paradigm). Lanes advance in
-    /// conservative epochs of the fabric's minimum cross-GPU latency;
-    /// writer updates merge deterministically at every epoch barrier. The
-    /// result is deterministic and worker-count-invariant but reflects
-    /// bounded-staleness writer visibility, so this tier is pinned by its
-    /// own golden reports rather than the reference lane's.
-    WriterEpochs,
-    /// The GPS conservative tier. Per-GPU routing state (remote write
-    /// queue, GPS-TLB) moves into a [`LaneRouter`] owned by each lane;
-    /// subscription state changes only at phase barriers (tracking stop)
-    /// or via buffered collapses, so every lane routes from an immutable
-    /// snapshot inside a window. Publishes (write-queue drains, atomic
-    /// broadcasts, peer stores) buffer in the router and the policy books
-    /// them on the shared fabric at the window barrier in global
-    /// `(cycle, gpu, sequence)` order via [`MemoryPolicy::lane_barrier`].
-    /// Like [`LaneMode::WriterEpochs`] this is deterministic and
-    /// worker-count-invariant but bounded-stale versus the reference lane,
-    /// so it is pinned by its own golden reports.
-    GpsEpochs,
+    /// The conservative epoch tier. Each lane routes through a
+    /// [`LaneRouter`] the policy hands out ([`MemoryPolicy::lane_routers`]),
+    /// which decides every access from lane-local state plus a snapshot of
+    /// the policy's shared state and *buffers* every cross-lane effect.
+    /// Lanes advance in windows of the fabric's minimum cross-GPU latency;
+    /// at each window barrier the policy applies the buffered effects in
+    /// global `(cycle, gpu, sequence)` order ([`MemoryPolicy::lane_barrier`]).
+    /// GPS routers carry the write queue and GPS-TLB and publish
+    /// broadcasts; RDL routers carry a last-writer snapshot and publish
+    /// writer updates. The result is deterministic and
+    /// worker-count-invariant but bounded-stale (one window) versus the
+    /// reference lane, so this tier is pinned by its own golden reports.
+    Epochs,
     /// The policy's hooks need globally ordered state that per-GPU lanes
     /// cannot provide; the engine runs the reference lane, whose single
     /// queue orders every GPU's events and routes through the hooks
@@ -126,10 +119,11 @@ pub enum LaneMode {
     Fallback,
 }
 
-/// How a [`LaneMode::GpsEpochs`] lane services one coalesced load.
+/// How a [`LaneRouter`] services one coalesced load.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaneLoad {
-    /// Local hierarchy (subscriber replica or non-GPS page).
+    /// Local hierarchy (a subscriber replica, a page this GPU wrote last,
+    /// or a page the policy does not manage).
     Local,
     /// The issuing GPU's own write queue holds the line (§5.1 forward).
     Forwarded,
@@ -140,10 +134,10 @@ pub enum LaneLoad {
     },
 }
 
-/// How a [`LaneMode::GpsEpochs`] lane handles one coalesced store/atomic.
+/// How a [`LaneRouter`] handles one coalesced store/atomic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LaneStore {
-    /// Local write only.
+    /// Local write only (any writer update is buffered in the router).
     Local,
     /// Peer store to a conventional page owned by another GPU: the router
     /// has buffered the transfer for the barrier; nothing is kept locally.
@@ -157,15 +151,19 @@ pub enum LaneStore {
     },
 }
 
-/// Per-lane routing state for [`LaneMode::GpsEpochs`].
+/// Per-lane routing state for [`LaneMode::Epochs`]: the engine's one
+/// channel between a per-GPU lane and the policy.
 ///
-/// A router owns everything one GPU's accesses need inside a window: the
-/// GPU's write queue and GPS-TLB plus an immutable snapshot of the driver
-/// state (page table, GPS bits, serving GPUs). Cross-lane effects —
-/// broadcasts, peer stores, collapses, access-tracking records — are
-/// *buffered*, never applied: the owning policy drains and applies them at
-/// each window barrier ([`MemoryPolicy::lane_barrier`]) in deterministic
-/// order. Routers cross thread boundaries with their lane, hence `Send`.
+/// A router owns everything one GPU's accesses need inside a window — for
+/// GPS the GPU's write queue and GPS-TLB plus an immutable snapshot of the
+/// driver state, for RDL a snapshot of the last-writer map plus the GPU's
+/// own writes since the last barrier. Cross-lane effects (broadcasts,
+/// peer stores, collapses, access-tracking records, writer updates) are
+/// *buffered*, never applied: the owning policy drains and applies them
+/// at each window barrier ([`MemoryPolicy::lane_barrier`]) in
+/// deterministic order. The engine knows no policy's routing rule; it
+/// only forwards accesses here. Routers cross thread boundaries with
+/// their lane, hence `Send`.
 pub trait LaneRouter: Send + 'static {
     /// Hands the router its lane's buffering probe (before the run).
     fn attach_probe(&mut self, probe: ProbeHandle);
@@ -183,9 +181,11 @@ pub trait LaneRouter: Send + 'static {
     /// access tracking unit at the next barrier.
     fn tlb_miss(&mut self, vpn: Vpn, now: Cycle);
 
-    /// Queues a full write-queue flush at `now` (grid-end implicit release
-    /// or sys-scoped fence). Visibility resolves at the next barrier.
-    fn flush(&mut self, now: Cycle);
+    /// A release at `now`: a grid-end implicit release or a sys-scoped
+    /// fence. Returns whether the release waits for the next barrier's
+    /// visibility horizon (GPS queues a full write-queue flush); `false`
+    /// lets the fence complete and the next kernel launch at once.
+    fn flush(&mut self, now: Cycle) -> bool;
 
     /// Downcast hook: the owning policy recovers its concrete router type
     /// inside [`MemoryPolicy::lane_barrier`] and friends.
@@ -289,33 +289,23 @@ pub trait MemoryPolicy {
         LaneMode::Fallback
     }
 
-    /// Hands the policy the summed per-lane routing counters after a lane
-    /// run ([`LaneMode::WriterEpochs`] only — lanes route from
-    /// engine-owned writer state, so the master policy never sees the
-    /// individual accesses). Called once, before [`metrics`].
-    ///
-    /// [`metrics`]: MemoryPolicy::metrics
-    fn absorb_lane_loads(&mut self, remote: u64, local: u64) {
-        let _ = (remote, local);
-    }
-
-    /// Builds one [`LaneRouter`] per GPU for [`LaneMode::GpsEpochs`],
-    /// moving the per-GPU routing state out of the policy. Called once,
-    /// after [`init`]. Returning an empty vector (the default) means the
-    /// policy cannot run this workload on the GPS tier and the engine
-    /// runs the reference lane.
+    /// Builds one [`LaneRouter`] per GPU for [`LaneMode::Epochs`], moving
+    /// the per-GPU routing state out of the policy. Called once, after
+    /// [`init`]. Returning any other count (the default returns none)
+    /// means the policy cannot run this workload on per-GPU lanes and the
+    /// engine runs the reference lane.
     ///
     /// [`init`]: MemoryPolicy::init
     fn lane_routers(&mut self) -> Vec<Box<dyn LaneRouter>> {
         Vec::new()
     }
 
-    /// Window barrier for [`LaneMode::GpsEpochs`]: drains every router's
+    /// Window barrier for [`LaneMode::Epochs`]: drains every router's
     /// buffered cross-lane effects and applies them to `fabric` (and the
-    /// policy's driver state) in deterministic `(cycle, gpu, sequence)`
-    /// order. Returns, per GPU, the broadcast-visibility horizon after the
-    /// barrier — the lane engine resolves pending kernel-end releases and
-    /// sys-fence stalls against it.
+    /// policy's shared state) in deterministic `(cycle, gpu, sequence)`
+    /// order. Returns, per GPU, the visibility horizon after the barrier —
+    /// the lane engine resolves releases whose [`LaneRouter::flush`]
+    /// returned `true` against it.
     fn lane_barrier(
         &mut self,
         routers: &mut [&mut dyn LaneRouter],
@@ -325,18 +315,18 @@ pub trait MemoryPolicy {
         vec![Cycle::ZERO; routers.len()]
     }
 
-    /// Called after [`on_phase_end`] in a [`LaneMode::GpsEpochs`] run:
-    /// resynchronises the routers with driver state that the phase hook may
-    /// have changed (subscription pruning, GPS-TLB shootdowns).
+    /// Called after [`on_phase_end`] in a [`LaneMode::Epochs`] run:
+    /// resynchronises the routers with shared state that the phase hook may
+    /// have changed (GPS subscription pruning, GPS-TLB shootdowns).
     ///
     /// [`on_phase_end`]: MemoryPolicy::on_phase_end
     fn lane_phase_sync(&mut self, routers: &mut [&mut dyn LaneRouter]) {
         let _ = routers;
     }
 
-    /// Returns the routers after a [`LaneMode::GpsEpochs`] run so the
-    /// policy can reabsorb their state (write-queue and GPS-TLB statistics)
-    /// for [`metrics`]. Called once, before [`metrics`].
+    /// Returns the routers after a [`LaneMode::Epochs`] run so the policy
+    /// can reabsorb their state (write-queue and GPS-TLB statistics, load
+    /// counters) for [`metrics`]. Called once, before [`metrics`].
     ///
     /// [`metrics`]: MemoryPolicy::metrics
     fn absorb_lane_routers(&mut self, routers: Vec<Box<dyn LaneRouter>>) {

@@ -401,7 +401,7 @@ impl WarpProgram for StreamedProgram {
         out.extend(cursor);
     }
 
-    fn warp_stream(&self, ctx: WarpCtx, _arena: &BufferArena) -> WarpStream {
+    fn warp_stream(&self, ctx: WarpCtx, _arena: &mut BufferArena) -> WarpStream {
         WarpStream::Replay(self.cursor(ctx))
     }
 
@@ -717,7 +717,7 @@ mod tests {
         let wl = sample_workload();
         let replayed = Trace::record(&wl).replay("s").unwrap();
         let k = &replayed.phases[0].launches[0];
-        let arena = BufferArena::new();
+        let mut arena = BufferArena::new();
         let ctx = WarpCtx {
             gpu: k.gpu,
             gpu_count: wl.gpu_count as u32,
@@ -726,7 +726,7 @@ mod tests {
             warp_in_cta: 1,
             warps_per_cta: k.warps_per_cta,
         };
-        let mut stream = k.program.warp_stream(ctx, &arena);
+        let mut stream = k.program.warp_stream(ctx, &mut arena);
         assert!(
             matches!(stream, WarpStream::Replay(_)),
             "replayed programs must hand out zero-copy cursors"
@@ -734,7 +734,7 @@ mod tests {
         let decoded: Vec<_> = stream.by_ref().collect();
         assert_eq!(decoded, k.program.warp_instrs(ctx));
         // Recycling a replay stream is a no-op: no buffer to pool.
-        stream.recycle(&arena);
+        stream.recycle(&mut arena);
         assert_eq!(arena.pooled(), 0);
     }
 

@@ -7,11 +7,12 @@
 //!    `parallel_workers >= 1` run must be **bit-identical** to the
 //!    reference lane on every suite application (the PureLocal tier
 //!    proves identity, the Fallback tier runs the reference lane itself). GPS and GPS-nosub are not in
-//!    this set any more: they run the conservative `GpsEpochs` tier,
+//!    this set any more: they run the conservative `Epochs` tier,
 //!    whose window-buffered publishes legitimately deviate — their
 //!    reports are pinned by `crates/paradigms/tests/lane_gps.rs` and
 //!    `lane_boundary.rs` instead.
-//! 2. RDL runs on the writer-epoch tier, whose bounded-stale writer
+//! 2. RDL runs on the `Epochs` tier too, through its last-writer lane
+//!    router, whose bounded-stale writer
 //!    visibility legitimately (and deterministically) deviates from the
 //!    reference lane; its reports are pinned by their own committed golden
 //!    file, regenerated with `GPS_UPDATE_GOLDENS=1` like the sequential

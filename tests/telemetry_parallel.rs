@@ -5,7 +5,7 @@
 //! order, so the exported artifacts — the Chrome trace JSON and the
 //! per-phase counter breakdown — must be *byte-identical* to a sequential
 //! run for PureLocal-tier paradigms, and invariant to the worker count for
-//! the epoch tiers (RDL's writer epochs, GPS's conservative epochs).
+//! the epoch tier (RDL and GPS through their lane routers).
 
 use gps::interconnect::LinkGen;
 use gps::obs::{chrome_trace, phase_breakdown, ProbeHandle, Telemetry};
@@ -31,7 +31,7 @@ fn artifacts(t: &Telemetry) -> (String, String) {
 
 #[test]
 fn pure_tier_telemetry_is_byte_identical_to_sequential() {
-    // GPS left this set when it moved to the conservative GpsEpochs tier
+    // GPS left this set when it moved to the conservative Epochs tier
     // (its telemetry pin is worker invariance, below); GpsOversub stays
     // because memory pressure keeps it on the reference lane (Fallback).
     for paradigm in [Paradigm::GpsOversub, Paradigm::InfiniteBw] {
