@@ -6,7 +6,6 @@
 //! gps-run serve    [flags]     multi-tenant serving simulation (QPS + tail latency)
 //! gps-run report   [flags]     print the result store as a table or CSV
 //! gps-run timeline <run-key>   reconstruct a run's cycle-resolved Chrome trace
-//! gps-run bench    [flags]     run the streaming-replay & engine micro-suite
 //! gps-run gc       [flags]     compact the store to the latest record per key
 //! gps-run lint     [flags]     run the determinism & panic-hygiene analyzer
 //! ```
@@ -16,7 +15,6 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use gps_harness::bench::BenchOptions;
 use gps_harness::store::{ResultStore, RunStatus};
 use gps_harness::sweep::{run_sweep, SweepOptions, SweepSpec};
 use gps_interconnect::{LinkGen, Topology};
@@ -30,7 +28,7 @@ const USAGE: &str = "\
 gps-run — resumable parallel sweeps over the GPS evaluation space
 
 USAGE:
-    gps-run <sweep|resume|serve|report|timeline|bench|gc|lint|help> [flags]
+    gps-run <sweep|resume|serve|report|timeline|gc|lint|help> [flags]
 
 SWEEP / RESUME FLAGS:
     --store <path>        result store (JSON lines), default results/store.jsonl
@@ -106,14 +104,6 @@ TIMELINE (gps-run timeline <run-key> [flags]):
     and exports a Chrome trace; <run-key> may be a unique key prefix
     --store <path>        result store to look the key up in
     --out <dir>           output directory, default results/telemetry
-
-BENCH FLAGS:
-    runs the fixed streaming-replay & engine micro-suite (trace replay
-    materialised vs streaming, and reference-lane vs per-GPU-lane vs
-    worker-pool engine cases from 4-GPU paper scale up to 32/64-GPU
-    superpod fabrics) and writes wall-clock + peak-RSS results as JSON
-    --out <path>          output file, default BENCH_sim.json
-    --quick               reduced suite (small cases, 1 rep) for CI smoke
 
 GC FLAGS:
     --store <path>        store to compact (latest record per key, sorted)
@@ -735,36 +725,6 @@ fn cmd_timeline(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let mut opts = BenchOptions::default();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = || {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("{arg} requires a value"))
-        };
-        match arg.as_str() {
-            "--out" => opts.out = PathBuf::from(value()?),
-            "--quick" => opts.quick = true,
-            other => return Err(format!("unknown flag {other}")),
-        }
-    }
-    let report = gps_harness::run_bench(&opts).map_err(|e| format!("bench failed: {e}"))?;
-    for case in &report.cases {
-        if let Some(s) = case.speedup_streaming() {
-            println!("{:<22} streaming {s:.2}x over materialised", case.name);
-        }
-        if let Some(s) = case.speedup_parallel() {
-            let pool = case
-                .speedup_multiworker()
-                .map_or(String::new(), |p| format!(", pool {p:.2}x"));
-            println!("{:<27} parallel {s:.2}x{pool} over sequential", case.name);
-        }
-    }
-    Ok(())
-}
-
 fn cmd_gc(args: &[String]) -> Result<(), String> {
     let mut store = PathBuf::from("results/store.jsonl");
     let mut it = args.iter();
@@ -838,7 +798,6 @@ fn main() -> ExitCode {
         "serve" => cmd_serve(rest),
         "report" => cmd_report(rest),
         "timeline" => cmd_timeline(rest),
-        "bench" => cmd_bench(rest),
         "gc" => cmd_gc(rest),
         // Distinct exit codes: 1 = unwaivered findings (dirty tree), 2 =
         // I/O or configuration error (broken setup) — the generic Err

@@ -19,12 +19,13 @@
 //!   quarantined and reported, never aborting sibling jobs.
 //!
 //! The `gps-run` binary exposes this as a CLI (`sweep`, `resume`,
-//! `report`); the `gps-bench` crate builds the paper's figures on top of
-//! the same machinery.
+//! `serve`, `report`, `timeline`, `gc`, `lint`); the `gps-bench` crate
+//! builds the paper's figures on top of the same machinery. The
+//! simulator's host-time benchmark is the repository benchmark under
+//! `benchmark/`, not part of this crate.
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod html;
 pub mod key;
 pub mod pool;
@@ -34,11 +35,6 @@ pub mod store;
 pub mod sweep;
 pub mod telemetry;
 
-/// The shared JSON codec (hoisted to `gps-types`; re-exported here for
-/// compatibility with earlier harness versions).
-pub use bench::{run_bench, BenchCase, BenchLeg, BenchOptions, BenchReport, BENCH_SCHEMA_VERSION};
-pub use gps_types::json;
-pub use gps_types::Json;
 pub use html::{html_report, write_html_report};
 pub use key::{run_key, run_key_default_machine, serve_key};
 pub use pool::{parallel_map, run_jobs, JobResult};

@@ -14,7 +14,7 @@ use std::path::{Path, PathBuf};
 
 use gps_sim::{MemoryPressure, VictimPolicy};
 
-use crate::json::Json;
+use gps_types::Json;
 
 /// Schema version stamped on every record.
 pub const STORE_VERSION: u32 = 1;

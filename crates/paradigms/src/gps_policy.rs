@@ -330,7 +330,7 @@ impl MemoryPolicy for GpsPolicy {
             .probe
             .is_enabled()
             .then(|| self.sys_mut().rwq_stats(gpu));
-        // gps-lint: allow(lane_tier_purity) -- serial-tier direct path: route_atomic runs on the engine thread outside the parallel lane window
+        // gps-lint: allow(lane_tier_purity) -- reference-lane path: route_atomic runs outside the parallel lane window
         let route = match self.sys_mut().atomic(gpu, line, ctx.now, ctx.fabric) {
             GpsStore::Local => StoreRoute::Local,
             GpsStore::RemoteOwner { to } => StoreRoute::Remote { to },
@@ -346,7 +346,7 @@ impl MemoryPolicy for GpsPolicy {
     fn on_tlb_miss(&mut self, gpu: GpuId, vpn: Vpn, ctx: &mut MemCtx<'_>) {
         self.probe
             .counter(Track::gpu(gpu.index()), names::ATU_TLB_MISS, ctx.now, 1.0);
-        // gps-lint: allow(lane_tier_purity) -- serial-tier direct path: TLB misses are serviced on the engine thread outside the parallel lane window
+        // gps-lint: allow(lane_tier_purity) -- reference-lane path: TLB misses are serviced outside the parallel lane window
         self.sys_mut().tlb_miss(gpu, vpn);
     }
 

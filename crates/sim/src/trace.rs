@@ -172,38 +172,20 @@ impl Trace {
 
     /// Reconstructs a [`Workload`] that replays the recorded streams.
     ///
-    /// This is the *streaming* path: the trace is validated up front with a
-    /// cheap skip-scan that records each warp's byte offset, and warps
-    /// decode their instructions lazily through zero-copy
-    /// [`TraceCursor`]s over the shared trace bytes — no per-warp
-    /// `Vec<WarpInstr>` is ever materialised. The skip-scan performs the
-    /// exact same checks as a full decode (tag dispatch, bounds, scope
-    /// tags, stride rule), so a trace that validates here can never fail to
-    /// decode later.
+    /// The trace is validated up front with a cheap skip-scan that records
+    /// each warp's byte offset, and warps decode their instructions lazily
+    /// through zero-copy [`TraceCursor`]s over the shared trace bytes — no
+    /// per-warp `Vec<WarpInstr>` is ever materialised. The skip-scan
+    /// performs the exact same checks as a full decode (tag dispatch,
+    /// bounds, scope tags, stride rule), so a trace that validates here can
+    /// never fail to decode later.
     ///
     /// # Errors
     ///
     /// Returns [`GpsError::Parse`] on malformed input and propagates
     /// workload validation failures.
     pub fn replay(&self, name: impl Into<String>) -> Result<Workload> {
-        self.replay_impl(name.into(), false)
-    }
-
-    /// Reconstructs a [`Workload`] that replays from fully materialised
-    /// per-warp instruction vectors (the pre-streaming behaviour).
-    ///
-    /// Kept as the baseline for `gps-run bench` and as the differential
-    /// oracle for the streaming path's bit-identical-`SimReport` tests.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GpsError::Parse`] on malformed input and propagates
-    /// workload validation failures.
-    pub fn replay_materialised(&self, name: impl Into<String>) -> Result<Workload> {
-        self.replay_impl(name.into(), true)
-    }
-
-    fn replay_impl(&self, name: String, materialise: bool) -> Result<Workload> {
+        let name = name.into();
         let mut buf = Cursor::new(&self.bytes);
         let fail = |what: &'static str| GpsError::Parse {
             what,
@@ -246,37 +228,21 @@ impl Trace {
                 let cta_count = read_u32(&mut buf).ok_or(fail("cta count"))?;
                 let warps_per_cta = read_u32(&mut buf).ok_or(fail("warps per cta"))?;
                 let total = cta_count as usize * warps_per_cta as usize;
-                let program: Arc<dyn WarpProgram> = if materialise {
-                    let mut warps = Vec::with_capacity(total);
-                    for _ in 0..total {
-                        let n = read_u32(&mut buf).ok_or(fail("instr count"))?;
-                        let mut instrs = Vec::with_capacity(n as usize);
-                        for _ in 0..n {
-                            instrs.push(read_instr(&mut buf).ok_or(fail("instr"))?);
-                        }
-                        warps.push(instrs);
+                // Skip-scan: validate each instruction and remember only
+                // where each warp's stream starts.
+                let mut warps = Vec::with_capacity(total);
+                for _ in 0..total {
+                    let n = read_u32(&mut buf).ok_or(fail("instr count"))?;
+                    warps.push((buf.pos as u64, n));
+                    for _ in 0..n {
+                        skip_instr(&mut buf).ok_or(fail("instr"))?;
                     }
-                    Arc::new(RecordedProgram {
-                        warps: Arc::new(warps),
-                        warps_per_cta,
-                    })
-                } else {
-                    // Skip-scan: validate each instruction and remember only
-                    // where each warp's stream starts.
-                    let mut warps = Vec::with_capacity(total);
-                    for _ in 0..total {
-                        let n = read_u32(&mut buf).ok_or(fail("instr count"))?;
-                        warps.push((buf.pos as u64, n));
-                        for _ in 0..n {
-                            skip_instr(&mut buf).ok_or(fail("instr"))?;
-                        }
-                    }
-                    Arc::new(StreamedProgram {
-                        bytes: Arc::clone(&self.bytes),
-                        warps: Arc::new(warps),
-                        warps_per_cta,
-                    })
-                };
+                }
+                let program: Arc<dyn WarpProgram> = Arc::new(StreamedProgram {
+                    bytes: Arc::clone(&self.bytes),
+                    warps: Arc::new(warps),
+                    warps_per_cta,
+                });
                 launches.push(KernelSpec {
                     name,
                     gpu,
@@ -403,32 +369,6 @@ impl WarpProgram for StreamedProgram {
 
     fn warp_stream(&self, ctx: WarpCtx, _arena: &mut BufferArena) -> WarpStream {
         WarpStream::Replay(self.cursor(ctx))
-    }
-
-    fn label(&self) -> &str {
-        "recorded"
-    }
-}
-
-/// A warp program that replays recorded instruction streams from fully
-/// materialised vectors (the [`Trace::replay_materialised`] baseline).
-struct RecordedProgram {
-    warps: Arc<Vec<Vec<WarpInstr>>>,
-    warps_per_cta: u32,
-}
-
-impl fmt::Debug for RecordedProgram {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RecordedProgram")
-            .field("warps", &self.warps.len())
-            .finish()
-    }
-}
-
-impl WarpProgram for RecordedProgram {
-    fn warp_instrs(&self, ctx: WarpCtx) -> Vec<WarpInstr> {
-        let idx = (ctx.cta.raw() * self.warps_per_cta + ctx.warp_in_cta) as usize;
-        self.warps.get(idx).cloned().unwrap_or_default()
     }
 
     fn label(&self) -> &str {
@@ -699,17 +639,10 @@ mod tests {
     }
 
     #[test]
-    fn streaming_and_materialised_replays_agree() {
+    fn streaming_replay_matches_the_generator() {
         let wl = sample_workload();
-        let trace = Trace::record(&wl);
-        let streaming = trace.replay("s").unwrap();
-        let materialised = trace.replay_materialised("m").unwrap();
-        assert_eq!(all_instrs(&streaming), all_instrs(&materialised));
+        let streaming = Trace::record(&wl).replay("s").unwrap();
         assert_eq!(all_instrs(&streaming), all_instrs(&wl));
-        assert_eq!(
-            materialised.phases[0].launches[0].program.label(),
-            "recorded"
-        );
     }
 
     #[test]
