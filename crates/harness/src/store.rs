@@ -5,7 +5,9 @@
 //! loses at most the in-flight runs; a torn final line — the crash window
 //! is one `write` — is detected by the parser and dropped on load, which
 //! is exactly the resume semantics the sweep wants: anything not fully
-//! persisted is simply re-run.
+//! persisted is simply re-run. The reader takes the file as bytes, so a
+//! line that is not valid UTF-8 is one more corrupt line, not a failed
+//! load.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -189,8 +191,8 @@ impl RunRecord {
             oversubscription_pct: match v.get("oversub_pct") {
                 Some(j) => j
                     .as_u64()
-                    .ok_or_else(|| "non-integer oversub_pct".to_owned())?
-                    as u32,
+                    .and_then(|n| u32::try_from(n).ok())
+                    .ok_or_else(|| "oversub_pct is not a u32".to_owned())?,
                 None => MemoryPressure::NONE.oversubscription_pct,
             },
             victim_policy: match v.get("victim").and_then(Json::as_str) {
@@ -221,7 +223,8 @@ impl RunRecord {
             },
             pressure,
             status,
-            attempts: int_field("attempts")? as u32,
+            attempts: u32::try_from(int_field("attempts")?)
+                .map_err(|_| "attempts out of range".to_owned())?,
             wall_ms: num_field("wall_ms")?,
             steady_cycles: num_field("steady_cycles")?,
             total_cycles: int_field("total_cycles")?,
@@ -308,31 +311,16 @@ impl ResultStore {
     }
 
     /// Loads every well-formed record from `path`; a missing file is an
-    /// empty store. Torn or corrupt lines are skipped (counted in the
-    /// second return value) rather than fatal — the partial-write crash
-    /// window of an interrupted sweep lands here.
+    /// empty store. Torn or corrupt lines — including lines that are not
+    /// valid UTF-8 — are skipped (counted in the second return value)
+    /// rather than fatal: the partial-write crash window of an interrupted
+    /// sweep lands here.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors other than "not found".
     pub fn load(path: impl AsRef<Path>) -> std::io::Result<(Vec<RunRecord>, usize)> {
-        let text = match std::fs::read_to_string(path.as_ref()) {
-            Ok(t) => t,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0)),
-            Err(e) => return Err(e),
-        };
-        let mut records = Vec::new();
-        let mut corrupt = 0usize;
-        for line in text.lines() {
-            if line.trim().is_empty() {
-                continue;
-            }
-            match RunRecord::from_json(line) {
-                Ok(r) => records.push(r),
-                Err(_) => corrupt += 1,
-            }
-        }
-        Ok((records, corrupt))
+        Ok(read_store(path.as_ref())?.unwrap_or_default())
     }
 
     /// Loads the store and keeps only the *latest* record per key (a
@@ -344,11 +332,7 @@ impl ResultStore {
     /// Propagates filesystem errors.
     pub fn load_latest(path: impl AsRef<Path>) -> std::io::Result<(Vec<RunRecord>, usize)> {
         let (records, corrupt) = Self::load(path)?;
-        let mut by_key: BTreeMap<String, RunRecord> = BTreeMap::new();
-        for r in records {
-            by_key.insert(r.key.clone(), r);
-        }
-        Ok((by_key.into_values().collect(), corrupt))
+        Ok((latest_per_key(records), corrupt))
     }
 
     /// Compacts the store in place (`gps-run gc`): keeps only the latest
@@ -365,13 +349,12 @@ impl ResultStore {
     /// Propagates filesystem errors.
     pub fn compact(path: impl AsRef<Path>) -> std::io::Result<(usize, usize)> {
         let path = path.as_ref();
-        let total_lines = match std::fs::read_to_string(path) {
-            Ok(t) => t.lines().filter(|l| !l.trim().is_empty()).count(),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((0, 0)),
-            Err(e) => return Err(e),
+        let Some((records, corrupt)) = read_store(path)? else {
+            return Ok((0, 0));
         };
-        // load_latest returns BTreeMap order, i.e. already sorted by key.
-        let (records, _corrupt) = Self::load_latest(path)?;
+        let total_lines = records.len() + corrupt;
+        // Already sorted by key (BTreeMap order).
+        let records = latest_per_key(records);
         let tmp = path.with_extension("jsonl.compact-tmp");
         {
             let file = File::create(&tmp)?;
@@ -386,6 +369,45 @@ impl ResultStore {
         std::fs::rename(&tmp, path)?;
         Ok((records.len(), total_lines - records.len()))
     }
+}
+
+/// Reads and parses the store at `path`; `None` if it does not exist.
+fn read_store(path: &Path) -> std::io::Result<Option<(Vec<RunRecord>, usize)>> {
+    match std::fs::read(path) {
+        Ok(bytes) => Ok(Some(parse_lines(&bytes))),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+/// Parses store bytes line by line into the well-formed records and the
+/// count of non-blank lines that are not (invalid UTF-8, bad JSON or a
+/// bad record). Line endings are `\n` or `\r\n`.
+fn parse_lines(bytes: &[u8]) -> (Vec<RunRecord>, usize) {
+    let mut records = Vec::new();
+    let mut corrupt = 0usize;
+    for line in bytes.split(|&b| b == b'\n') {
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        let parsed = match std::str::from_utf8(line) {
+            Ok(text) if text.trim().is_empty() => continue,
+            Ok(text) => RunRecord::from_json(text),
+            Err(e) => Err(e.to_string()),
+        };
+        match parsed {
+            Ok(r) => records.push(r),
+            Err(_) => corrupt += 1,
+        }
+    }
+    (records, corrupt)
+}
+
+/// The last record of each key, sorted by key.
+fn latest_per_key(records: Vec<RunRecord>) -> Vec<RunRecord> {
+    let mut by_key: BTreeMap<String, RunRecord> = BTreeMap::new();
+    for r in records {
+        by_key.insert(r.key.clone(), r);
+    }
+    by_key.into_values().collect()
 }
 
 #[cfg(test)]
@@ -534,6 +556,170 @@ mod tests {
         // Idempotent: a second pass drops nothing.
         assert_eq!(ResultStore::compact(&path).unwrap(), (2, 0));
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn every_truncation_of_a_line_is_dropped_and_counted() {
+        let line = sample("a", RunStatus::Ok).to_json();
+        let whole = sample("w", RunStatus::Ok).to_json();
+        for cut in 1..line.len() {
+            let text = format!("{whole}\n{}\n", &line[..cut]);
+            let (records, corrupt) = parse_lines(text.as_bytes());
+            assert_eq!((records.len(), corrupt), (1, 1), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn garbled_lines_are_counted_not_fatal() {
+        let path = temp_path("garbled");
+        let mut store = ResultStore::open_append(&path).unwrap();
+        store.append(&sample("a", RunStatus::Ok)).unwrap();
+        drop(store);
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        // Invalid UTF-8 inside an otherwise plausible line, then bad JSON.
+        f.write_all(b"{\"v\":1,\"key\":\"\xff\xfe\"}\n").unwrap();
+        f.write_all(b"not json at all\n").unwrap();
+        drop(f);
+        let mut store = ResultStore::open_append(&path).unwrap();
+        store.append(&sample("b", RunStatus::Ok)).unwrap();
+        drop(store);
+
+        let (records, corrupt) = ResultStore::load(&path).unwrap();
+        assert_eq!(corrupt, 2);
+        assert_eq!(
+            records.iter().map(|r| r.key.as_str()).collect::<Vec<_>>(),
+            vec!["a", "b"]
+        );
+        assert_eq!(ResultStore::compact(&path).unwrap(), (2, 2));
+        assert_eq!(ResultStore::load(&path).unwrap().1, 0);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn duplicated_lines_load_twice_and_compact_once() {
+        let line = sample("a", RunStatus::Ok).to_json();
+        let text = format!("{line}\n{line}\r\n\n{line}");
+        let (records, corrupt) = parse_lines(text.as_bytes());
+        assert_eq!((records.len(), corrupt), (3, 0));
+        assert_eq!(latest_per_key(records).len(), 1);
+    }
+
+    #[test]
+    fn interleaved_writers_keep_whole_lines() {
+        // Two appenders on one file: each flushes whole lines, so every
+        // record survives in append order.
+        let path = temp_path("interleaved");
+        let mut w1 = ResultStore::open_append(&path).unwrap();
+        let mut w2 = ResultStore::open_append(&path).unwrap();
+        for i in 0..4 {
+            w1.append(&sample(&format!("x{i}"), RunStatus::Ok)).unwrap();
+            w2.append(&sample(&format!("y{i}"), RunStatus::Quarantined))
+                .unwrap();
+        }
+        drop((w1, w2));
+        let (records, corrupt) = ResultStore::load(&path).unwrap();
+        assert_eq!((records.len(), corrupt), (8, 0));
+        assert_eq!(records[0].key, "x0");
+        assert_eq!(records[1].key, "y0");
+        std::fs::remove_file(&path).ok();
+
+        // Writers that tore each other's lines: a prefix of one record
+        // spliced into another costs exactly the spliced line.
+        let a = sample("a", RunStatus::Ok).to_json();
+        let b = sample("b", RunStatus::Ok).to_json();
+        let c = sample("c", RunStatus::Ok).to_json();
+        let text = format!("{}{b}\n{c}\n", &a[..a.len() / 2]);
+        let (records, corrupt) = parse_lines(text.as_bytes());
+        assert_eq!(corrupt, 1);
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].key, "c");
+    }
+
+    #[test]
+    fn out_of_range_integers_are_errors_not_truncations() {
+        let line = sample("a", RunStatus::Ok).to_json();
+        let big = (u64::from(u32::MAX) + 1).to_string();
+        let attempts = line.replace("\"attempts\":1", &format!("\"attempts\":{big}"));
+        assert_ne!(attempts, line, "replacement must fire");
+        assert!(RunRecord::from_json(&attempts)
+            .unwrap_err()
+            .contains("attempts"));
+        let oversub = line.replace("\"oversub_pct\":100", &format!("\"oversub_pct\":{big}"));
+        assert_ne!(oversub, line, "replacement must fire");
+        assert!(RunRecord::from_json(&oversub)
+            .unwrap_err()
+            .contains("oversub_pct"));
+    }
+
+    #[test]
+    fn mutated_store_lines_and_traces_never_panic_the_parser() {
+        // SplitMix64-driven byte flips, truncations and splices over real
+        // emitted documents: every input must come back Ok or Err.
+        let probe = gps_obs::ProbeHandle::recording(100, 16);
+        probe.counter(
+            gps_obs::Track::gpu(0),
+            "bytes",
+            gps_types::Cycle::new(50),
+            64.0,
+        );
+        probe.span(
+            gps_obs::Track::SYSTEM,
+            "phase \"0\"\n",
+            "phase",
+            gps_types::Cycle::ZERO,
+            gps_types::Cycle::new(900),
+        );
+        let trace = gps_obs::chrome_trace(&probe.finish().unwrap()).emit();
+        let mut quarantined = sample("q", RunStatus::Quarantined);
+        quarantined.error = Some("panic: é \u{1} \"boom\"".into());
+        let seeds = [
+            sample("a", RunStatus::Ok).to_json(),
+            quarantined.to_json(),
+            trace,
+        ];
+        let mut rng = gps_types::rng::SmallRng::seed_from_u64(16);
+        let (mut ok, mut err) = (0usize, 0usize);
+        for case in 0..10_000 {
+            let base = seeds[case % seeds.len()].as_bytes();
+            let mut bytes = base.to_vec();
+            for _ in 0..=rng.gen_range(0..3) {
+                let len = bytes.len().max(1);
+                match rng.gen_range(0..4) {
+                    0 => {
+                        let at = rng.gen_range_usize(0..len);
+                        if let Some(b) = bytes.get_mut(at) {
+                            *b ^= 1 << rng.gen_range(0..8);
+                        }
+                    }
+                    1 => bytes.truncate(rng.gen_range_usize(0..len)),
+                    2 => {
+                        // Splice a slice of another document in.
+                        let other = seeds[rng.gen_range_usize(0..seeds.len())].as_bytes();
+                        let from = rng.gen_range_usize(0..other.len());
+                        let to = rng.gen_range_usize(from..other.len() + 1);
+                        let at = rng.gen_range_usize(0..bytes.len() + 1);
+                        bytes.splice(at..at, other[from..to].iter().copied());
+                    }
+                    _ => {
+                        let at = rng.gen_range_usize(0..bytes.len() + 1);
+                        let syntax = b"\"\\{}[],:0e-u";
+                        bytes.insert(at, syntax[rng.gen_range_usize(0..syntax.len())]);
+                    }
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            match Json::parse(&text) {
+                Ok(_) => ok += 1,
+                Err(_) => err += 1,
+            }
+            let _ = RunRecord::from_json(&text);
+            let _ = parse_lines(&bytes);
+        }
+        assert_eq!(ok + err, 10_000);
+        assert!(
+            ok > 0 && err > 0,
+            "mutations hit both outcomes: {ok} ok, {err} err"
+        );
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod sink;
 
 pub use export::{chrome_trace, phase_breakdown};
 pub use hist::Histogram;
-pub use probe::{Emission, NoopProbe, Probe, ProbeHandle, Track};
+pub use probe::{NoopProbe, Probe, ProbeHandle, Track};
 pub use recorder::{
     HistData, Recorder, SeriesData, SeriesKind, Telemetry, DEFAULT_BUCKET_CYCLES,
     DEFAULT_SPAN_CAPACITY,

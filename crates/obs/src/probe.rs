@@ -1,7 +1,11 @@
 //! The probe sink interface and the shared, clonable [`ProbeHandle`].
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::io;
-use std::sync::{Arc, Mutex};
+use std::iter::Peekable;
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::vec;
 
 use gps_types::Cycle;
 
@@ -100,13 +104,11 @@ pub struct NoopProbe;
 impl Probe for NoopProbe {}
 
 /// One captured telemetry emission — what a buffering [`ProbeHandle`]
-/// queues instead of recording immediately. The parallel engine's lanes
-/// each buffer their emissions, and the epoch coordinator replays the
-/// k-way merge of all lanes into the run's real probe, so the recorded
-/// stream is independent of lane interleaving.
-#[derive(Debug, Clone, PartialEq)]
-#[allow(missing_docs)] // field meanings match the `Probe` methods exactly
-pub enum Emission {
+/// queues instead of recording immediately, until
+/// [`ProbeHandle::replay_merged`] re-emits it. Field meanings match the
+/// [`Probe`] methods exactly.
+#[derive(Debug)]
+enum Emission {
     /// A [`Probe::counter`] call.
     Counter {
         track: Track,
@@ -143,6 +145,40 @@ pub enum Emission {
         now: Cycle,
         value: u64,
     },
+}
+
+impl Emission {
+    /// Re-emits this captured call into `p`.
+    fn replay_into(&self, p: &mut dyn Probe) {
+        match *self {
+            Emission::Counter {
+                track,
+                name,
+                now,
+                delta,
+            } => p.counter(track, name, now, delta),
+            Emission::Gauge {
+                track,
+                name,
+                now,
+                value,
+            } => p.gauge(track, name, now, value),
+            Emission::Span {
+                track,
+                ref name,
+                cat,
+                start,
+                end,
+            } => p.span(track, name, cat, start, end),
+            Emission::Instant { track, name, now } => p.instant(track, name, now),
+            Emission::Latency {
+                track,
+                name,
+                now,
+                value,
+            } => p.latency(track, name, now, value),
+        }
+    }
 }
 
 /// The queue behind a buffering handle: every emission is stamped with the
@@ -249,11 +285,13 @@ impl Dispatch {
 /// predictable branch and no recorder, lock or allocation exists anywhere —
 /// the price of having telemetry compiled in is one null check per probe
 /// site. Enabled, all clones share one [`Dispatch`] — an in-memory
-/// [`Recorder`], streaming [`Sink`]s, or both — behind a mutex. A classic
-/// sequential run never contends the lock; under the parallel engine each
-/// lane holds its *own* buffering handle, so the lock stays per-thread and
+/// [`Recorder`], streaming [`Sink`]s, or both — behind a mutex. The
+/// reference lane never contends the lock; on per-GPU lanes each lane
+/// holds its *own* buffering handle, so the lock stays per-thread and
 /// uncontended there too (it exists to keep the handle `Send` for the
-/// harness worker pool and the lane threads).
+/// harness worker pool and the lane threads). At each phase end the lane
+/// engine hands every lane handle to the run's handle in one
+/// [`replay_merged`](ProbeHandle::replay_merged) call.
 #[derive(Debug, Clone, Default)]
 pub struct ProbeHandle(Option<Arc<Mutex<Dispatch>>>);
 
@@ -278,12 +316,11 @@ impl ProbeHandle {
         }))))
     }
 
-    /// A buffering handle for one parallel-engine lane: every emission is
-    /// queued with the lane's current [`set_tag`](ProbeHandle::set_tag)
-    /// value instead of being recorded. The coordinator later
-    /// [`drain_buffered`](ProbeHandle::drain_buffered)s all lanes, merges
-    /// by `(tag, lane, queue position)` and
-    /// [`replay`](ProbeHandle::replay)s into the run's real probe.
+    /// A buffering handle for one per-GPU lane: every emission is queued
+    /// with the lane's current [`set_tag`](ProbeHandle::set_tag) value
+    /// instead of being recorded. The coordinator later passes all lane
+    /// handles to the run's handle's
+    /// [`replay_merged`](ProbeHandle::replay_merged).
     pub fn buffering() -> Self {
         Self(Some(Arc::new(Mutex::new(Dispatch {
             recorder: None,
@@ -313,12 +350,16 @@ impl ProbeHandle {
         self.0.is_some()
     }
 
+    /// Locks the shared dispatch; `None` when disabled.
+    #[inline]
+    fn dispatch(&self) -> Option<MutexGuard<'_, Dispatch>> {
+        // gps-lint: allow(no_expect) -- poison implies a prior panic; probes never panic themselves
+        self.0.as_ref().map(|d| d.lock().expect("dispatch lock"))
+    }
+
     fn emit(&self, f: impl Fn(&mut dyn Probe)) {
-        if let Some(d) = &self.0 {
-            d.lock()
-                // gps-lint: allow(no_expect) -- poison implies a prior panic; probes never panic themselves
-                .expect("dispatch lock")
-                .emit(f);
+        if let Some(mut d) = self.dispatch() {
+            d.emit(f);
         }
     }
 
@@ -356,58 +397,69 @@ impl ProbeHandle {
     /// simulated time of the event the lane is about to step). No-op on
     /// non-buffering handles.
     pub fn set_tag(&self, tag: u64) {
-        if let Some(d) = &self.0 {
-            // gps-lint: allow(no_expect) -- poison implies a prior panic; probes never panic themselves
-            let mut guard = d.lock().expect("dispatch lock");
-            if let Some(b) = &mut guard.buffer {
-                b.tag = tag;
-            }
+        if let Some(b) = self.dispatch().as_mut().and_then(|d| d.buffer.as_mut()) {
+            b.tag = tag;
         }
     }
 
     /// Takes every buffered `(tag, emission)` pair in emission order,
     /// leaving the buffer empty. Empty for non-buffering handles.
-    pub fn drain_buffered(&self) -> Vec<(u64, Emission)> {
-        let Some(d) = &self.0 else {
-            return Vec::new();
-        };
-        // gps-lint: allow(no_expect) -- poison implies a prior panic; probes never panic themselves
-        let mut guard = d.lock().expect("dispatch lock");
-        match &mut guard.buffer {
+    fn drain_buffered(&self) -> Vec<(u64, Emission)> {
+        match self.dispatch().as_mut().and_then(|d| d.buffer.as_mut()) {
             Some(b) => std::mem::take(&mut b.events),
             None => Vec::new(),
         }
     }
 
-    /// Re-emits one captured [`Emission`] through this handle.
-    pub fn replay(&self, e: Emission) {
-        match e {
-            Emission::Counter {
-                track,
-                name,
-                now,
-                delta,
-            } => self.counter(track, name, now, delta),
-            Emission::Gauge {
-                track,
-                name,
-                now,
-                value,
-            } => self.gauge(track, name, now, value),
-            Emission::Span {
-                track,
-                name,
-                cat,
-                start,
-                end,
-            } => self.span(track, &name, cat, start, end),
-            Emission::Instant { track, name, now } => self.instant(track, name, now),
-            Emission::Latency {
-                track,
-                name,
-                now,
-                value,
-            } => self.latency(track, name, now, value),
+    /// Drains every buffering handle in `lanes` and replays the union of
+    /// their emissions into this handle in `(tag, lane, queue position)`
+    /// order, where `lane` is the handle's position in `lanes`. The result
+    /// does not depend on how the lanes' emissions interleaved in host
+    /// time. Non-buffering handles in `lanes` contribute nothing.
+    ///
+    /// The merge streams: a buffer is stable-sorted by tag only if it is
+    /// not tag-ordered already (a lane steps its events in time order, so
+    /// it normally is), the buffers are k-way merged on `(tag, lane)`
+    /// through a heap of each lane's next `(tag, lane)`, and the whole
+    /// stream is replayed under one lock of this handle's dispatch.
+    pub fn replay_merged<'a>(&self, lanes: impl IntoIterator<Item = &'a ProbeHandle>) {
+        let mut buffers: Vec<Peekable<vec::IntoIter<(u64, Emission)>>> = lanes
+            .into_iter()
+            .map(|handle| {
+                let mut events = handle.drain_buffered();
+                if !events.is_sorted_by_key(|e| e.0) {
+                    // Stable: equal tags keep their queue order.
+                    events.sort_by_key(|e| e.0);
+                }
+                events.into_iter().peekable()
+            })
+            .collect();
+        let mut heads: BinaryHeap<Reverse<(u64, usize)>> = buffers
+            .iter_mut()
+            .enumerate()
+            .filter_map(|(lane, events)| Some(Reverse((events.peek()?.0, lane))))
+            .collect();
+        if heads.is_empty() {
+            return;
+        }
+        let Some(mut dispatch) = self.dispatch() else {
+            return;
+        };
+        while let Some(Reverse((_, lane))) = heads.pop() {
+            let Some(events) = buffers.get_mut(lane) else {
+                continue;
+            };
+            // Replay this lane's run for as long as it stays ahead of
+            // every other lane's next emission.
+            let bound = heads.peek().map(|h| h.0);
+            while let Some((_, e)) =
+                events.next_if(|&(tag, _)| bound.is_none_or(|b| (tag, lane) < b))
+            {
+                dispatch.emit(|p| e.replay_into(p));
+            }
+            if let Some(&(tag, _)) = events.peek() {
+                heads.push(Reverse((tag, lane)));
+            }
         }
     }
 
@@ -416,9 +468,7 @@ impl ProbeHandle {
     /// handle. Attached sinks are unaffected — close them separately with
     /// [`close_sinks`](ProbeHandle::close_sinks).
     pub fn finish(&self) -> Option<Telemetry> {
-        let d = self.0.as_ref()?;
-        // gps-lint: allow(no_expect) -- poison implies a prior panic; probes never panic themselves
-        let mut guard = d.lock().expect("dispatch lock");
+        let mut guard = self.dispatch()?;
         let recorder = guard.recorder.as_mut()?;
         Some(recorder.take().finish())
     }
@@ -431,11 +481,9 @@ impl ProbeHandle {
     ///
     /// Returns the first latched or trailing write error across the sinks.
     pub fn close_sinks(&self) -> io::Result<()> {
-        let Some(d) = &self.0 else {
+        let Some(mut guard) = self.dispatch() else {
             return Ok(());
         };
-        // gps-lint: allow(no_expect) -- poison implies a prior panic; probes never panic themselves
-        let mut guard = d.lock().expect("dispatch lock");
         let mut sinks = std::mem::take(&mut guard.sinks);
         drop(guard);
         let mut first_err = None;
@@ -555,10 +603,12 @@ mod tests {
         assert!(lane.finish().is_none());
 
         // Replaying into a recording handle lands the events for real.
+        lane.set_tag(7);
+        lane.counter(Track::gpu(0), "bytes", Cycle::new(700), 64.0);
+        lane.span(Track::gpu(0), "mv", "kernel", Cycle::ZERO, Cycle::new(900));
         let master = ProbeHandle::recording(100, 16);
-        for (_, e) in events {
-            master.replay(e);
-        }
+        master.replay_merged([&lane]);
+        assert!(lane.drain_buffered().is_empty(), "replay drains the lane");
         let t = master.finish().unwrap();
         assert_eq!(t.counters.len(), 1);
         assert_eq!(t.counters[0].series.total(), 64.0);
@@ -572,15 +622,117 @@ mod tests {
         h.set_tag(3);
         h.counter(Track::SYSTEM, "x", Cycle::ZERO, 1.0);
         assert!(h.drain_buffered().is_empty());
+        // A non-buffering lane contributes nothing, even when it is the
+        // replay target itself.
+        h.replay_merged([&h, &ProbeHandle::disabled()]);
         assert_eq!(h.finish().unwrap().counters.len(), 1);
         let d = ProbeHandle::disabled();
         d.set_tag(3);
         assert!(d.drain_buffered().is_empty());
-        d.replay(Emission::Instant {
-            track: Track::SYSTEM,
-            name: "barrier",
-            now: Cycle::ZERO,
+        let lane = ProbeHandle::buffering();
+        lane.instant(Track::SYSTEM, "barrier", Cycle::ZERO);
+        d.replay_merged([&lane]);
+        assert!(
+            lane.drain_buffered().is_empty(),
+            "drained even when disabled"
+        );
+    }
+
+    /// One scripted emission: `(lane, tag, kind, value)`. The value makes
+    /// every emission distinguishable in the sink's output.
+    type Scripted = (usize, u64, u8, u64);
+
+    fn emit_scripted(h: &ProbeHandle, kind: u8, value: u64) {
+        let (track, now) = (Track::gpu(value as usize % 3), Cycle::new(value));
+        match kind % 5 {
+            0 => h.counter(track, "c", now, value as f64),
+            1 => h.gauge(track, "g", now, value as f64),
+            2 => h.span(track, &format!("s{value}"), "k", now, Cycle::new(value + 2)),
+            3 => h.instant(track, "i", now),
+            _ => h.latency(track, "l", now, value),
+        }
+    }
+
+    fn jsonl_stream(feed: impl FnOnce(&ProbeHandle)) -> String {
+        let buf = Shared::default();
+        let h = ProbeHandle::streaming(vec![Box::new(JsonlSink::new(buf.clone()))]);
+        feed(&h);
+        h.close_sinks().unwrap();
+        let bytes = buf.0.lock().unwrap().clone();
+        String::from_utf8(bytes).unwrap()
+    }
+
+    /// `replay_merged` against the order it replaces: a stable sort of
+    /// every lane's buffer concatenated, by `(tag, lane, queue position)`.
+    fn assert_merge_matches_oracle(lane_count: usize, script: &[Scripted]) {
+        let lanes: Vec<ProbeHandle> = (0..lane_count).map(|_| ProbeHandle::buffering()).collect();
+        for &(lane, tag, kind, value) in script {
+            lanes[lane].set_tag(tag);
+            emit_scripted(&lanes[lane], kind, value);
+        }
+        let merged = jsonl_stream(|h| h.replay_merged(&lanes));
+
+        let mut oracle: Vec<(u64, usize, usize, u8, u64)> = script
+            .iter()
+            .enumerate()
+            .map(|(seq, &(lane, tag, kind, value))| (tag, lane, seq, kind, value))
+            .collect();
+        oracle.sort_by_key(|o| (o.0, o.1, o.2));
+        let expected = jsonl_stream(|h| {
+            for &(_, _, _, kind, value) in &oracle {
+                emit_scripted(h, kind, value);
+            }
         });
+        assert_eq!(merged, expected, "script {script:?}");
+        assert_eq!(
+            merged.lines().count(),
+            script.len() + 1,
+            "plus the summary line"
+        );
+    }
+
+    #[test]
+    fn replay_merged_matches_the_sorted_concatenation() {
+        // Equal tags across lanes, an empty lane (1), a lane whose tags are
+        // not monotone (3) and a lane with one repeated tag (2).
+        let script: Vec<Scripted> = vec![
+            (0, 1, 0, 10),
+            (3, 5, 1, 11),
+            (0, 3, 2, 12),
+            (2, 3, 3, 13),
+            (3, 1, 4, 14),
+            (0, 3, 0, 15),
+            (2, 3, 1, 16),
+            (3, 3, 2, 17),
+            (3, 1, 3, 18),
+            (0, 5, 4, 19),
+            (2, 3, 0, 20),
+        ];
+        assert_merge_matches_oracle(4, &script);
+        assert_merge_matches_oracle(4, &[]);
+        assert_merge_matches_oracle(1, &script[..1]);
+
+        // Seeded random scripts: many lanes, few distinct tags (so ties
+        // are common), monotone and non-monotone lanes mixed.
+        let mut rng = gps_types::rng::SmallRng::seed_from_u64(0x5eed);
+        for _ in 0..200 {
+            let lane_count = rng.gen_range_usize(1..17);
+            let monotone = rng.gen_bool(0.5);
+            let mut clock = vec![0u64; lane_count];
+            let script: Vec<Scripted> = (0..rng.gen_range(0..120))
+                .map(|value| {
+                    let lane = rng.gen_range_usize(0..lane_count);
+                    let tag = if monotone {
+                        clock[lane] += rng.gen_range(0..3);
+                        clock[lane]
+                    } else {
+                        rng.gen_range(0..8)
+                    };
+                    (lane, tag, rng.gen_range(0..5) as u8, value)
+                })
+                .collect();
+            assert_merge_matches_oracle(lane_count, &script);
+        }
     }
 
     #[test]

@@ -77,10 +77,12 @@
 //! telemetry are bit-identical for 1 vs `N` workers (pinned by tests).
 //!
 //! Telemetry: each per-GPU lane buffers its probe emissions tagged with
-//! the event time ([`ProbeHandle::buffering`]); at each phase end the
-//! coordinator merges all lanes' buffers by `(tag, lane, queue position)`
-//! and replays them into the run's real probe, so `--telemetry` output is
-//! independent of lane interleaving.
+//! the event time ([`ProbeHandle::buffering`]). At each phase end the
+//! coordinator passes every lane's handle to the run's probe in one
+//! [`ProbeHandle::replay_merged`] call, which k-way merges the buffers by
+//! `(tag, lane, queue position)` and replays them under one lock, so
+//! `--telemetry` output is independent of lane interleaving. The reference
+//! lane emits straight into the run's probe and buffers nothing.
 //!
 //! [`MemoryPolicy::lane_mode`]: crate::MemoryPolicy::lane_mode
 //! [`MemoryPolicy::lane_barrier`]: crate::MemoryPolicy::lane_barrier
@@ -98,7 +100,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
 
 use gps_interconnect::{Fabric, FabricConfig, LinkGen};
-use gps_obs::{names, Emission, ProbeHandle, Track};
+use gps_obs::{names, ProbeHandle, Track};
 use gps_types::{Cycle, GpuId, LineAddr, PageSize, Scope, CACHE_LINE_BYTES};
 
 use crate::config::SimConfig;
@@ -1219,19 +1221,7 @@ fn run_phases<E: LaneExec>(
         });
 
         if telemetry {
-            let mut all: Vec<(u64, usize, usize, Emission)> = exec.with_all(|lanes| {
-                let mut all = Vec::new();
-                for (li, lane) in lanes.iter().enumerate() {
-                    for (i, (tag, e)) in lane.probe.drain_buffered().into_iter().enumerate() {
-                        all.push((tag, li, i, e));
-                    }
-                }
-                all
-            });
-            all.sort_by_key(|a| (a.0, a.1, a.2));
-            for (_, _, _, e) in all {
-                master_probe.replay(e);
-            }
+            exec.with_all(|lanes| master_probe.replay_merged(lanes.iter().map(|l| &l.probe)));
         }
 
         master_probe.instant(Track::SYSTEM, names::BARRIER, barrier);

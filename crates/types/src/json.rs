@@ -1,12 +1,20 @@
 //! A minimal JSON value model, emitter and parser.
 //!
 //! The workspace builds fully offline with no third-party crates, so it
-//! carries its own ~200-line JSON implementation, shared by the harness
+//! carries its own ~300-line JSON implementation, shared by the harness
 //! result store (JSON-lines records) and the `gps-obs` telemetry exporter
 //! (Chrome trace-event files). It supports exactly what those need:
 //! objects, arrays, strings with escapes, finite numbers, booleans and
 //! null. Numbers are held as `f64`; every count the store persists fits in
 //! the 53-bit exact-integer range with room to spare.
+//!
+//! The parser runs in time linear in its input: a string's plain bytes
+//! are copied run by run up to the next `"` or `\`, so multi-megabyte
+//! Chrome traces validate in milliseconds. Malformed documents, numbers
+//! that overflow to an infinity (`1e400`) and `\u` escapes that are not
+//! exactly four hex digits all return an `Err`. Nesting depth is bounded
+//! only by the stack; the documents this workspace writes nest only a
+//! few levels deep.
 
 use std::fmt::Write as _;
 
@@ -122,6 +130,7 @@ impl Json {
     /// Returns a human-readable description of the first syntax error.
     pub fn parse(input: &str) -> Result<Json, String> {
         let mut p = Parser {
+            src: input,
             bytes: input.as_bytes(),
             pos: 0,
         };
@@ -154,6 +163,7 @@ fn emit_string(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -254,48 +264,49 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
-                            let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
-                            // Surrogates are not produced by our emitter.
-                            out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at offset {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slicing
-                    // on char boundaries is safe via chars()).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|e| e.to_string())?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy the run of plain bytes up to the next `"` or `\` in one
+            // step. Both delimiters are ASCII, so the run ends on a char
+            // boundary of the `&str` input and slicing cannot fail.
+            let rest = &self.bytes[self.pos..];
+            let run = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run;
+            if self.peek() == Some(b'"') {
+                self.pos += 1;
+                return Ok(out);
             }
+            self.pos += 1;
+            match self.peek() {
+                Some(b'"') => out.push('"'),
+                Some(b'\\') => out.push('\\'),
+                Some(b'/') => out.push('/'),
+                Some(b'n') => out.push('\n'),
+                Some(b'r') => out.push('\r'),
+                Some(b't') => out.push('\t'),
+                Some(b'b') => out.push('\u{8}'),
+                Some(b'f') => out.push('\u{c}'),
+                Some(b'u') => {
+                    let hex = self
+                        .bytes
+                        .get(self.pos + 1..self.pos + 5)
+                        .ok_or("truncated \\u escape")?;
+                    // Exactly four hex digits: `from_str_radix` alone would
+                    // also accept a leading sign.
+                    if !hex.iter().all(u8::is_ascii_hexdigit) {
+                        return Err(format!("bad \\u escape at offset {}", self.pos));
+                    }
+                    let hex = std::str::from_utf8(hex).map_err(|e| e.to_string())?;
+                    let code = u32::from_str_radix(hex, 16).map_err(|e| e.to_string())?;
+                    // Surrogates are not produced by our emitter.
+                    out.push(char::from_u32(code).ok_or("invalid \\u escape")?);
+                    self.pos += 4;
+                }
+                _ => return Err(format!("bad escape at offset {}", self.pos)),
+            }
+            self.pos += 1;
         }
     }
 
@@ -311,9 +322,11 @@ impl Parser<'_> {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("bad number {text:?} at offset {start}"))
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            Ok(_) => Err(format!("number out of range {text:?} at offset {start}")),
+            Err(_) => Err(format!("bad number {text:?} at offset {start}")),
+        }
     }
 }
 
@@ -361,6 +374,40 @@ mod tests {
         for bad in ["", "{", "[1,", "\"abc", "{\"k\" 1}", "tru", "1 2", "{}x"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} parsed");
         }
+    }
+
+    #[test]
+    fn rejects_non_finite_numbers_and_signed_unicode_escapes() {
+        for bad in [
+            "1e400",
+            "-1e400",
+            "[1e999]",
+            r#""\u+041""#,
+            r#""\u-041""#,
+            r#""\u 041""#,
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} parsed");
+        }
+        assert_eq!(Json::parse("1e300").unwrap(), Json::Num(1e300));
+        assert_eq!(Json::parse(r#""\u0041""#).unwrap(), Json::Str("A".into()));
+    }
+
+    #[test]
+    fn megabyte_document_roundtrips() {
+        // One long string of multi-byte chars and escapes plus many short
+        // strings: a parser that rescans the rest of the input per char
+        // would take minutes here.
+        let long: String = "é€😀\n\"ab\\".repeat(40_000);
+        let v = Json::Obj(vec![
+            ("long".into(), Json::Str(long)),
+            (
+                "items".into(),
+                Json::Arr((0..50_000).map(|i| Json::Str(format!("s{i}"))).collect()),
+            ),
+        ]);
+        let text = v.emit();
+        assert!(text.len() >= 1 << 20, "{} bytes", text.len());
+        assert_eq!(Json::parse(&text).unwrap(), v);
     }
 
     #[test]

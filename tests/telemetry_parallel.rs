@@ -1,13 +1,15 @@
-//! Byte-identity of telemetry between the sequential and parallel engines.
+//! Byte-identity of telemetry between the reference lane and per-GPU lanes.
 //!
-//! The lane engine buffers every per-GPU emission during a window and
-//! replays the merged stream into the master probe in `(cycle, gpu, seq)`
-//! order, so the exported artifacts — the Chrome trace JSON and the
-//! per-phase counter breakdown — must be *byte-identical* to a sequential
-//! run for PureLocal-tier paradigms, and invariant to the worker count for
-//! the epoch tier (RDL and GPS through their lane routers).
+//! Each per-GPU lane buffers its emissions tagged with the event cycle; at
+//! every phase end `ProbeHandle::replay_merged` k-way merges the lane
+//! buffers into the master probe in `(cycle, lane, queue position)` order.
+//! So the exported artifacts — the Chrome trace JSON and the per-phase
+//! counter breakdown — must be *byte-identical* to the reference lane for
+//! PureLocal-tier paradigms, and invariant to the worker count for the
+//! epoch tier (RDL and GPS through their lane routers), at 4 GPUs and at
+//! 16 (sixteen lane buffers in the merge).
 
-use gps::interconnect::LinkGen;
+use gps::interconnect::{LinkGen, Topology};
 use gps::obs::{chrome_trace, phase_breakdown, ProbeHandle, Telemetry};
 use gps::paradigms::{run_paradigm_configured, Paradigm};
 use gps::sim::SimConfig;
@@ -17,11 +19,15 @@ use gps_harness::recording_probe;
 const GPUS: usize = 4;
 
 fn capture(app: &str, paradigm: Paradigm, workers: usize) -> Telemetry {
-    let app = suite::by_name(app).unwrap();
-    let wl = (app.build)(GPUS, ScaleProfile::Tiny);
-    let probe = recording_probe();
     let config = SimConfig::gv100_system(GPUS).with_parallel_workers(workers);
-    run_paradigm_configured(paradigm, &wl, config, LinkGen::Pcie3, probe.clone()).unwrap();
+    capture_with(app, paradigm, config, LinkGen::Pcie3)
+}
+
+fn capture_with(app: &str, paradigm: Paradigm, config: SimConfig, link: LinkGen) -> Telemetry {
+    let app = suite::by_name(app).unwrap();
+    let wl = (app.build)(config.gpu_count, ScaleProfile::Tiny);
+    let probe = recording_probe();
+    run_paradigm_configured(paradigm, &wl, config, link, probe.clone()).unwrap();
     probe.finish().expect("recording probe yields a recording")
 }
 
@@ -69,6 +75,29 @@ fn rdl_lane_telemetry_is_worker_invariant() {
         let n = artifacts(&capture("pagerank", Paradigm::Rdl, workers));
         assert_eq!(one.0, n.0, "chrome trace diverged at {workers} workers");
         assert_eq!(one.1, n.1, "phase breakdown diverged at {workers} workers");
+    }
+}
+
+#[test]
+fn sixteen_gpu_nvswitch_lane_telemetry_is_worker_invariant() {
+    for (app, paradigm) in [("jacobi", Paradigm::Gps), ("pagerank", Paradigm::Rdl)] {
+        let capture16 = |workers| {
+            let mut config = SimConfig::gv100_system(16).with_parallel_workers(workers);
+            config.topology = Topology::NvSwitch;
+            artifacts(&capture_with(app, paradigm, config, LinkGen::NvLink3))
+        };
+        let one = capture16(1);
+        let two = capture16(2);
+        let label = paradigm.label();
+        assert!(
+            one.0.contains("\"gpu15\""),
+            "{label}: all 16 GPU tracks exported"
+        );
+        assert_eq!(one.0, two.0, "{label}: chrome trace diverged at 2 workers");
+        assert_eq!(
+            one.1, two.1,
+            "{label}: phase breakdown diverged at 2 workers"
+        );
     }
 }
 
