@@ -1,10 +1,32 @@
 //! End-to-end determinism of the serve `--telemetry` lane and the HTML
-//! report: same config, same bytes.
+//! report: same config, same bytes — run to run, and against a committed
+//! digest of the streamed artifacts.
+//!
+//! Regenerate the digest (only when a telemetry change is *intended* and
+//! understood):
+//!
+//! ```text
+//! GPS_UPDATE_GOLDENS=1 cargo test -p gps-harness --test serve_telemetry
+//! ```
 
 use std::path::PathBuf;
 
 use gps_harness::{run_serve_telemetry, serve_key, write_html_report, ResultStore};
 use gps_serve::{serve, ArrivalModel, ServeConfig};
+
+const GOLDEN_PATH: &str = "tests/goldens/serve_telemetry.txt";
+
+/// 64-bit FNV-1a, chained over several byte strings.
+fn fnv1a(parts: &[&[u8]]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for part in parts {
+        for &b in *part {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
 
 fn scratch(tag: &str) -> PathBuf {
     let dir =
@@ -76,6 +98,50 @@ fn telemetry_artifacts_are_byte_identical_across_runs() {
     assert_eq!((records.len(), corrupt), (1, 0));
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn telemetry_artifacts_match_committed_digest() {
+    let dir = scratch("golden");
+    let (_, _, paths) = run_serve_telemetry(
+        &test_config(),
+        &dir.join("serve.jsonl"),
+        &dir.join("telemetry"),
+    )
+    .unwrap();
+    let metrics = std::fs::read(&paths.metrics).unwrap();
+    let trace = std::fs::read(&paths.trace).unwrap();
+    let summary = std::fs::read(&paths.summary).unwrap();
+    let current = format!(
+        "# Serve telemetry fingerprint: test_config(), metrics.jsonl + trace.json + summary.txt.\n\
+         digest={:016x} metrics_bytes={} trace_bytes={} summary_bytes={}\n",
+        fnv1a(&[&metrics, &trace, &summary]),
+        metrics.len(),
+        trace.len(),
+        summary.len(),
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_PATH);
+    if std::env::var_os("GPS_UPDATE_GOLDENS").is_some() {
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, &current).unwrap();
+        return;
+    }
+    let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden file {} ({e}); generate with GPS_UPDATE_GOLDENS=1",
+            path.display()
+        )
+    });
+    assert_eq!(
+        committed,
+        current,
+        "serve telemetry streams drifted from {}: a code change altered the\n\
+         emitted bytes. If that is intended, regenerate with GPS_UPDATE_GOLDENS=1\n\
+         and explain the change in the commit.",
+        path.display()
+    );
 }
 
 #[test]

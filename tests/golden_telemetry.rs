@@ -6,8 +6,9 @@
 //! file pins that order for every paradigm on the reference engine
 //! (`parallel_workers == 0`) — including the paradigms that only ever run
 //! there (um, um+hints, memcpy, gps-oversub) — plus the two epoch tiers on
-//! per-GPU lanes. One line per run: an FNV-1a digest over both artifacts
-//! and their byte lengths.
+//! per-GPU lanes, at 4 GPUs on PCIe and at 16 GPUs on NVSwitch with one and
+//! two workers (sixteen lane buffers in every phase-end merge). One line
+//! per run: an FNV-1a digest over both artifacts and their byte lengths.
 //!
 //! Regenerate (only when a telemetry change is *intended* and understood):
 //!
@@ -17,10 +18,10 @@
 
 use std::fmt::Write as _;
 
-use gps::interconnect::LinkGen;
+use gps::interconnect::{LinkGen, Topology};
 use gps::obs::{chrome_trace, phase_breakdown};
 use gps::paradigms::{run_paradigm_configured, Paradigm};
-use gps::sim::SimConfig;
+use gps::sim::{SimConfig, Workload};
 use gps::workloads::{suite, ScaleProfile};
 use gps_harness::recording_probe;
 
@@ -42,6 +43,14 @@ const RUNS: [(Paradigm, usize); 10] = [
     (Paradigm::Rdl, 1),
 ];
 
+/// The epoch tiers on 16 NVSwitch-connected GPUs, by worker count.
+const RUNS_16GPU: [(Paradigm, usize); 4] = [
+    (Paradigm::Gps, 1),
+    (Paradigm::Gps, 2),
+    (Paradigm::Rdl, 1),
+    (Paradigm::Rdl, 2),
+];
+
 /// 64-bit FNV-1a, chained over several byte strings.
 fn fnv1a(parts: &[&[u8]]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -52,6 +61,21 @@ fn fnv1a(parts: &[&[u8]]) -> u64 {
         }
     }
     h
+}
+
+/// Runs one probed configuration and fingerprints its exported artifacts.
+fn fingerprint(paradigm: Paradigm, wl: &Workload, config: SimConfig, link: LinkGen) -> String {
+    let probe = recording_probe();
+    run_paradigm_configured(paradigm, wl, config, link, probe.clone()).expect("tiny run succeeds");
+    let telemetry = probe.finish().expect("recording probe yields a recording");
+    let trace = chrome_trace(&telemetry).emit();
+    let breakdown = phase_breakdown(&telemetry);
+    format!(
+        "digest={:016x} trace_bytes={} breakdown_bytes={}",
+        fnv1a(&[trace.as_bytes(), breakdown.as_bytes()]),
+        trace.len(),
+        breakdown.len(),
+    )
 }
 
 fn current_lines() -> String {
@@ -67,20 +91,23 @@ fn current_lines() -> String {
     let app = suite::by_name(APP).expect("suite app");
     let wl = (app.build)(GPUS, ScaleProfile::Tiny);
     for (paradigm, workers) in RUNS {
-        let probe = recording_probe();
         let config = SimConfig::gv100_system(GPUS).with_parallel_workers(workers);
-        run_paradigm_configured(paradigm, &wl, config, LinkGen::Pcie3, probe.clone())
-            .expect("tiny run succeeds");
-        let telemetry = probe.finish().expect("recording probe yields a recording");
-        let trace = chrome_trace(&telemetry).emit();
-        let breakdown = phase_breakdown(&telemetry);
+        let line = fingerprint(paradigm, &wl, config, LinkGen::Pcie3);
+        let _ = writeln!(out, "{APP}/{}/parallel{workers}: {line}", paradigm.label());
+    }
+    let _ = writeln!(
+        out,
+        "# {APP}, 16 GPUs, nvswitch, nvlink3, tiny scale, per-GPU lanes."
+    );
+    let wl = (app.build)(16, ScaleProfile::Tiny);
+    for (paradigm, workers) in RUNS_16GPU {
+        let mut config = SimConfig::gv100_system(16).with_parallel_workers(workers);
+        config.topology = Topology::NvSwitch;
+        let line = fingerprint(paradigm, &wl, config, LinkGen::NvLink3);
         let _ = writeln!(
             out,
-            "{APP}/{}/parallel{workers}: digest={:016x} trace_bytes={} breakdown_bytes={}",
-            paradigm.label(),
-            fnv1a(&[trace.as_bytes(), breakdown.as_bytes()]),
-            trace.len(),
-            breakdown.len(),
+            "{APP}/{}/16gpu-nvswitch/parallel{workers}: {line}",
+            paradigm.label()
         );
     }
     out
