@@ -91,6 +91,12 @@ impl<'a> Cursor<'a> {
         self.pos = end;
         Some(s)
     }
+
+    /// A capacity for `count` decoded items: every item takes at least one
+    /// byte, so a corrupt count cannot ask for more than the bytes left.
+    fn capacity(&self, count: usize) -> usize {
+        count.min(self.buf.len().saturating_sub(self.pos))
+    }
 }
 
 impl Trace {
@@ -204,12 +210,17 @@ impl Trace {
         let ppi = read_u32(&mut buf).ok_or(fail("phases per iteration"))? as usize;
 
         let alloc_count = read_u32(&mut buf).ok_or(fail("alloc count"))?;
-        let mut allocs = Vec::with_capacity(alloc_count as usize);
+        let mut allocs = Vec::with_capacity(buf.capacity(alloc_count as usize));
         for _ in 0..alloc_count {
             let name = read_str(&mut buf).ok_or(fail("alloc name"))?;
             let base = read_u64(&mut buf).ok_or(fail("alloc base"))?;
             let bytes = read_u64(&mut buf).ok_or(fail("alloc bytes"))?;
             let shared = read_u8(&mut buf).ok_or(fail("alloc shared"))? != 0;
+            // `VaRange::new` asserts these; a corrupt trace must error.
+            let page = page_size.bytes();
+            if bytes == 0 || !base.is_multiple_of(page) || !bytes.is_multiple_of(page) {
+                return Err(fail("alloc range alignment"));
+            }
             allocs.push(AllocSpec {
                 name,
                 range: VaRange::new(VirtAddr::new(base), bytes, page_size),
@@ -218,10 +229,10 @@ impl Trace {
         }
 
         let phase_count = read_u32(&mut buf).ok_or(fail("phase count"))?;
-        let mut phases = Vec::with_capacity(phase_count as usize);
+        let mut phases = Vec::with_capacity(buf.capacity(phase_count as usize));
         for _ in 0..phase_count {
             let launch_count = read_u32(&mut buf).ok_or(fail("launch count"))?;
-            let mut launches = Vec::with_capacity(launch_count as usize);
+            let mut launches = Vec::with_capacity(buf.capacity(launch_count as usize));
             for _ in 0..launch_count {
                 let name = read_str(&mut buf).ok_or(fail("kernel name"))?;
                 let gpu = GpuId::new(read_u16(&mut buf).ok_or(fail("kernel gpu"))?);
@@ -230,7 +241,7 @@ impl Trace {
                 let total = cta_count as usize * warps_per_cta as usize;
                 // Skip-scan: validate each instruction and remember only
                 // where each warp's stream starts.
-                let mut warps = Vec::with_capacity(total);
+                let mut warps = Vec::with_capacity(buf.capacity(total));
                 for _ in 0..total {
                     let n = read_u32(&mut buf).ok_or(fail("instr count"))?;
                     warps.push((buf.pos as u64, n));
