@@ -9,8 +9,10 @@
 //!    proves identity, the Fallback tier runs the reference lane itself). GPS and GPS-nosub are not in
 //!    this set any more: they run the conservative `Epochs` tier,
 //!    whose window-buffered publishes legitimately deviate — their
-//!    reports are pinned by `crates/paradigms/tests/lane_gps.rs` and
-//!    `lane_boundary.rs` instead.
+//!    one-worker reports are pinned by their own committed golden file
+//!    (every suite app at 4 GPUs, plus jacobi and pagerank at 16 GPUs on
+//!    NVSwitch), and their worker invariance by
+//!    `crates/paradigms/tests/lane_gps.rs` and `lane_boundary.rs`.
 //! 2. RDL runs on the `Epochs` tier too, through its last-writer lane
 //!    router, whose bounded-stale writer
 //!    visibility legitimately (and deterministically) deviates from the
@@ -30,6 +32,7 @@ use gps::sim::{SimConfig, SimReport};
 use gps::workloads::{suite, ScaleProfile};
 
 const GOLDEN_PATH: &str = "tests/goldens/sim_reports_tiny_rdl_lanes.txt";
+const GPS_GOLDEN_PATH: &str = "tests/goldens/sim_reports_tiny_gps_lanes.txt";
 const GPUS: usize = 4;
 
 /// Paradigms whose lane tier (PureLocal or Fallback) promises bit-identity
@@ -91,6 +94,43 @@ fn fingerprint(r: &SimReport) -> String {
     s
 }
 
+/// Compares `out` with the committed golden file at `path` (relative to
+/// the workspace root), or rewrites the file when `GPS_UPDATE_GOLDENS` is
+/// set. `tier` names the lane tier in the drift message.
+fn check_golden(path: &str, out: &str, tier: &str) {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(path);
+    if std::env::var_os("GPS_UPDATE_GOLDENS").is_some() {
+        std::fs::create_dir_all(path.parent().expect("golden path has a parent"))
+            .expect("create goldens dir");
+        std::fs::write(&path, out).expect("write goldens");
+        return;
+    }
+    let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+        panic!(
+            "missing golden file {} ({e}); generate with GPS_UPDATE_GOLDENS=1",
+            path.display()
+        )
+    });
+    if committed == out {
+        return;
+    }
+    let mut drift = Vec::new();
+    for (old, new) in committed.lines().zip(out.lines()) {
+        if old != new {
+            drift.push(old.split(':').next().unwrap_or("?").to_owned());
+        }
+    }
+    panic!(
+        "{tier} lane-engine fingerprints drifted from {} for {} config(s): {:?}\n\
+         A drift means a code change altered the epoch tier's results.\n\
+         If intended, regenerate with GPS_UPDATE_GOLDENS=1 and explain the\n\
+         change in the commit; if not, you just caught a determinism bug.",
+        path.display(),
+        drift.len(),
+        drift
+    );
+}
+
 #[test]
 fn parallel_engine_is_bit_identical_for_pure_and_fallback_tiers() {
     for app in suite::all() {
@@ -146,37 +186,7 @@ fn rdl_lane_reports_are_worker_invariant_and_match_goldens() {
         let _ = writeln!(out, "{}/rdl-lanes: {}", app.name, fingerprint(&one));
     }
 
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(GOLDEN_PATH);
-    if std::env::var_os("GPS_UPDATE_GOLDENS").is_some() {
-        std::fs::create_dir_all(path.parent().expect("golden path has a parent"))
-            .expect("create goldens dir");
-        std::fs::write(&path, &out).expect("write goldens");
-        return;
-    }
-    let committed = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); generate with GPS_UPDATE_GOLDENS=1",
-            path.display()
-        )
-    });
-    if committed == out {
-        return;
-    }
-    let mut drift = Vec::new();
-    for (old, new) in committed.lines().zip(out.lines()) {
-        if old != new {
-            drift.push(old.split(':').next().unwrap_or("?").to_owned());
-        }
-    }
-    panic!(
-        "RDL lane-engine fingerprints drifted from {} for {} config(s): {:?}\n\
-         A drift means a code change altered the writer-epoch tier's results.\n\
-         If intended, regenerate with GPS_UPDATE_GOLDENS=1 and explain the\n\
-         change in the commit; if not, you just caught a determinism bug.",
-        path.display(),
-        drift.len(),
-        drift
-    );
+    check_golden(GOLDEN_PATH, &out, "RDL writer-epoch");
 }
 
 #[test]
@@ -191,4 +201,55 @@ fn rdl_lanes_are_worker_invariant_at_16_gpus_on_switch_fabrics() {
         assert_eq!(one, four, "rdl lanes diverged on {topology}");
         assert_eq!(one.gpu_count, 16);
     }
+}
+
+#[test]
+fn gps_lane_reports_match_goldens() {
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "# GPS epoch-tier lane-engine fingerprints (parallel_workers 1): suite, {GPUS} GPUs,"
+    );
+    let _ = writeln!(
+        out,
+        "# pcie3, tiny scale; then jacobi and pagerank, 16 GPUs, nvswitch, tiny scale."
+    );
+    let _ = writeln!(
+        out,
+        "# Regenerate with GPS_UPDATE_GOLDENS=1 cargo test --test golden_reports_parallel"
+    );
+    let paradigms = [Paradigm::Gps, Paradigm::GpsNoSubscription];
+    for app in suite::all() {
+        let wl = (app.build)(GPUS, ScaleProfile::Tiny);
+        for paradigm in paradigms {
+            let r = run(
+                paradigm,
+                &wl,
+                SimConfig::gv100_system(GPUS).with_parallel_workers(1),
+            );
+            let _ = writeln!(
+                out,
+                "{}/{}-lanes: {}",
+                app.name,
+                paradigm.label(),
+                fingerprint(&r)
+            );
+        }
+    }
+    for name in ["jacobi", "pagerank"] {
+        let app = suite::by_name(name).unwrap();
+        let wl = (app.build)(16, ScaleProfile::Tiny);
+        let mut cfg = SimConfig::gv100_system(16);
+        cfg.topology = Topology::NvSwitch;
+        for paradigm in paradigms {
+            let r = run(paradigm, &wl, cfg.with_parallel_workers(1));
+            let _ = writeln!(
+                out,
+                "{name}/{}-lanes-16gpu-nvswitch: {}",
+                paradigm.label(),
+                fingerprint(&r)
+            );
+        }
+    }
+    check_golden(GPS_GOLDEN_PATH, &out, "GPS epoch-tier");
 }
