@@ -17,10 +17,14 @@
 //!   `tracking_start`/`tracking_stop` (`cuGPSTrackingStart/Stop`), plus the
 //!   driver state: the GPS page table, per-GPU replica frames, GPS bits and
 //!   single-subscriber downgrade.
-//! * [`GpsSystem`] — one object wiring all per-GPU hardware units together:
-//!   the store/load/atomic pipeline of Figure 7, drain-at-watermark,
-//!   flush-at-synchronisation, sys-scoped store collapse (§5.3) and remote
-//!   fallback for non-subscribers.
+//! * [`GpsUnit`] — one GPU's write queue and GPS-TLB: the store/load/atomic
+//!   decisions of Figure 7 (drain-at-watermark, flush-at-synchronisation,
+//!   sys-scoped collapse, remote fallback for non-subscribers), made from a
+//!   read-only [`DriverView`] and reported as effects to the caller.
+//! * [`GpsSystem`] — one object wiring all per-GPU units to the driver
+//!   state: it applies each unit's effects at once (broadcasts on the
+//!   fabric, collapses §5.3) and subscribes on first touch under
+//!   unsubscribed-by-default profiling.
 //!
 //! [`HardwareBudget`] reproduces §5.2's area arithmetic (68 KB of write
 //! queue SRAM, 126-bit wide PTEs, 64 KB tracking bitmaps).
@@ -39,11 +43,13 @@ mod gps_tlb;
 mod runtime;
 mod rwq;
 mod system;
+mod unit;
 
 pub use atu::AccessTrackingUnit;
 pub use budget::{HardwareBudget, MmuWidths};
 pub use config::{GpsConfig, ProfilingMode};
 pub use gps_tlb::GpsTlb;
-pub use runtime::{AllocationKind, EvictionOutcome, GpsRuntime, MemAdvise, PageState};
+pub use runtime::{AllocationKind, DriverView, EvictionOutcome, GpsRuntime, MemAdvise, PageState};
 pub use rwq::{InsertOutcome, RemoteWriteQueue, RwqStats};
 pub use system::{GpsLoad, GpsStore, GpsSystem};
+pub use unit::GpsUnit;

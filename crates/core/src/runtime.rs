@@ -1,11 +1,13 @@
 //! The GPS programming interface and driver state (§4).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use gps_mem::{FrameAllocator, GpsPageTable, GpsPte, ResidentSet, VaRange, VaSpace, VictimPolicy};
 use gps_types::{GpsError, GpuId, PageSize, Ppn, Result, Vpn, GIB};
 
 use crate::atu::AccessTrackingUnit;
+use crate::unit::GpsUnit;
 
 /// How subscriptions of an allocation are managed (§4: the optional
 /// `manual` parameter of `cudaMallocGPS`).
@@ -65,6 +67,54 @@ pub struct PageState {
     pub kind: AllocationKind,
 }
 
+/// The part of the driver state every GPS routing decision reads: the GPS
+/// page table (subscription sets), each page's [`PageState`] and the page
+/// size.
+///
+/// [`GpsRuntime`] owns it and [`GpsUnit`](crate::GpsUnit)s route from it.
+/// Lane routers of the epoch tier share it read-only through
+/// [`GpsRuntime::shared_view`]; the runtime's next mutation then copies it,
+/// so a router sees the state as of its last refresh.
+#[derive(Debug, Clone)]
+pub struct DriverView {
+    page_size: PageSize,
+    table: GpsPageTable,
+    pages: BTreeMap<Vpn, PageState>,
+}
+
+impl DriverView {
+    /// Page size of the GPS address space.
+    pub fn page_size(&self) -> PageSize {
+        self.page_size
+    }
+
+    /// Driver state of `vpn`; `None` if the page is not GPS-managed.
+    pub fn page_state(&self, vpn: Vpn) -> Option<PageState> {
+        self.pages.get(&vpn).copied()
+    }
+
+    /// Whether `gpu` holds a local replica of `vpn`.
+    pub fn is_subscriber(&self, gpu: GpuId, vpn: Vpn) -> bool {
+        self.table.entry(vpn).is_some_and(|e| e.is_subscriber(gpu))
+    }
+
+    /// A GPU that can serve remote accesses to `vpn`: the collapse target
+    /// if collapsed, else the first subscriber.
+    pub fn serving_gpu(&self, vpn: Vpn) -> Option<GpuId> {
+        if let Some(state) = self.pages.get(&vpn) {
+            if let Some(owner) = state.collapsed {
+                return Some(owner);
+            }
+        }
+        self.table.entry(vpn).and_then(|e| e.subscribers().next())
+    }
+
+    /// The GPS page table.
+    pub fn table(&self) -> &GpsPageTable {
+        &self.table
+    }
+}
+
 /// The GPS runtime: `cudaMallocGPS`, `cuMemAdvise` subscription hints and
 /// `cuGPSTrackingStart/Stop`, backed by the GPS page table, per-GPU frame
 /// allocators and per-page GPS bits.
@@ -79,7 +129,7 @@ pub struct PageState {
 /// let vpn = region.base().vpn(PageSize::Standard64K);
 /// assert_eq!(rt.subscribers(vpn).unwrap().subscriber_count(), 4);
 /// // ...and pages with >1 subscriber carry the GPS bit.
-/// assert!(rt.page_state(vpn).unwrap().gps_bit);
+/// assert!(rt.view().page_state(vpn).unwrap().gps_bit);
 /// rt.mem_advise(&region, GpuId::new(3), MemAdvise::Unsubscribe)?;
 /// assert_eq!(rt.subscribers(vpn).unwrap().subscriber_count(), 3);
 /// # Ok::<(), gps_types::GpsError>(())
@@ -87,11 +137,11 @@ pub struct PageState {
 #[derive(Debug)]
 pub struct GpsRuntime {
     gpu_count: usize,
-    page_size: PageSize,
     space: VaSpace,
-    table: GpsPageTable,
+    /// Copy-on-write: GPS units on per-GPU lanes hold clones for a window,
+    /// so every mutation goes through [`Arc::make_mut`].
+    view: Arc<DriverView>,
     frames: Vec<FrameAllocator>,
-    pages: BTreeMap<Vpn, PageState>,
     allocs: Vec<(VaRange, AllocationKind)>,
     tracking: bool,
     eviction: Option<EvictionState>,
@@ -107,13 +157,15 @@ impl GpsRuntime {
     pub fn with_memory(gpu_count: usize, page_size: PageSize, dram_bytes: u64) -> Self {
         Self {
             gpu_count,
-            page_size,
             space: VaSpace::new(page_size),
-            table: GpsPageTable::new(),
+            view: Arc::new(DriverView {
+                page_size,
+                table: GpsPageTable::new(),
+                pages: BTreeMap::new(),
+            }),
             frames: (0..gpu_count)
                 .map(|g| FrameAllocator::new(GpuId::new(g as u16), dram_bytes, page_size))
                 .collect(),
-            pages: BTreeMap::new(),
             allocs: Vec::new(),
             tracking: false,
             eviction: None,
@@ -176,7 +228,7 @@ impl GpsRuntime {
 
     /// Page size of the GPS address space.
     pub fn page_size(&self) -> PageSize {
-        self.page_size
+        self.view.page_size
     }
 
     /// Whether a profiling phase is active.
@@ -219,10 +271,10 @@ impl GpsRuntime {
         for vpn in range.vpns() {
             for &gpu in &subscribers {
                 let ppn = self.frames[gpu.index()].allocate()?;
-                self.table.subscribe(vpn, gpu, ppn);
+                self.table_mut().subscribe(vpn, gpu, ppn);
                 self.note_subscribed(gpu, vpn);
             }
-            self.pages.insert(
+            self.pages_mut().insert(
                 vpn,
                 PageState {
                     gps_bit: subscribers.len() > 1,
@@ -273,13 +325,13 @@ impl GpsRuntime {
         kind: AllocationKind,
         initial: &[GpuId],
     ) -> Result<()> {
-        if range.page_size() != self.page_size {
+        if range.page_size() != self.view.page_size {
             return Err(GpsError::PageSizeMismatch {
-                expected: self.page_size,
+                expected: self.view.page_size,
                 actual: range.page_size(),
             });
         }
-        if range.vpns().any(|v| self.pages.contains_key(&v)) {
+        if range.vpns().any(|v| self.view.pages.contains_key(&v)) {
             return Err(GpsError::InvalidRange {
                 reason: "range overlaps an existing GPS region".to_owned(),
             });
@@ -293,10 +345,10 @@ impl GpsRuntime {
         for vpn in range.vpns() {
             for &gpu in &subscribers {
                 let ppn = self.frames[gpu.index()].allocate()?;
-                self.table.subscribe(vpn, gpu, ppn);
+                self.table_mut().subscribe(vpn, gpu, ppn);
                 self.note_subscribed(gpu, vpn);
             }
-            self.pages.insert(
+            self.pages_mut().insert(
                 vpn,
                 PageState {
                     gps_bit: subscribers.len() > 1,
@@ -331,13 +383,13 @@ impl GpsRuntime {
         kind: AllocationKind,
         recently_used: &dyn Fn(GpuId, Vpn) -> bool,
     ) -> Result<EvictionOutcome> {
-        if range.page_size() != self.page_size {
+        if range.page_size() != self.view.page_size {
             return Err(GpsError::PageSizeMismatch {
-                expected: self.page_size,
+                expected: self.view.page_size,
                 actual: range.page_size(),
             });
         }
-        if range.vpns().any(|v| self.pages.contains_key(&v)) {
+        if range.vpns().any(|v| self.view.pages.contains_key(&v)) {
             return Err(GpsError::InvalidRange {
                 reason: "range overlaps an existing GPS region".to_owned(),
             });
@@ -350,7 +402,7 @@ impl GpsRuntime {
         for vpn in range.vpns() {
             // The page must be registered before replicas can be placed:
             // victim selection consults `pages`/`table` state.
-            self.pages.insert(
+            self.pages_mut().insert(
                 vpn,
                 PageState {
                     gps_bit: false,
@@ -362,7 +414,7 @@ impl GpsRuntime {
             for &gpu in &subscribers {
                 match self.allocate_evicting(gpu, recently_used, &mut outcome.evicted) {
                     Ok(ppn) => {
-                        self.table.subscribe(vpn, gpu, ppn);
+                        self.table_mut().subscribe(vpn, gpu, ppn);
                         self.note_subscribed(gpu, vpn);
                         hosted = true;
                     }
@@ -378,10 +430,10 @@ impl GpsRuntime {
                     .find(|g| self.frames[g.index()].free_pages() > 0)
                     .ok_or(GpsError::OutOfMemory {
                         gpu: subscribers[0],
-                        requested: self.page_size.bytes(),
+                        requested: self.view.page_size.bytes(),
                     })?;
                 let ppn = self.frames[host.index()].allocate()?;
-                self.table.subscribe(vpn, host, ppn);
+                self.table_mut().subscribe(vpn, host, ppn);
                 self.note_subscribed(host, vpn);
             }
             self.refresh_page(vpn);
@@ -424,7 +476,7 @@ impl GpsRuntime {
         gpu: GpuId,
         recently_used: &dyn Fn(GpuId, Vpn) -> bool,
     ) -> Option<Vpn> {
-        let table = &self.table;
+        let table = &self.view.table;
         let ev = self.eviction.as_mut()?;
         let policy = ev.policy;
         ev.sets[gpu.index()].select_victim(
@@ -450,13 +502,13 @@ impl GpsRuntime {
             })?;
         self.allocs.swap_remove(idx);
         for vpn in range.vpns() {
-            if let Some(entry) = self.table.remove(vpn) {
+            if let Some(entry) = self.table_mut().remove(vpn) {
                 for &(gpu, ppn) in entry.replicas() {
                     self.frames[gpu.index()].free(ppn);
                     self.note_unsubscribed(gpu, vpn);
                 }
             }
-            self.pages.remove(&vpn);
+            self.pages_mut().remove(&vpn);
         }
         self.space.free(range)
     }
@@ -489,20 +541,17 @@ impl GpsRuntime {
     /// existing subscriber is a no-op.
     pub fn subscribe_page(&mut self, vpn: Vpn, gpu: GpuId) -> Result<()> {
         self.check_gpu(gpu)?;
-        let state = self
-            .pages
-            .get(&vpn)
-            .copied()
-            .ok_or(GpsError::Unmapped { vpn })?;
-        let entry = self.table.entry(vpn).ok_or(GpsError::Unmapped { vpn })?;
-        if entry.is_subscriber(gpu) {
+        let view = &self.view;
+        if view.page_state(vpn).is_none() || view.table.entry(vpn).is_none() {
+            return Err(GpsError::Unmapped { vpn });
+        }
+        if view.is_subscriber(gpu, vpn) {
             return Ok(());
         }
         let ppn = self.frames[gpu.index()].allocate()?;
-        self.table.subscribe(vpn, gpu, ppn);
+        self.table_mut().subscribe(vpn, gpu, ppn);
         self.note_subscribed(gpu, vpn);
         // A collapsed page that regains subscribers becomes GPS again.
-        let _ = state;
         self.refresh_page(vpn);
         Ok(())
     }
@@ -515,7 +564,7 @@ impl GpsRuntime {
     /// * [`GpsError::Subscription`] if `gpu` does not subscribe.
     pub fn unsubscribe_page(&mut self, vpn: Vpn, gpu: GpuId) -> Result<()> {
         self.check_gpu(gpu)?;
-        let ppn = self.table.unsubscribe(vpn, gpu)?;
+        let ppn = self.table_mut().unsubscribe(vpn, gpu)?;
         self.frames[gpu.index()].free(ppn);
         self.note_unsubscribed(gpu, vpn);
         self.refresh_page(vpn);
@@ -526,11 +575,11 @@ impl GpsRuntime {
     /// single subscriber are downgraded to conventional pages (§5.2).
     fn refresh_page(&mut self, vpn: Vpn) {
         let subs = self
+            .view
             .table
             .entry(vpn)
-            .map(GpsPte::subscriber_count)
-            .unwrap_or(0);
-        if let Some(state) = self.pages.get_mut(&vpn) {
+            .map_or(0, GpsPte::subscriber_count);
+        if let Some(state) = self.pages_mut().get_mut(&vpn) {
             state.gps_bit = subs > 1 && state.collapsed.is_none();
         }
     }
@@ -582,11 +631,10 @@ impl GpsRuntime {
                     if atu.accessed(gpu, vpn) {
                         continue;
                     }
-                    let is_sub = self.table.entry(vpn).is_some_and(|e| e.is_subscriber(gpu));
-                    if !is_sub {
+                    if !self.view.is_subscriber(gpu, vpn) {
                         continue;
                     }
-                    match self.table.unsubscribe(vpn, gpu) {
+                    match self.table_mut().unsubscribe(vpn, gpu) {
                         Ok(ppn) => {
                             self.frames[gpu.index()].free(ppn);
                             self.note_unsubscribed(gpu, vpn);
@@ -627,11 +675,11 @@ impl GpsRuntime {
                     .find(|&g| g != gpu && self.frames[g.index()].free_pages() > 0)
                     .ok_or(GpsError::OutOfMemory {
                         gpu,
-                        requested: self.page_size.bytes(),
+                        requested: self.view.page_size.bytes(),
                     })?;
                 self.subscribe_page(vpn, target)?;
                 self.unsubscribe_page(vpn, gpu)?;
-                if let Some(state) = self.pages.get_mut(&vpn) {
+                if let Some(state) = self.pages_mut().get_mut(&vpn) {
                     if state.collapsed == Some(gpu) {
                         state.collapsed = Some(target);
                     }
@@ -660,15 +708,15 @@ impl GpsRuntime {
         recently_used: &dyn Fn(GpuId, Vpn) -> bool,
     ) -> Result<Vec<(GpuId, Vpn)>> {
         self.check_gpu(gpu)?;
-        if !self.pages.contains_key(&vpn) {
+        if !self.view.pages.contains_key(&vpn) {
             return Err(GpsError::Unmapped { vpn });
         }
-        if self.table.entry(vpn).is_some_and(|e| e.is_subscriber(gpu)) {
+        if self.view.is_subscriber(gpu, vpn) {
             return Ok(Vec::new());
         }
         let mut displaced = Vec::new();
         let ppn = self.allocate_evicting(gpu, recently_used, &mut displaced)?;
-        self.table.subscribe(vpn, gpu, ppn);
+        self.table_mut().subscribe(vpn, gpu, ppn);
         self.note_subscribed(gpu, vpn);
         // A collapsed page that regains subscribers becomes GPS again.
         self.refresh_page(vpn);
@@ -702,7 +750,8 @@ impl GpsRuntime {
     /// [`GpsError::Subscription`] if `to` does not subscribe to the page.
     pub fn collapse_page(&mut self, vpn: Vpn, to: GpuId) -> Result<()> {
         self.check_gpu(to)?;
-        let entry = self.table.entry(vpn).ok_or(GpsError::Unmapped { vpn })?;
+        let entry = self.view.table.entry(vpn);
+        let entry = entry.ok_or(GpsError::Unmapped { vpn })?;
         if !entry.is_subscriber(to) {
             return Err(GpsError::Subscription {
                 reason: format!("{to} holds no replica of {vpn} to collapse onto"),
@@ -710,59 +759,68 @@ impl GpsRuntime {
         }
         let others: Vec<GpuId> = entry.subscribers().filter(|&g| g != to).collect();
         for gpu in others {
-            let ppn = self.table.unsubscribe(vpn, gpu)?;
+            let ppn = self.table_mut().unsubscribe(vpn, gpu)?;
             self.frames[gpu.index()].free(ppn);
             self.note_unsubscribed(gpu, vpn);
         }
-        if let Some(state) = self.pages.get_mut(&vpn) {
+        if let Some(state) = self.pages_mut().get_mut(&vpn) {
             state.collapsed = Some(to);
             state.gps_bit = false;
         }
         Ok(())
     }
 
+    /// Collapses GPS page `vpn` after a sys-scoped store by `writer`
+    /// (§5.3): every unit in `units` drops its buffered writes to the page
+    /// and its GPS-TLB entry, and the page keeps one conventional copy —
+    /// on `writer` if it subscribes, else on the serving GPU. A page
+    /// already collapsed keeps its first owner.
+    pub fn collapse_sys_store<'u>(
+        &mut self,
+        units: impl IntoIterator<Item = &'u mut GpsUnit>,
+        writer: GpuId,
+        vpn: Vpn,
+    ) {
+        let target = if self.view.is_subscriber(writer, vpn) {
+            writer
+        } else {
+            self.view.serving_gpu(vpn).unwrap_or(writer)
+        };
+        for unit in units {
+            unit.forget_page(vpn, self.page_size());
+        }
+        let _ = self.collapse_page(vpn, target);
+    }
+
     /// The wide subscriber entry for `vpn`.
     pub fn subscribers(&self, vpn: Vpn) -> Option<&GpsPte> {
-        self.table.entry(vpn)
+        self.view.table.entry(vpn)
     }
 
-    /// Driver state of `vpn`.
-    pub fn page_state(&self, vpn: Vpn) -> Option<PageState> {
-        self.pages.get(&vpn).copied()
+    /// The driver state GPS units route from: page states, subscriptions
+    /// and the GPS page table.
+    pub fn view(&self) -> &DriverView {
+        &self.view
     }
 
-    /// Driver state of every GPS-managed page, in VPN order. Lane-engine
-    /// routers snapshot this (page table walks must not consult live driver
-    /// state mid-window).
-    pub fn page_states(&self) -> impl Iterator<Item = (Vpn, PageState)> + '_ {
-        self.pages.iter().map(|(&v, &s)| (v, s))
+    /// A shared handle on the current [`DriverView`]: later mutations copy
+    /// the state rather than change what the handle sees.
+    pub fn shared_view(&self) -> Arc<DriverView> {
+        Arc::clone(&self.view)
     }
 
-    /// Whether `gpu` holds a local replica of `vpn`.
-    pub fn is_subscriber(&self, gpu: GpuId, vpn: Vpn) -> bool {
-        self.table.entry(vpn).is_some_and(|e| e.is_subscriber(gpu))
+    fn table_mut(&mut self) -> &mut GpsPageTable {
+        &mut Arc::make_mut(&mut self.view).table
     }
 
-    /// A GPU that can serve remote accesses to `vpn`: the collapse target
-    /// if collapsed, else the first subscriber.
-    pub fn serving_gpu(&self, vpn: Vpn) -> Option<GpuId> {
-        if let Some(state) = self.pages.get(&vpn) {
-            if let Some(owner) = state.collapsed {
-                return Some(owner);
-            }
-        }
-        self.table.entry(vpn).and_then(|e| e.subscribers().next())
-    }
-
-    /// The underlying GPS page table (read-only).
-    pub fn table(&self) -> &GpsPageTable {
-        &self.table
+    fn pages_mut(&mut self) -> &mut BTreeMap<Vpn, PageState> {
+        &mut Arc::make_mut(&mut self.view).pages
     }
 
     /// Subscriber-count histogram over all GPS pages (Figure 9); index `k`
     /// counts pages with `k` subscribers.
     pub fn subscriber_histogram(&self) -> Vec<u64> {
-        self.table.subscriber_histogram(self.gpu_count)
+        self.view.table.subscriber_histogram(self.gpu_count)
     }
 
     /// Span of the GPS address space actually allocated: `(first_vpn,
@@ -771,12 +829,12 @@ impl GpsRuntime {
         let first = self
             .allocs
             .iter()
-            .map(|(r, _)| r.base().vpn(self.page_size).as_u64())
+            .map(|(r, _)| r.base().vpn(self.view.page_size).as_u64())
             .min()?;
         let last = self
             .allocs
             .iter()
-            .map(|(r, _)| r.base().vpn(self.page_size).as_u64() + r.pages())
+            .map(|(r, _)| r.base().vpn(self.view.page_size).as_u64() + r.pages())
             .max()?;
         Some((Vpn::new(first), last - first))
     }
@@ -802,7 +860,7 @@ mod tests {
         for vpn in r.vpns() {
             let e = rt.subscribers(vpn).unwrap();
             assert_eq!(e.subscriber_count(), 4);
-            assert!(rt.page_state(vpn).unwrap().gps_bit);
+            assert!(rt.view().page_state(vpn).unwrap().gps_bit);
         }
         // Each GPU backs 3 pages.
         assert_eq!(rt.subscriber_histogram()[4], 3);
@@ -814,9 +872,12 @@ mod tests {
         let r = rt.malloc_gps(65536, AllocationKind::Manual).unwrap();
         let vpn = r.base().vpn(PageSize::Standard64K);
         assert_eq!(rt.subscribers(vpn).unwrap().subscriber_count(), 1);
-        assert!(!rt.page_state(vpn).unwrap().gps_bit, "single subscriber");
+        assert!(
+            !rt.view().page_state(vpn).unwrap().gps_bit,
+            "single subscriber"
+        );
         rt.mem_advise(&r, G2, MemAdvise::Subscribe).unwrap();
-        assert!(rt.page_state(vpn).unwrap().gps_bit);
+        assert!(rt.view().page_state(vpn).unwrap().gps_bit);
     }
 
     #[test]
@@ -864,13 +925,13 @@ mod tests {
         // Page 0 loses GPUs 2, 3; page 1 loses 0, 1, 3.
         assert_eq!(removed.len(), 5);
         assert_eq!(rt.subscribers(p0).unwrap().subscriber_count(), 2);
-        assert!(rt.page_state(p0).unwrap().gps_bit);
+        assert!(rt.view().page_state(p0).unwrap().gps_bit);
         assert_eq!(rt.subscribers(p1).unwrap().subscriber_count(), 1);
         assert!(
-            !rt.page_state(p1).unwrap().gps_bit,
+            !rt.view().page_state(p1).unwrap().gps_bit,
             "single-subscriber page downgraded to conventional"
         );
-        assert_eq!(rt.serving_gpu(p1), Some(G2));
+        assert_eq!(rt.view().serving_gpu(p1), Some(G2));
     }
 
     #[test]
@@ -901,12 +962,12 @@ mod tests {
         let r = rt.malloc_gps(65536, AllocationKind::Automatic).unwrap();
         let vpn = r.base().vpn(PageSize::Standard64K);
         rt.collapse_page(vpn, G3).unwrap();
-        let state = rt.page_state(vpn).unwrap();
+        let state = rt.view().page_state(vpn).unwrap();
         assert_eq!(state.collapsed, Some(G3));
         assert!(!state.gps_bit);
         assert_eq!(rt.subscribers(vpn).unwrap().subscriber_count(), 1);
-        assert_eq!(rt.serving_gpu(vpn), Some(G3));
-        assert!(!rt.is_subscriber(G0, vpn));
+        assert_eq!(rt.view().serving_gpu(vpn), Some(G3));
+        assert!(!rt.view().is_subscriber(G0, vpn));
     }
 
     #[test]
@@ -953,12 +1014,12 @@ mod tests {
         let e = rt.subscribers(vpn).unwrap();
         assert_eq!(e.subscriber_count(), 1);
         assert!(!e.is_subscriber(G0));
-        assert!(rt.serving_gpu(vpn).is_some());
+        assert!(rt.view().serving_gpu(vpn).is_some());
         // Multi-subscriber eviction is a plain unsubscription.
         let r2 = rt.malloc_gps(65536, AllocationKind::Automatic).unwrap();
         let v2 = r2.base().vpn(PageSize::Standard64K);
         rt.evict_page(v2, G1).unwrap();
-        assert!(!rt.is_subscriber(G1, v2));
+        assert!(!rt.view().is_subscriber(G1, v2));
         assert_eq!(rt.subscribers(v2).unwrap().subscriber_count(), 3);
         // Evicting a non-subscriber fails.
         assert!(rt.evict_page(v2, G1).is_err());
@@ -1011,7 +1072,7 @@ mod tests {
                 a.subscribers(vpn).unwrap().replicas(),
                 b.subscribers(vpn).unwrap().replicas()
             );
-            assert_eq!(a.page_state(vpn), b.page_state(vpn));
+            assert_eq!(a.view().page_state(vpn), b.view().page_state(vpn));
         }
         assert_eq!(a.evictions(), vec![0, 0]);
     }
@@ -1022,9 +1083,9 @@ mod tests {
         let r = rt.malloc_gps(65536, AllocationKind::Automatic).unwrap();
         let vpn = r.base().vpn(PageSize::Standard64K);
         rt.unsubscribe_page(vpn, G1).unwrap();
-        assert!(!rt.is_subscriber(G1, vpn));
+        assert!(!rt.view().is_subscriber(G1, vpn));
         rt.subscribe_page(vpn, G1).unwrap();
-        assert!(rt.is_subscriber(G1, vpn));
+        assert!(rt.view().is_subscriber(G1, vpn));
         // Mispredicted-hint round trip keeps frames balanced.
         rt.unsubscribe_page(vpn, G1).unwrap();
         rt.subscribe_page(vpn, G1).unwrap();

@@ -10,8 +10,8 @@ use gps_types::{
 use crate::atu::AccessTrackingUnit;
 use crate::config::{GpsConfig, ProfilingMode};
 use crate::gps_tlb::GpsTlb;
-use crate::runtime::{AllocationKind, EvictionOutcome, GpsRuntime};
-use crate::rwq::{InsertOutcome, RemoteWriteQueue};
+use crate::runtime::{AllocationKind, DriverView, EvictionOutcome, GpsRuntime};
+use crate::unit::GpsUnit;
 
 /// How a store interacts with GPS (the W1–W6 path of Figure 7).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,25 +53,25 @@ pub enum GpsLoad {
 }
 
 /// One GPS-equipped multi-GPU system: the [`GpsRuntime`] driver state plus
-/// a [`RemoteWriteQueue`] and [`GpsTlb`] per GPU and the shared
+/// a [`GpsUnit`] (write queue and GPS-TLB) per GPU and the shared
 /// [`AccessTrackingUnit`].
 ///
-/// The object is deliberately independent of the simulation engine: it
-/// books broadcast traffic on a [`Fabric`] and reports stall/visibility
-/// times, but can equally be driven directly (see the crate examples).
+/// Each unit decides its GPU's accesses; the system applies the effects
+/// it reports at once — broadcasts on the [`Fabric`], collapses on the
+/// driver state. The object is deliberately independent of the simulation
+/// engine and can equally be driven directly (see the crate examples).
 #[derive(Debug)]
 pub struct GpsSystem {
     config: GpsConfig,
     runtime: GpsRuntime,
-    rwq: Vec<RemoteWriteQueue>,
-    tlb: Vec<GpsTlb>,
+    /// One per GPU, in GPU order; empty while detached to lane routers.
+    units: Vec<GpsUnit>,
     atu: Option<AccessTrackingUnit>,
     /// Latest broadcast arrival booked by each GPU (visibility horizon).
     last_arrival: Vec<Cycle>,
     /// Figure 11 ablation: when `false`, `tracking_stop` prunes nothing and
     /// every GPS page stays all-to-all subscribed.
     subscription_enabled: bool,
-    atomic_broadcasts: u64,
 }
 
 impl GpsSystem {
@@ -101,16 +101,12 @@ impl GpsSystem {
         Ok(Self {
             config,
             runtime: GpsRuntime::with_memory(gpu_count, page_size, dram_bytes),
-            rwq: (0..gpu_count)
-                .map(|_| RemoteWriteQueue::new(config.rwq_entries, config.drain_watermark))
-                .collect(),
-            tlb: (0..gpu_count)
-                .map(|_| GpsTlb::new(config.gps_tlb, config.gps_tlb_walk_latency))
+            units: GpuId::all(gpu_count)
+                .map(|gpu| GpsUnit::new(gpu, &config))
                 .collect(),
             atu: None,
             last_arrival: vec![Cycle::ZERO; gpu_count],
             subscription_enabled: true,
-            atomic_broadcasts: 0,
         })
     }
 
@@ -199,8 +195,8 @@ impl GpsSystem {
             &recently_used,
         )?;
         for &(_, vpn) in &outcome.evicted {
-            for tlb in &mut self.tlb {
-                tlb.invalidate(vpn);
+            for unit in &mut self.units {
+                unit.invalidate_translation(vpn);
             }
         }
         Ok(outcome)
@@ -223,12 +219,12 @@ impl GpsSystem {
         let atu = &self.atu;
         let recently_used = |g: GpuId, v: Vpn| atu.as_ref().is_some_and(|a| a.accessed(g, v));
         let displaced = self.runtime.fault_in(vpn, gpu, &recently_used)?;
-        for tlb in &mut self.tlb {
+        for unit in &mut self.units {
             // The faulted page's subscriber mask changed too: wide entries
             // caching the old mask would skip the new replica on broadcast.
-            tlb.invalidate(vpn);
+            unit.invalidate_translation(vpn);
             for &(_, v) in &displaced {
-                tlb.invalidate(v);
+                unit.invalidate_translation(v);
             }
         }
         Ok(displaced)
@@ -269,8 +265,8 @@ impl GpsSystem {
             return Ok(0);
         }
         let removed = self.runtime.tracking_stop(atu)?;
-        for tlb in &mut self.tlb {
-            tlb.flush();
+        for unit in &mut self.units {
+            unit.flush_translations();
         }
         Ok(removed.len())
     }
@@ -290,32 +286,35 @@ impl GpsSystem {
 
     /// Routes one load (R-path of Figure 7).
     pub fn load(&mut self, gpu: GpuId, line: LineAddr) -> GpsLoad {
+        let route = self.units[gpu.index()].load(self.runtime.view(), line);
         let vpn = line.vpn(self.runtime.page_size());
-        let Some(state) = self.runtime.page_state(vpn) else {
-            return GpsLoad::LocalReplica; // not GPS-managed
-        };
-        if self.runtime.is_subscriber(gpu, vpn) {
-            return GpsLoad::LocalReplica;
-        }
-        if self.rwq[gpu.index()].contains(line) {
-            return GpsLoad::Forwarded;
-        }
-        // Unsubscribed-by-default profiling subscribes on first read.
-        if self.config.profiling == ProfilingMode::UnsubscribedByDefault
-            && self.runtime.is_tracking()
-            && state.collapsed.is_none()
-        {
+        if matches!(route, GpsLoad::RemoteFallback { .. }) && self.subscribes_on_touch(vpn) {
+            // The read still goes remote, but subscribes the GPU for the
+            // next ones.
             let _ = self.runtime.subscribe_page(vpn, gpu);
-            self.tlb[gpu.index()].invalidate(vpn);
+            let unit = &mut self.units[gpu.index()];
+            unit.invalidate_translation(vpn);
+            return unit.fallback(self.runtime.view(), vpn);
         }
-        match self.runtime.serving_gpu(vpn) {
-            Some(from) if from != gpu => GpsLoad::RemoteFallback { from },
-            _ => GpsLoad::LocalReplica,
-        }
+        route
+    }
+
+    /// Unsubscribed-by-default profiling (§3.2): while tracking, a GPU's
+    /// first access to a non-collapsed GPS page subscribes it. Never runs
+    /// on per-GPU lanes (the GPS policy keeps this mode on the reference
+    /// lane).
+    fn subscribes_on_touch(&self, vpn: Vpn) -> bool {
+        self.config.profiling == ProfilingMode::UnsubscribedByDefault
+            && self.runtime.is_tracking()
+            && self
+                .runtime
+                .view()
+                .page_state(vpn)
+                .is_some_and(|s| s.collapsed.is_none())
     }
 
     /// Routes one store (W-path of Figure 7), booking any broadcast
-    /// traffic on `fabric`.
+    /// traffic on `fabric` and applying a sys-scoped collapse at once.
     pub fn store(
         &mut self,
         gpu: GpuId,
@@ -325,46 +324,27 @@ impl GpsSystem {
         fabric: &mut Fabric,
     ) -> GpsStore {
         let vpn = line.vpn(self.runtime.page_size());
-        let Some(state) = self.runtime.page_state(vpn) else {
-            return GpsStore::Local;
-        };
-        // Unsubscribed-by-default profiling: the first access (read or
-        // write) by a GPU subscribes it.
-        if self.config.profiling == ProfilingMode::UnsubscribedByDefault
-            && self.runtime.is_tracking()
-            && state.collapsed.is_none()
-            && !self.runtime.is_subscriber(gpu, vpn)
-        {
+        if self.subscribes_on_touch(vpn) && !self.runtime.view().is_subscriber(gpu, vpn) {
             let _ = self.runtime.subscribe_page(vpn, gpu);
-            for tlb in &mut self.tlb {
-                tlb.invalidate(vpn);
+            for unit in &mut self.units {
+                unit.invalidate_translation(vpn);
             }
         }
-        let state = self.runtime.page_state(vpn).unwrap_or(state);
-        if !state.gps_bit {
-            // Conventional (collapsed or single-subscriber) page.
-            return match self.runtime.serving_gpu(vpn) {
-                Some(owner) if owner != gpu => GpsStore::RemoteOwner { to: owner },
-                _ => GpsStore::Local,
-            };
+        let Self {
+            runtime,
+            units,
+            last_arrival,
+            ..
+        } = self;
+        let view = runtime.view();
+        let horizon = &mut last_arrival[gpu.index()];
+        let route = units[gpu.index()].store(view, line, scope, now, &mut |line, at| {
+            Self::broadcast(view, fabric, horizon, gpu, line, at)
+        });
+        if let GpsStore::CollapseStall { .. } = route {
+            runtime.collapse_sys_store(units, gpu, vpn);
         }
-        if scope == Scope::Sys {
-            return self.collapse(gpu, vpn, now);
-        }
-        let (outcome, drained) = self.rwq[gpu.index()].insert(line, scope);
-        match outcome {
-            InsertOutcome::Coalesced => {}
-            InsertOutcome::Inserted => {
-                if let Some(old) = drained {
-                    self.drain_line(gpu, old, now, fabric);
-                }
-            }
-            InsertOutcome::Bypassed => {
-                // Zero-capacity queue: broadcast uncoalesced immediately.
-                self.drain_line(gpu, line, now, fabric);
-            }
-        }
-        GpsStore::Replicated
+        route
     }
 
     /// Routes one atomic: follows the store path but is never coalesced
@@ -376,70 +356,22 @@ impl GpsSystem {
         now: Cycle,
         fabric: &mut Fabric,
     ) -> GpsStore {
-        let vpn = line.vpn(self.runtime.page_size());
-        let Some(state) = self.runtime.page_state(vpn) else {
-            return GpsStore::Local;
-        };
-        if !state.gps_bit {
-            return match self.runtime.serving_gpu(vpn) {
-                Some(owner) if owner != gpu => GpsStore::RemoteOwner { to: owner },
-                _ => GpsStore::Local,
-            };
-        }
-        self.rwq[gpu.index()].note_atomic_bypass();
-        self.atomic_broadcasts += 1;
-        self.drain_line(gpu, line, now, fabric);
-        GpsStore::Replicated
-    }
-
-    /// Collapses a GPS page after a sys-scoped store (§5.3): in-flight
-    /// buffered writes to the page are invalidated, every replica except
-    /// the survivor is freed, the GPS bit clears, and the warp stalls.
-    fn collapse(&mut self, writer: GpuId, vpn: Vpn, now: Cycle) -> GpsStore {
-        let target = if self.runtime.is_subscriber(writer, vpn) {
-            writer
-        } else {
-            self.runtime.serving_gpu(vpn).unwrap_or(writer)
-        };
-        // Flush in-flight accesses to the page from every write queue.
-        let page_size = self.runtime.page_size();
-        let first = vpn.first_line(page_size);
-        for q in &mut self.rwq {
-            for i in 0..page_size.lines() {
-                let _ = q.invalidate(first.offset(i));
-            }
-        }
-        let _ = self.runtime.collapse_page(vpn, target);
-        for tlb in &mut self.tlb {
-            tlb.invalidate(vpn);
-        }
-        GpsStore::CollapseStall {
-            ready: now + self.config.collapse_latency,
-        }
-    }
-
-    /// Drains one buffered line: GPS-TLB translation, then one fabric
-    /// transfer per remote subscriber (W5–W6 of Figure 7).
-    fn drain_line(&mut self, gpu: GpuId, line: LineAddr, now: Cycle, fabric: &mut Fabric) {
-        let vpn = line.vpn(self.runtime.page_size());
-        let (entry, translated_at) =
-            self.tlb[gpu.index()].translate(vpn, self.runtime.table(), now);
-        let Some(entry) = entry else { return };
-        for (dst, _) in entry.remote_replicas(gpu) {
-            if let Ok(t) = fabric.transfer(gpu, dst, CACHE_LINE_BYTES, translated_at) {
-                self.last_arrival[gpu.index()] = self.last_arrival[gpu.index()].max(t.arrived);
-            }
-        }
+        let view = self.runtime.view();
+        let horizon = &mut self.last_arrival[gpu.index()];
+        self.units[gpu.index()].atomic(view, line, now, &mut |line, at| {
+            Self::broadcast(view, fabric, horizon, gpu, line, at)
+        })
     }
 
     /// Drains `gpu`'s remote write queue completely (sys-scoped fence or
     /// the implicit grid-end release) and returns when every outstanding
     /// broadcast from this GPU is visible.
     pub fn flush(&mut self, gpu: GpuId, now: Cycle, fabric: &mut Fabric) -> Cycle {
-        let lines = self.rwq[gpu.index()].flush();
-        for line in lines {
-            self.drain_line(gpu, line, now, fabric);
-        }
+        let view = self.runtime.view();
+        let horizon = &mut self.last_arrival[gpu.index()];
+        self.units[gpu.index()].flush(view, now, &mut |line, at| {
+            Self::broadcast(view, fabric, horizon, gpu, line, at)
+        });
         self.last_arrival[gpu.index()].max(now)
     }
 
@@ -454,8 +386,8 @@ impl GpsSystem {
     pub fn rwq_overall_hit_rate(&self) -> f64 {
         let mut hits = 0u64;
         let mut total = 0u64;
-        for q in &self.rwq {
-            let s = q.stats();
+        for unit in &self.units {
+            let s = unit.rwq_stats();
             hits += s.hits;
             total += s.hits + s.inserts + s.bypasses;
         }
@@ -469,8 +401,9 @@ impl GpsSystem {
     /// Mean GPS-TLB hit rate across GPUs that translated at least once.
     pub fn gps_tlb_hit_rate(&self) -> f64 {
         let rates: Vec<f64> = self
-            .tlb
+            .units
             .iter()
+            .map(GpsUnit::tlb)
             .filter(|t| t.stats().lookups() > 0)
             .map(GpsTlb::hit_rate)
             .collect();
@@ -481,60 +414,37 @@ impl GpsSystem {
         }
     }
 
-    /// Per-GPU remote-write-queue statistics.
-    pub fn rwq_stats(&self, gpu: GpuId) -> crate::rwq::RwqStats {
-        self.rwq[gpu.index()].stats()
-    }
-
-    /// Lines currently buffered in `gpu`'s remote write queue (telemetry
-    /// occupancy gauge).
-    pub fn rwq_len(&self, gpu: GpuId) -> usize {
-        self.rwq[gpu.index()].len()
+    /// `gpu`'s GPS unit.
+    pub fn unit(&self, gpu: GpuId) -> &GpsUnit {
+        &self.units[gpu.index()]
     }
 
     /// Atomics broadcast uncoalesced so far.
     pub fn atomic_broadcasts(&self) -> u64 {
-        self.atomic_broadcasts
+        self.units.iter().map(GpsUnit::atomic_broadcasts).sum()
     }
 
-    /// Moves every GPU's remote write queue and GPS-TLB out of the system
-    /// so the lane engine can give each per-GPU lane exclusive ownership of
-    /// its own units. The system keeps fresh (empty) replacements so its
-    /// other paths remain well-formed; [`GpsSystem::attach_lane_state`]
-    /// restores the real units before metrics are read.
-    pub fn detach_lane_state(&mut self) -> Vec<(RemoteWriteQueue, GpsTlb)> {
-        let gpu_count = self.runtime.gpu_count();
-        let rwq = std::mem::replace(
-            &mut self.rwq,
-            (0..gpu_count)
-                .map(|_| {
-                    RemoteWriteQueue::new(self.config.rwq_entries, self.config.drain_watermark)
-                })
-                .collect(),
-        );
-        let tlb = std::mem::replace(
-            &mut self.tlb,
-            (0..gpu_count)
-                .map(|_| GpsTlb::new(self.config.gps_tlb, self.config.gps_tlb_walk_latency))
-                .collect(),
-        );
-        rwq.into_iter().zip(tlb).collect()
+    /// Moves every GPU's [`GpsUnit`] out of the system, in GPU order, so
+    /// the lane engine can give each per-GPU lane exclusive ownership of
+    /// its own. Until [`GpsSystem::attach_lane_state`] returns them, the
+    /// system holds no units: only its driver-state, access-tracking and
+    /// broadcast paths ([`GpsSystem::publish_line`]) may run.
+    pub fn detach_lane_state(&mut self) -> Vec<GpsUnit> {
+        std::mem::take(&mut self.units)
     }
 
-    /// Restores per-GPU units detached by [`GpsSystem::detach_lane_state`]
-    /// (in GPU order) so aggregate statistics see the lanes' history.
-    pub fn attach_lane_state(&mut self, units: Vec<(RemoteWriteQueue, GpsTlb)>) {
-        let (rwq, tlb): (Vec<_>, Vec<_>) = units.into_iter().unzip();
-        assert_eq!(rwq.len(), self.runtime.gpu_count(), "one unit per GPU");
-        self.rwq = rwq;
-        self.tlb = tlb;
+    /// Restores the units detached by [`GpsSystem::detach_lane_state`] (in
+    /// GPU order) so aggregate statistics see the lanes' history.
+    pub fn attach_lane_state(&mut self, units: Vec<GpsUnit>) {
+        assert_eq!(units.len(), self.runtime.gpu_count(), "one unit per GPU");
+        self.units = units;
     }
 
-    /// Broadcasts one already-translated line to `gpu`'s remote
-    /// subscribers, booking a fabric transfer per replica and advancing the
-    /// writer's visibility horizon. The lane engine calls this at epoch
-    /// barriers with the GPS-TLB translation its router performed during
-    /// the window ([`GpsSystem::drain_line`] minus the TLB step).
+    /// Broadcasts one line `gpu`'s unit published, translated at
+    /// `translated_at`, to the page's remote subscribers: one fabric
+    /// transfer per replica, advancing the writer's visibility horizon.
+    /// The lane engine calls this at each epoch barrier for the publishes
+    /// its routers buffered during the window.
     pub fn publish_line(
         &mut self,
         gpu: GpuId,
@@ -542,13 +452,33 @@ impl GpsSystem {
         translated_at: Cycle,
         fabric: &mut Fabric,
     ) {
-        let vpn = line.vpn(self.runtime.page_size());
-        let Some(entry) = self.runtime.table().entry(vpn) else {
+        let horizon = &mut self.last_arrival[gpu.index()];
+        Self::broadcast(
+            self.runtime.view(),
+            fabric,
+            horizon,
+            gpu,
+            line,
+            translated_at,
+        );
+    }
+
+    /// Books one published line (W6 of Figure 7) against the driver state
+    /// in `view`.
+    fn broadcast(
+        view: &DriverView,
+        fabric: &mut Fabric,
+        horizon: &mut Cycle,
+        gpu: GpuId,
+        line: LineAddr,
+        at: Cycle,
+    ) {
+        let Some(entry) = view.table().entry(line.vpn(view.page_size())) else {
             return;
         };
         for (dst, _) in entry.remote_replicas(gpu) {
-            if let Ok(t) = fabric.transfer(gpu, dst, CACHE_LINE_BYTES, translated_at) {
-                self.last_arrival[gpu.index()] = self.last_arrival[gpu.index()].max(t.arrived);
+            if let Ok(t) = fabric.transfer(gpu, dst, CACHE_LINE_BYTES, at) {
+                *horizon = (*horizon).max(t.arrived);
             }
         }
     }
@@ -557,12 +487,6 @@ impl GpsSystem {
     /// visibility horizon).
     pub fn visibility(&self, gpu: GpuId) -> Cycle {
         self.last_arrival[gpu.index()]
-    }
-
-    /// Credits `n` atomic broadcasts performed outside the system (lane
-    /// routers count their own and deposit them when absorbed).
-    pub fn add_atomic_broadcasts(&mut self, n: u64) {
-        self.atomic_broadcasts += n;
     }
 }
 
@@ -614,7 +538,7 @@ mod tests {
             3 * 128,
             "100 stores to one line must broadcast a single line"
         );
-        assert!((sys.rwq_stats(G0).hit_rate() - 0.99).abs() < 0.011);
+        assert!((sys.unit(G0).rwq_stats().hit_rate() - 0.99).abs() < 0.011);
     }
 
     #[test]
@@ -629,7 +553,7 @@ mod tests {
             sys.store(G0, r.line_at(i), Scope::Weak, Cycle::ZERO, &mut fabric);
         }
         assert_eq!(fabric.counters().total_bytes(), 128, "one line drained");
-        assert_eq!(sys.rwq_stats(G0).watermark_drains, 1);
+        assert_eq!(sys.unit(G0).rwq_stats().watermark_drains, 1);
     }
 
     #[test]
@@ -714,7 +638,7 @@ mod tests {
             }
             other => panic!("expected collapse, got {other:?}"),
         }
-        let state = sys.runtime().page_state(vpn).unwrap();
+        let state = sys.runtime().view().page_state(vpn).unwrap();
         assert_eq!(state.collapsed, Some(G0));
         assert!(!state.gps_bit);
         // G1's buffered store was invalidated: flushing moves nothing.
@@ -787,7 +711,7 @@ mod tests {
             GpsLoad::RemoteFallback { from } => assert_eq!(from, G0),
             other => panic!("{other:?}"),
         }
-        assert!(sys.runtime().is_subscriber(G1, vpn));
+        assert!(sys.runtime().view().is_subscriber(G1, vpn));
         assert_eq!(sys.load(G1, r.base().line()), GpsLoad::LocalReplica);
     }
 }

@@ -110,7 +110,7 @@ fn runtime_frame_balance() {
             let want: Vec<u16> = subs.iter().copied().collect();
             assert_eq!(got, want);
             // GPS bit tracks multi-subscriber status.
-            assert_eq!(rt.page_state(vpn).unwrap().gps_bit, subs.len() > 1);
+            assert_eq!(rt.view().page_state(vpn).unwrap().gps_bit, subs.len() > 1);
         }
         rt.free(&region).unwrap();
         assert!(rt.allocations().next().is_none());

@@ -3,7 +3,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use gps_core::{GpsConfig, GpsLoad, GpsStore, GpsSystem, ProfilingMode};
+use gps_core::{GpsConfig, GpsLoad, GpsStore, GpsSystem, GpsUnit, ProfilingMode, RwqStats};
 use gps_interconnect::Fabric;
 use gps_obs::{names, ProbeHandle, Track};
 use gps_sim::{
@@ -12,7 +12,7 @@ use gps_sim::{
 use gps_types::{Cycle, GpuId, LineAddr, Scope, Vpn};
 
 use crate::common::FaultCosts;
-use crate::gps_lane::{self, GpsLaneRouter, RouteSnapshot};
+use crate::gps_lane::{self, GpsLaneRouter};
 
 /// GPS with automatic subscription management (§6):
 ///
@@ -112,31 +112,55 @@ impl GpsPolicy {
         self.sys.as_mut().expect("policy used before init")
     }
 
-    /// Emits the RWQ telemetry for one store/atomic on `gpu`: the stats
-    /// delta across the operation (stores presented, coalescing hits) plus
-    /// the resulting queue depth. Only called when a probe is attached;
-    /// pure observation, never fed back into routing.
-    fn emit_rwq_delta(&self, gpu: GpuId, before: gps_core::RwqStats, now: Cycle) {
-        // gps-lint: allow(no_expect) -- init_memory runs before any routing callback can borrow the system
-        let sys = self.sys.as_ref().expect("policy used before init");
-        let after = sys.rwq_stats(gpu);
-        let presented = (after.hits + after.inserts + after.bypasses)
-            - (before.hits + before.inserts + before.bypasses);
-        if presented == 0 {
-            return; // non-GPS page: the queue never saw the store
+    /// RWQ telemetry for the store/atomic `gpu` just routed, when a probe
+    /// took the `before` stats.
+    fn emit_rwq(&self, gpu: GpuId, before: Option<RwqStats>, now: Cycle) {
+        if let (Some(before), Some(sys)) = (before, self.sys.as_ref()) {
+            emit_rwq_delta(&self.probe, sys.unit(gpu), before, now);
         }
-        let track = Track::gpu(gpu.index());
-        self.probe
-            .counter(track, names::RWQ_STORES, now, presented as f64);
-        self.probe.counter(
-            track,
-            names::RWQ_COALESCED,
-            now,
-            (after.hits - before.hits) as f64,
-        );
-        self.probe
-            .gauge(track, names::RWQ_OCCUPANCY, now, sys.rwq_len(gpu) as f64);
     }
+}
+
+/// The engine's route for a GPS load decision.
+pub(crate) fn load_route(load: GpsLoad) -> LoadRoute {
+    match load {
+        GpsLoad::LocalReplica => LoadRoute::Local,
+        GpsLoad::Forwarded => LoadRoute::Forwarded,
+        GpsLoad::RemoteFallback { from } => LoadRoute::Remote { from },
+    }
+}
+
+/// The engine's route for a GPS store or atomic decision. On a routed
+/// lane a peer store is already buffered for the barrier.
+pub(crate) fn store_route(store: GpsStore) -> StoreRoute {
+    match store {
+        GpsStore::Local => StoreRoute::Local,
+        GpsStore::RemoteOwner { to } => StoreRoute::Remote { to },
+        GpsStore::Replicated => StoreRoute::LocalReplicated,
+        GpsStore::CollapseStall { ready } => StoreRoute::StallThenLocal { ready },
+    }
+}
+
+/// Emits the RWQ telemetry for one store/atomic on `unit`: the stats
+/// delta across the operation (stores presented, coalescing hits) plus
+/// the resulting queue depth. Only called when a probe is attached; pure
+/// observation, never fed back into routing.
+pub(crate) fn emit_rwq_delta(probe: &ProbeHandle, unit: &GpsUnit, before: RwqStats, now: Cycle) {
+    let after = unit.rwq_stats();
+    let presented = (after.hits + after.inserts + after.bypasses)
+        - (before.hits + before.inserts + before.bypasses);
+    if presented == 0 {
+        return; // non-GPS page: the queue never saw the store
+    }
+    let track = Track::gpu(unit.gpu().index());
+    probe.counter(track, names::RWQ_STORES, now, presented as f64);
+    probe.counter(
+        track,
+        names::RWQ_COALESCED,
+        now,
+        (after.hits - before.hits) as f64,
+    );
+    probe.gauge(track, names::RWQ_OCCUPANCY, now, unit.rwq_len() as f64);
 }
 
 impl Default for GpsPolicy {
@@ -246,8 +270,6 @@ impl MemoryPolicy for GpsPolicy {
 
     fn route_load(&mut self, gpu: GpuId, line: LineAddr, ctx: &mut MemCtx<'_>) -> LoadRoute {
         match self.sys_mut().load(gpu, line) {
-            GpsLoad::LocalReplica => LoadRoute::Local,
-            GpsLoad::Forwarded => LoadRoute::Forwarded,
             GpsLoad::RemoteFallback { from } => {
                 // Touching a swapped-out replica takes a page fault: the
                 // driver tries to swap the page back *in* (re-subscribing
@@ -299,6 +321,7 @@ impl MemoryPolicy for GpsPolicy {
                     LoadRoute::Remote { from }
                 }
             }
+            route => load_route(route),
         }
     }
 
@@ -312,35 +335,21 @@ impl MemoryPolicy for GpsPolicy {
         let before = self
             .probe
             .is_enabled()
-            .then(|| self.sys_mut().rwq_stats(gpu));
-        let route = match self.sys_mut().store(gpu, line, scope, ctx.now, ctx.fabric) {
-            GpsStore::Local => StoreRoute::Local,
-            GpsStore::RemoteOwner { to } => StoreRoute::Remote { to },
-            GpsStore::Replicated => StoreRoute::LocalReplicated,
-            GpsStore::CollapseStall { ready } => StoreRoute::StallThenLocal { ready },
-        };
-        if let Some(before) = before {
-            self.emit_rwq_delta(gpu, before, ctx.now);
-        }
-        route
+            .then(|| self.sys_mut().unit(gpu).rwq_stats());
+        let route = self.sys_mut().store(gpu, line, scope, ctx.now, ctx.fabric);
+        self.emit_rwq(gpu, before, ctx.now);
+        store_route(route)
     }
 
     fn route_atomic(&mut self, gpu: GpuId, line: LineAddr, ctx: &mut MemCtx<'_>) -> StoreRoute {
         let before = self
             .probe
             .is_enabled()
-            .then(|| self.sys_mut().rwq_stats(gpu));
+            .then(|| self.sys_mut().unit(gpu).rwq_stats());
         // gps-lint: allow(lane_tier_purity) -- reference-lane path: route_atomic runs outside the parallel lane window
-        let route = match self.sys_mut().atomic(gpu, line, ctx.now, ctx.fabric) {
-            GpsStore::Local => StoreRoute::Local,
-            GpsStore::RemoteOwner { to } => StoreRoute::Remote { to },
-            GpsStore::Replicated => StoreRoute::LocalReplicated,
-            GpsStore::CollapseStall { ready } => StoreRoute::StallThenLocal { ready },
-        };
-        if let Some(before) = before {
-            self.emit_rwq_delta(gpu, before, ctx.now);
-        }
-        route
+        let route = self.sys_mut().atomic(gpu, line, ctx.now, ctx.fabric);
+        self.emit_rwq(gpu, before, ctx.now);
+        store_route(route)
     }
 
     fn on_tlb_miss(&mut self, gpu: GpuId, vpn: Vpn, ctx: &mut MemCtx<'_>) {
@@ -426,27 +435,14 @@ impl MemoryPolicy for GpsPolicy {
     }
 
     fn lane_routers(&mut self) -> Vec<Box<dyn LaneRouter>> {
-        let (snap, collapse_latency) = {
-            let Some(sys) = self.sys.as_ref() else {
-                return Vec::new();
-            };
-            (
-                Arc::new(RouteSnapshot::capture(sys)),
-                sys.config().collapse_latency,
-            )
+        let Some(sys) = self.sys.as_mut() else {
+            return Vec::new();
         };
-        self.sys_mut()
-            .detach_lane_state()
+        let view = sys.runtime().shared_view();
+        sys.detach_lane_state()
             .into_iter()
-            .enumerate()
-            .map(|(g, (rwq, tlb))| {
-                Box::new(GpsLaneRouter::new(
-                    GpuId::new(g as u16),
-                    Arc::clone(&snap),
-                    rwq,
-                    tlb,
-                    collapse_latency,
-                )) as Box<dyn LaneRouter>
+            .map(|unit| {
+                Box::new(GpsLaneRouter::new(unit, Arc::clone(&view))) as Box<dyn LaneRouter>
             })
             .collect()
     }
@@ -469,21 +465,18 @@ impl MemoryPolicy for GpsPolicy {
     }
 
     fn absorb_lane_routers(&mut self, routers: Vec<Box<dyn LaneRouter>>) {
-        let mut units = Vec::with_capacity(routers.len());
-        let mut atomics = 0u64;
-        for router in routers {
-            let router = router
-                .into_any()
-                .downcast::<GpsLaneRouter>()
-                // gps-lint: allow(no_expect) -- lane runs construct every router as GpsLaneRouter; a foreign type is an engine bug
-                .expect("foreign router in a GPS lane run");
-            let (rwq, tlb, a) = router.into_units();
-            units.push((rwq, tlb));
-            atomics += a;
-        }
-        let sys = self.sys_mut();
-        sys.attach_lane_state(units);
-        sys.add_atomic_broadcasts(atomics);
+        let units = routers
+            .into_iter()
+            .map(|router| {
+                router
+                    .into_any()
+                    .downcast::<GpsLaneRouter>()
+                    // gps-lint: allow(no_expect) -- lane runs construct every router as GpsLaneRouter; a foreign type is an engine bug
+                    .expect("foreign router in a GPS lane run")
+                    .into_unit()
+            })
+            .collect();
+        self.sys_mut().attach_lane_state(units);
     }
 
     fn metrics(&self) -> Vec<(String, f64)> {

@@ -7,8 +7,8 @@ use std::sync::Arc;
 use gps_interconnect::Fabric;
 use gps_obs::ProbeHandle;
 use gps_sim::{
-    LaneLoad, LaneMode, LaneRouter, LaneStore, LoadRoute, MemCtx, MemoryPolicy, SharedIndex,
-    SimConfig, StoreRoute, Workload,
+    LaneMode, LaneRouter, LoadRoute, MemCtx, MemoryPolicy, SharedIndex, SimConfig, StoreRoute,
+    Workload,
 };
 use gps_types::{Cycle, GpuId, LineAddr, Scope, Vpn};
 
@@ -215,36 +215,36 @@ pub(crate) struct RdlLaneRouter {
 }
 
 impl RdlLaneRouter {
-    fn record_write(&mut self, line: LineAddr, now: Cycle) -> LaneStore {
+    fn record_write(&mut self, line: LineAddr, now: Cycle) -> StoreRoute {
         if self.index.is_shared(line) {
             let vpn = line.vpn(self.index.page_size());
             self.overlay.insert(vpn);
             self.writes.push((now, vpn));
         }
-        LaneStore::Local
+        StoreRoute::Local
     }
 }
 
 impl LaneRouter for RdlLaneRouter {
     fn attach_probe(&mut self, _probe: ProbeHandle) {}
 
-    fn load(&mut self, line: LineAddr) -> LaneLoad {
+    fn load(&mut self, line: LineAddr) -> LoadRoute {
         let (gpu, overlay, writers) = (self.gpu, &self.overlay, &self.writers);
         let writer_of = |vpn| match overlay.contains(&vpn) {
             true => Some(gpu),
             false => writers.get(&vpn).copied(),
         };
         match last_writer_route(&self.index, gpu, line, writer_of, &mut self.loads) {
-            Some(from) => LaneLoad::Remote { from },
-            None => LaneLoad::Local,
+            Some(from) => LoadRoute::Remote { from },
+            None => LoadRoute::Local,
         }
     }
 
-    fn store(&mut self, line: LineAddr, _scope: Scope, now: Cycle) -> LaneStore {
+    fn store(&mut self, line: LineAddr, _scope: Scope, now: Cycle) -> StoreRoute {
         self.record_write(line, now)
     }
 
-    fn atomic(&mut self, line: LineAddr, now: Cycle) -> LaneStore {
+    fn atomic(&mut self, line: LineAddr, now: Cycle) -> StoreRoute {
         self.record_write(line, now)
     }
 
@@ -343,22 +343,25 @@ mod tests {
         let mut rs = p.lane_routers();
         rs[0].store(a, Scope::Weak, Cycle::new(3));
         barrier(&mut p, &mut rs);
-        assert_eq!(rs[1].load(a), LaneLoad::Remote { from: G0 });
+        assert_eq!(rs[1].load(a), LoadRoute::Remote { from: G0 });
         // G1 writes: its own loads turn local at once, though the snapshot
         // still names G0.
-        assert_eq!(rs[1].atomic(a, Cycle::new(9)), LaneStore::Local);
-        assert_eq!(rs[1].load(a), LaneLoad::Local);
+        assert_eq!(rs[1].atomic(a, Cycle::new(9)), StoreRoute::Local);
+        assert_eq!(rs[1].load(a), LoadRoute::Local);
     }
 
     #[test]
     fn a_peer_write_is_invisible_until_the_barrier() {
         let (mut p, [a, ..]) = policy(2);
         let mut rs = p.lane_routers();
-        assert_eq!(rs[0].store(a, Scope::Weak, Cycle::new(3)), LaneStore::Local);
-        assert_eq!(rs[1].load(a), LaneLoad::Local);
+        assert_eq!(
+            rs[0].store(a, Scope::Weak, Cycle::new(3)),
+            StoreRoute::Local
+        );
+        assert_eq!(rs[1].load(a), LoadRoute::Local);
         barrier(&mut p, &mut rs);
-        assert_eq!(rs[1].load(a), LaneLoad::Remote { from: G0 });
-        assert_eq!(rs[0].load(a), LaneLoad::Local);
+        assert_eq!(rs[1].load(a), LoadRoute::Remote { from: G0 });
+        assert_eq!(rs[0].load(a), LoadRoute::Local);
     }
 
     #[test]
@@ -372,10 +375,10 @@ mod tests {
         rs[1].store(b, Scope::Weak, Cycle::new(7));
         rs[0].store(b, Scope::Weak, Cycle::new(7));
         barrier(&mut p, &mut rs);
-        assert_eq!(rs[2].load(a), LaneLoad::Remote { from: G0 });
-        assert_eq!(rs[2].load(b), LaneLoad::Remote { from: G1 });
-        assert_eq!(rs[1].load(a), LaneLoad::Remote { from: G0 });
-        assert_eq!(rs[0].load(b), LaneLoad::Remote { from: G1 });
+        assert_eq!(rs[2].load(a), LoadRoute::Remote { from: G0 });
+        assert_eq!(rs[2].load(b), LoadRoute::Remote { from: G1 });
+        assert_eq!(rs[1].load(a), LoadRoute::Remote { from: G0 });
+        assert_eq!(rs[0].load(b), LoadRoute::Remote { from: G1 });
     }
 
     #[test]
@@ -408,10 +411,7 @@ mod tests {
                 router.store(line, Scope::Weak, Cycle::new(i as u64));
                 continue;
             }
-            let laned_route = match router.load(line) {
-                LaneLoad::Remote { from } => LoadRoute::Remote { from },
-                _ => LoadRoute::Local,
-            };
+            let laned_route = router.load(line);
             assert_eq!(eager.route_load(gpu, line, &mut c), laned_route, "step {i}");
         }
         laned.absorb_lane_routers(rs);

@@ -56,7 +56,7 @@ fn sys_scoped_store_collapses_page_and_stops_broadcasts() {
     // After the collapse the page has a single conventional copy.
     let sys = policy.system().unwrap();
     let vpn = d.base().vpn(PageSize::Standard64K);
-    let state = sys.runtime().page_state(vpn).unwrap();
+    let state = sys.runtime().view().page_state(vpn).unwrap();
     assert!(!state.gps_bit, "collapsed page must be conventional");
     assert!(state.collapsed.is_some());
     // Phase 2 produced no new interconnect traffic.
@@ -187,10 +187,16 @@ fn single_subscriber_pages_are_downgraded_after_profiling() {
     let sys = policy.system().unwrap();
     let vpn0 = d.base().vpn(PageSize::Standard64K);
     assert!(
-        !sys.runtime().page_state(vpn0).unwrap().gps_bit,
+        !sys.runtime().view().page_state(vpn0).unwrap().gps_bit,
         "single-subscriber page must be conventional"
     );
-    assert!(sys.runtime().page_state(vpn0.next()).unwrap().gps_bit);
+    assert!(
+        sys.runtime()
+            .view()
+            .page_state(vpn0.next())
+            .unwrap()
+            .gps_bit
+    );
     // Steady phase traffic: only page 1's store broadcasts (1 line to one
     // subscriber).
     let t = &report.phase_traffic;

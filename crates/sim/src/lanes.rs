@@ -108,9 +108,7 @@ use crate::dram::DramModel;
 use crate::engine::{l2_read, l2_write, Engine, GpuState, KernelRun, Warp};
 use crate::instr::{WarpInstr, WarpStream};
 use crate::pipeline::{expand_cta, BufferArena};
-use crate::policy::{
-    LaneLoad, LaneMode, LaneRouter, LaneStore, LoadRoute, MemCtx, MemoryPolicy, StoreRoute,
-};
+use crate::policy::{LaneMode, LaneRouter, LoadRoute, MemCtx, MemoryPolicy, StoreRoute};
 use crate::stats::SimReport;
 use crate::workload::Workload;
 
@@ -542,28 +540,23 @@ impl Lane {
         line: LineAddr,
         t: Cycle,
     ) -> RoutedLoad {
-        if let Some(ex) = eager {
-            return match ex.call(t, |p, c| p.route_load(gpu, line, c)) {
-                LoadRoute::Local => RoutedLoad::Local(t),
-                LoadRoute::Remote { from } => RoutedLoad::Remote(from, t),
-                LoadRoute::Forwarded => RoutedLoad::Forwarded,
-                LoadRoute::StallThenLocal { ready } => RoutedLoad::Local(ready.max(t)),
-                // Re-fault on an evicted replica: the warp stalls for the
-                // fault overhead, then the access resolves remotely like
-                // any other peer read.
-                LoadRoute::StallThenRemote { from, ready } => {
-                    RoutedLoad::Remote(from, ready.max(t))
-                }
-            };
+        let route = if let Some(ex) = eager {
+            ex.call(t, |p, c| p.route_load(gpu, line, c))
+        } else if let Some(router) = self.router.as_mut() {
+            router.load(line)
+        } else {
+            LoadRoute::Local
+        };
+        match route {
+            LoadRoute::Local => RoutedLoad::Local(t),
+            LoadRoute::Remote { from } => RoutedLoad::Remote(from, t),
+            LoadRoute::Forwarded => RoutedLoad::Forwarded,
+            LoadRoute::StallThenLocal { ready } => RoutedLoad::Local(ready.max(t)),
+            // Re-fault on an evicted replica: the warp stalls for the
+            // fault overhead, then the access resolves remotely like any
+            // other peer read.
+            LoadRoute::StallThenRemote { from, ready } => RoutedLoad::Remote(from, ready.max(t)),
         }
-        if let Some(router) = self.router.as_mut() {
-            return match router.load(line) {
-                LaneLoad::Local => RoutedLoad::Local(t),
-                LaneLoad::Forwarded => RoutedLoad::Forwarded,
-                LaneLoad::Remote { from } => RoutedLoad::Remote(from, t),
-            };
-        }
-        RoutedLoad::Local(t)
     }
 
     /// One coalesced store (or atomic) to `line` by owned GPU `lg` at
@@ -589,15 +582,12 @@ impl Lane {
                     p.route_store(gpu_id, line, scope, c)
                 }
             });
-            match route {
-                StoreRoute::Local => LaneStore::Local,
-                StoreRoute::LocalReplicated => LaneStore::Replicated,
-                StoreRoute::Remote { to } => {
-                    let _ = book_line(ex.fabric, gpu_id, to, t);
-                    LaneStore::Remote
-                }
-                StoreRoute::StallThenLocal { ready } => LaneStore::Stall { ready },
+            // A routed lane's router buffers its peer stores for the
+            // barrier; the eager hooks leave the booking to the engine.
+            if let StoreRoute::Remote { to } = route {
+                let _ = book_line(ex.fabric, gpu_id, to, t);
             }
+            route
         } else if let Some(router) = self.router.as_mut() {
             if atomic {
                 // gps-lint: allow(lane_tier_purity) -- receiver is the per-lane router, the sanctioned channel; name-based resolution cannot see receiver types
@@ -607,21 +597,21 @@ impl Lane {
                 router.store(line, scope, t)
             }
         } else {
-            LaneStore::Local
+            StoreRoute::Local
         };
         // Write-through L1: update in place if present (probe refreshes
         // LRU); no allocation on store miss.
         let gpu = &mut self.gpus[lg];
         let _ = gpu.l1[sm].probe(line);
         match route {
-            LaneStore::Local | LaneStore::Replicated => {
+            StoreRoute::Local | StoreRoute::LocalReplicated => {
                 l2_write(gpu, line, gpu_id, t);
                 None
             }
             // Peer store: booked above (eager) or buffered by the router
             // for the barrier; nothing is written locally.
-            LaneStore::Remote => None,
-            LaneStore::Stall { ready } => {
+            StoreRoute::Remote { .. } => None,
+            StoreRoute::StallThenLocal { ready } => {
                 let at = ready.max(t);
                 l2_write(gpu, line, gpu_id, at);
                 Some(at)

@@ -51,8 +51,7 @@ pub use gps_mem::VictimPolicy;
 pub use instr::{FillProgram, WarpCtx, WarpInstr, WarpProgram, WarpStream};
 pub use pipeline::BufferArena;
 pub use policy::{
-    AllLocalPolicy, LaneLoad, LaneMode, LaneRouter, LaneStore, LoadRoute, MemCtx, MemoryPolicy,
-    StoreRoute,
+    AllLocalPolicy, LaneMode, LaneRouter, LoadRoute, MemCtx, MemoryPolicy, StoreRoute,
 };
 pub use stats::{GpuReport, SimReport, TlbCounts};
 pub use trace::{Trace, TraceCursor};

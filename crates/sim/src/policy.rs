@@ -119,38 +119,6 @@ pub enum LaneMode {
     Fallback,
 }
 
-/// How a [`LaneRouter`] services one coalesced load.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LaneLoad {
-    /// Local hierarchy (a subscriber replica, a page this GPU wrote last,
-    /// or a page the policy does not manage).
-    Local,
-    /// The issuing GPU's own write queue holds the line (§5.1 forward).
-    Forwarded,
-    /// Demand-read from `from` at the next window barrier.
-    Remote {
-        /// The GPU whose DRAM will service the read.
-        from: GpuId,
-    },
-}
-
-/// How a [`LaneRouter`] handles one coalesced store/atomic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LaneStore {
-    /// Local write only (any writer update is buffered in the router).
-    Local,
-    /// Peer store to a conventional page owned by another GPU: the router
-    /// has buffered the transfer for the barrier; nothing is kept locally.
-    Remote,
-    /// GPS page: local replica written, replication coalesced or buffered.
-    Replicated,
-    /// The warp stalls until `ready` (sys-scoped collapse).
-    Stall {
-        /// When the collapse fault resolves.
-        ready: Cycle,
-    },
-}
-
 /// Per-lane routing state for [`LaneMode::Epochs`]: the engine's one
 /// channel between a per-GPU lane and the policy.
 ///
@@ -168,14 +136,18 @@ pub trait LaneRouter: Send + 'static {
     /// Hands the router its lane's buffering probe (before the run).
     fn attach_probe(&mut self, probe: ProbeHandle);
 
-    /// Routes one coalesced load of `line`.
-    fn load(&mut self, line: LineAddr) -> LaneLoad;
+    /// Routes one coalesced load of `line`. A [`LoadRoute::Remote`] read
+    /// is booked at the next window barrier.
+    fn load(&mut self, line: LineAddr) -> LoadRoute;
 
-    /// Routes one coalesced store to `line` at (translated) time `now`.
-    fn store(&mut self, line: LineAddr, scope: Scope, now: Cycle) -> LaneStore;
+    /// Routes one coalesced store to `line` at (translated) time `now`. A
+    /// [`StoreRoute::Remote`] peer store is already buffered by the router
+    /// for the barrier: the engine books nothing for it.
+    fn store(&mut self, line: LineAddr, scope: Scope, now: Cycle) -> StoreRoute;
 
-    /// Routes one atomic to `line` at (translated) time `now`.
-    fn atomic(&mut self, line: LineAddr, now: Cycle) -> LaneStore;
+    /// Routes one atomic to `line` at (translated) time `now`, like
+    /// [`LaneRouter::store`].
+    fn atomic(&mut self, line: LineAddr, now: Cycle) -> StoreRoute;
 
     /// A last-level conventional TLB miss at `now` (pre-walk), feeding the
     /// access tracking unit at the next barrier.
