@@ -240,3 +240,156 @@ pub(crate) fn phase_sync(routers: &mut [&mut dyn LaneRouter], sys: &GpsSystem, f
         r.view = sys.runtime().shared_view();
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::GpsPolicy;
+    use gps_core::GpsConfig;
+    use gps_interconnect::{FabricConfig, LinkGen};
+    use gps_sim::{MemCtx, MemoryPolicy, SimConfig};
+    use gps_types::PageSize;
+
+    const G0: GpuId = GpuId::new(0);
+    const G1: GpuId = GpuId::new(1);
+    const G2: GpuId = GpuId::new(2);
+    const PS: PageSize = PageSize::Standard64K;
+
+    /// A 3-GPU GPS policy with a 4-entry write queue, profiled so that
+    /// shared page `a` has subscribers G0 and G1, page `b` only G0 (a
+    /// conventional page) and page `c` all three; returns lines of the
+    /// three pages and of a private page.
+    fn policy() -> (GpsPolicy, [LineAddr; 4]) {
+        let mut b = gps_sim::WorkloadBuilder::new("t", PS, 3);
+        let shared = b.alloc_shared("s", 3 * PS.bytes()).unwrap().base().line();
+        let private = b.alloc_private("p", PS.bytes()).unwrap().base().line();
+        b.phase(vec![gps_sim::KernelSpec {
+            name: "k".into(),
+            gpu: G0,
+            cta_count: 1,
+            warps_per_cta: 1,
+            program: Arc::new(|_: gps_sim::WarpCtx| vec![gps_sim::WarpInstr::Compute(1)]),
+        }]);
+        let mut p = GpsPolicy::with_config(GpsConfig::paper().with_rwq_entries(4));
+        p.init(&b.build(1).unwrap(), &SimConfig::gv100_system(3));
+        let [a, b, c] = [0, 1, 2].map(|i| shared.offset(i * PS.lines()));
+        let mut fabric = fabric();
+        let mut ctx = ctx(&mut fabric);
+        for (gpu, line) in [(G0, a), (G1, a), (G0, b), (G0, c), (G1, c), (G2, c)] {
+            p.on_tlb_miss(gpu, line.vpn(PS), &mut ctx);
+        }
+        p.on_phase_end(0, &mut ctx);
+        (p, [a, b, c, private])
+    }
+
+    fn fabric() -> Fabric {
+        Fabric::new(FabricConfig::new(3, LinkGen::Pcie3))
+    }
+
+    fn ctx(fabric: &mut Fabric) -> MemCtx<'_> {
+        MemCtx {
+            now: Cycle::ZERO,
+            fabric,
+            page_size: PS,
+        }
+    }
+
+    /// One scripted access and the route both shapes must take.
+    #[derive(Clone, Copy)]
+    enum Op {
+        Load(LoadRoute),
+        Store(StoreRoute),
+        Atomic(StoreRoute),
+    }
+
+    #[test]
+    fn eager_routing_and_the_router_agree_without_a_barrier_in_between() {
+        let (mut eager, [a, b, c, private]) = policy();
+        let (mut laned, _) = policy();
+        let mut rs = laned.lane_routers();
+        let (mut eager_fabric, mut laned_fabric) = (fabric(), fabric());
+        let line = |i: u64| c.offset(i);
+        let (local, replicated) = (StoreRoute::Local, StoreRoute::LocalReplicated);
+        // One window: local and forwarded loads, remote fallbacks,
+        // coalescing and two watermark drains, an uncoalesced atomic, a
+        // peer store to a conventional page and private traffic.
+        let script = [
+            (G2, a, Op::Load(LoadRoute::Remote { from: G0 })),
+            (G2, a, Op::Store(replicated)),
+            (G2, a, Op::Load(LoadRoute::Forwarded)),
+            (G0, a, Op::Load(LoadRoute::Local)),
+            (G1, b, Op::Store(StoreRoute::Remote { to: G0 })),
+            (G1, b, Op::Load(LoadRoute::Remote { from: G0 })),
+            (G0, b, Op::Store(local)),
+            (G0, line(0), Op::Store(replicated)),
+            (G0, line(0), Op::Store(replicated)),
+            (G0, line(1), Op::Store(replicated)),
+            (G0, line(2), Op::Store(replicated)),
+            (G0, line(3), Op::Store(replicated)),
+            (G0, line(4), Op::Store(replicated)),
+            (G1, line(5), Op::Atomic(replicated)),
+            (G2, private, Op::Store(local)),
+            (G2, private, Op::Load(LoadRoute::Local)),
+        ];
+        for (i, (gpu, line, op)) in script.into_iter().enumerate() {
+            let mut c = ctx(&mut eager_fabric);
+            c.now = Cycle::new(i as u64);
+            let router = &mut rs[gpu.index()];
+            let route = match op {
+                Op::Load(want) => {
+                    assert_eq!(eager.route_load(gpu, line, &mut c), want, "step {i}");
+                    assert_eq!(router.load(line), want, "step {i}");
+                    continue;
+                }
+                Op::Store(want) => {
+                    let route = eager.route_store(gpu, line, Scope::Weak, &mut c);
+                    assert_eq!(router.store(line, Scope::Weak, c.now), want, "step {i}");
+                    (route, want)
+                }
+                Op::Atomic(want) => {
+                    let route = eager.route_atomic(gpu, line, &mut c);
+                    assert_eq!(router.atomic(line, c.now), want, "step {i}");
+                    (route, want)
+                }
+            };
+            assert_eq!(route.0, route.1, "step {i}");
+            // The engine books an eager peer store; the router buffered
+            // its own for the barrier.
+            if let StoreRoute::Remote { to } = route.0 {
+                let _ = c.fabric.transfer(gpu, to, CACHE_LINE_BYTES, c.now);
+            }
+        }
+        assert_eq!(
+            eager
+                .system()
+                .unwrap()
+                .unit(G0)
+                .rwq_stats()
+                .watermark_drains,
+            2
+        );
+        // The grid-end release drains every queue on both sides.
+        let end = Cycle::new(100);
+        for gpu in [G0, G1, G2] {
+            let mut c = ctx(&mut eager_fabric);
+            c.now = end;
+            eager.on_kernel_end(gpu, &mut c);
+            assert!(rs[gpu.index()].flush(end));
+        }
+        let mut refs: Vec<&mut dyn LaneRouter> = rs.iter_mut().map(|r| &mut **r).collect();
+        laned.lane_barrier(&mut refs, &mut laned_fabric);
+        let (e, l) = (eager_fabric.counters(), laned_fabric.counters());
+        assert_eq!(e.transfer_count(), l.transfer_count());
+        for src in [G0, G1, G2] {
+            for dst in [G0, G1, G2] {
+                assert_eq!(
+                    e.pair_bytes(src, dst),
+                    l.pair_bytes(src, dst),
+                    "{src}->{dst}"
+                );
+            }
+        }
+        laned.absorb_lane_routers(rs);
+        assert_eq!(laned.metrics(), eager.metrics());
+    }
+}
