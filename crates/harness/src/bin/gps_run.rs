@@ -147,6 +147,8 @@ enum ArgError {
     PresetConflict { preset: String, other: String },
     /// `--gpus` listed a zero GPU count.
     ZeroGpus,
+    /// `--gpus` listed a count beyond the 16-bit GPU id space.
+    TooManyGpus { count: usize },
     /// `--parallel 0`: the reference lane (one lane owning every GPU) is
     /// selected by omitting the flag, not by a zero worker count.
     ZeroParallel,
@@ -173,6 +175,9 @@ impl std::fmt::Display for ArgError {
                 )
             }
             ArgError::ZeroGpus => write!(f, "--gpus: a GPU count must be at least 1"),
+            ArgError::TooManyGpus { count } => {
+                write!(f, "--gpus: {count} GPUs exceed the maximum of {}", u16::MAX)
+            }
             ArgError::ZeroParallel => write!(
                 f,
                 "--parallel: worker count must be at least 1 (omit the flag for the reference lane)"
@@ -302,6 +307,10 @@ fn parse_args(args: &[String], is_resume: bool) -> Result<ParsedArgs, ArgError> 
                 }
                 if parsed.spec.gpu_counts.contains(&0) {
                     return Err(ArgError::ZeroGpus);
+                }
+                let max = usize::from(u16::MAX);
+                if let Some(&count) = parsed.spec.gpu_counts.iter().find(|&&c| c > max) {
+                    return Err(ArgError::TooManyGpus { count });
                 }
             }
             "--links" => {
@@ -827,5 +836,84 @@ fn main() -> ExitCode {
             eprintln!("gps-run: {e}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &[&str]) -> Vec<String> {
+        line.iter().map(|s| (*s).to_owned()).collect()
+    }
+
+    #[test]
+    fn gpu_counts_beyond_16_bit_ids_are_rejected() {
+        let parsed = parse_args(&args(&["--gpus", "65535"]), false).unwrap();
+        assert_eq!(parsed.spec.gpu_counts, vec![65535]);
+        for count in ["65536", "65537"] {
+            let err = parse_args(&args(&["--gpus", &format!("4,{count}")]), false).err();
+            let want = ArgError::TooManyGpus {
+                count: count.parse().unwrap(),
+            };
+            assert_eq!(err, Some(want));
+        }
+    }
+
+    /// A command line that sets every sweep flag (one value each).
+    const BASE: &str = "--store s.jsonl --apps jacobi,pagerank --paradigms gps,um \
+        --gpus 2,4 --links pcie3 --scales tiny --topologies nvswitch --parallel 2 \
+        --oversubscribe 1.5,2 --victim-policy lru --max-jobs 3 --workers 2 --retries 1 \
+        --inject-panic jacobi --telemetry tel --html r.html --quiet --csv --fresh";
+
+    /// `|`-separated tokens spliced into mutants: presets, list keywords
+    /// and edge values (the empty token included).
+    const POOL: &str = "--paper|--superpod|all|figure8|pcie||,|0|-1|65535|65536|\
+        18446744073709551616|nan|inf|-inf|1e308|0.0|--|é";
+
+    /// SplitMix64-driven token flips, drops, duplicates and splices of a
+    /// full command line: `parse_args` must answer `Ok` or `Err` for every
+    /// mutant, never panic.
+    #[test]
+    fn mutated_command_lines_never_panic_the_parser() {
+        let base: Vec<&str> = BASE.split_whitespace().collect();
+        let pool: Vec<&str> = POOL.split('|').collect();
+        assert!(parse_args(&args(&base), false).is_ok());
+        let mut rng = gps_types::rng::SmallRng::seed_from_u64(18);
+        let (mut ok, mut err) = (0usize, 0usize);
+        for _ in 0..10_000 {
+            let mut line = args(&base);
+            for _ in 0..=rng.gen_range(0..3) {
+                let at = rng.gen_range_usize(0..line.len() + 1);
+                match rng.gen_range(0..4) {
+                    0 if at < line.len() => {
+                        // Flip one character to a printable one.
+                        let mut chars: Vec<char> = line[at].chars().collect();
+                        if !chars.is_empty() {
+                            let c = rng.gen_range_usize(0..chars.len());
+                            chars[c] = char::from(b' ' + rng.gen_range(0..95) as u8);
+                        }
+                        line[at] = chars.into_iter().collect();
+                    }
+                    1 if at < line.len() => {
+                        line.remove(at);
+                    }
+                    2 if at < line.len() => line.insert(at, line[at].clone()),
+                    _ => {
+                        let tokens = if rng.gen_bool(0.5) { &pool } else { &base };
+                        let token = tokens[rng.gen_range_usize(0..tokens.len())];
+                        line.insert(at, token.to_owned());
+                    }
+                }
+            }
+            match parse_args(&line, rng.gen_bool(0.5)) {
+                Ok(_) => ok += 1,
+                Err(_) => err += 1,
+            }
+        }
+        assert!(
+            ok > 0 && err > 0,
+            "mutations hit both outcomes: {ok} ok, {err} err"
+        );
     }
 }

@@ -231,4 +231,72 @@ mod tests {
         assert!(!cfg.enabled("no_unwrap"));
         assert!(!cfg.applies("no_unwrap", "harness"));
     }
+
+    /// SplitMix64: the lint crate stays dependency-free, so the mutation
+    /// loop below carries its own generator.
+    struct SplitMix64(u64);
+
+    impl SplitMix64 {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n.max(1) as u64) as usize
+        }
+    }
+
+    /// Byte flips, line drops, duplicates and splices of the committed
+    /// `lint.toml`: `Config::parse` must answer `Ok` or `Err` for every
+    /// mutant, never panic.
+    #[test]
+    fn mutated_configs_never_panic_the_parser() {
+        let base = include_str!("../../../lint.toml");
+        assert!(Config::parse(base).is_ok());
+        let lines: Vec<&str> = base.lines().collect();
+        let mut rng = SplitMix64(19);
+        let (mut ok, mut err) = (0usize, 0usize);
+        for _ in 0..10_000 {
+            let mut text: Vec<String> = lines.iter().map(|l| (*l).to_owned()).collect();
+            for _ in 0..=rng.below(3) {
+                let at = rng.below(text.len());
+                match rng.below(4) {
+                    0 => {
+                        // Flip one bit of one byte; repair invalid UTF-8.
+                        let mut bytes = text[at].clone().into_bytes();
+                        if !bytes.is_empty() {
+                            let b = rng.below(bytes.len());
+                            bytes[b] ^= 1 << rng.below(8);
+                        }
+                        text[at] = String::from_utf8_lossy(&bytes).into_owned();
+                    }
+                    1 => {
+                        text.remove(at);
+                    }
+                    2 => text.insert(at, text[at].clone()),
+                    _ => {
+                        // Splice part of another line into this one.
+                        let from = lines[rng.below(lines.len())];
+                        let cut = rng.below(from.len() + 1);
+                        let line = &mut text[at];
+                        let pos = rng.below(line.len() + 1);
+                        if from.is_char_boundary(cut) && line.is_char_boundary(pos) {
+                            line.insert_str(pos, &from[cut..]);
+                        }
+                    }
+                }
+                if text.is_empty() {
+                    text.push(String::new());
+                }
+            }
+            match Config::parse(&text.join("\n")) {
+                Ok(_) => ok += 1,
+                Err(_) => err += 1,
+            }
+        }
+        assert!(
+            ok > 0 && err > 0,
+            "mutations hit both outcomes: {ok} ok, {err} err"
+        );
+    }
 }

@@ -319,6 +319,12 @@ impl SimConfig {
                 reason: "gpu_count must be positive".into(),
             });
         }
+        // GPU ids are 16-bit: a larger count would wrap when ids are built.
+        if self.gpu_count > usize::from(u16::MAX) {
+            return Err(GpsError::Config {
+                reason: format!("gpu_count must be at most {}", u16::MAX),
+            });
+        }
         if self.memory_pressure.oversubscription_pct == 0 {
             return Err(GpsError::Config {
                 reason: "oversubscription_pct must be positive".into(),
@@ -443,5 +449,18 @@ mod tests {
         assert_eq!(shared.tenants, 3);
         shared.validate().unwrap();
         assert!(s.with_tenants(0).validate().is_err());
+    }
+
+    #[test]
+    fn gpu_counts_beyond_16_bit_ids_are_rejected() {
+        SimConfig::gv100_system(usize::from(u16::MAX))
+            .validate()
+            .unwrap();
+        for count in [usize::from(u16::MAX) + 1, usize::from(u16::MAX) + 2] {
+            match SimConfig::gv100_system(count).validate() {
+                Err(GpsError::Config { reason }) => assert!(reason.contains("at most 65535")),
+                other => panic!("{count} GPUs must be rejected, got {other:?}"),
+            }
+        }
     }
 }
