@@ -506,7 +506,7 @@ impl ProbeHandle {
     /// time. Non-buffering handles in `lanes` — this handle included —
     /// contribute nothing.
     ///
-    /// The merge streams by reference ([`merge`]): every record goes
+    /// The merge streams by reference (the private `merge`): every record goes
     /// straight from its lane's buffer into this handle's target, under
     /// one lock of each. The lane buffers are cleared, keeping their
     /// capacity.

@@ -106,7 +106,8 @@ impl Telemetry {
 /// `(track, name)` plus a bounded span ring.
 ///
 /// Each `(track, name)` resolves to a dense row the first time it is
-/// emitted ([`Rows`]); later emissions find the row by the name's address.
+/// emitted (the private `Rows`); later emissions find the row by the
+/// name's address.
 /// [`finish`](Recorder::finish) sorts the rows by `(track, name)`, so a
 /// finished [`Telemetry`] is deterministic for a deterministic simulation
 /// regardless of insertion order.

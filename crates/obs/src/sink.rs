@@ -112,8 +112,8 @@ impl<W: Write + Send> JsonlSink<W> {
         self
     }
 
-    /// Spans and instants rejected by the [`with_max_spans`]
-    /// (JsonlSink::with_max_spans) cap so far.
+    /// Spans and instants rejected by the
+    /// [`with_max_spans`](JsonlSink::with_max_spans) cap so far.
     pub fn dropped_spans(&self) -> u64 {
         self.dropped_spans
     }
@@ -232,8 +232,8 @@ impl<W: Write + Send> Sink for JsonlSink<W> {
 const CYCLES_PER_US: f64 = 1000.0;
 
 /// Streams a Chrome trace-event document (`chrome://tracing`, Perfetto)
-/// as emissions arrive, instead of buffering a whole [`Recorder`]
-/// (crate::Recorder) first.
+/// as emissions arrive, instead of buffering a whole
+/// [`Recorder`](crate::Recorder) first.
 ///
 /// Differences from the batch [`chrome_trace`](crate::chrome_trace)
 /// exporter, inherent to streaming: counter/gauge emissions become one

@@ -98,7 +98,7 @@ impl MemoryPolicy for RdlPolicy {
         self.gpu_count = config.gpu_count;
     }
 
-    /// Per-GPU lanes route through [`RdlLaneRouter`]s, bounded-stale by
+    /// Per-GPU lanes route through `RdlLaneRouter`s, bounded-stale by
     /// one conservative window.
     fn lane_mode(&self) -> LaneMode {
         LaneMode::Epochs
