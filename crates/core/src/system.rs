@@ -116,11 +116,6 @@ impl GpsSystem {
         self.subscription_enabled = enabled;
     }
 
-    /// The hardware configuration.
-    pub fn config(&self) -> &GpsConfig {
-        &self.config
-    }
-
     /// The driver/runtime state.
     pub fn runtime(&self) -> &GpsRuntime {
         &self.runtime

@@ -75,6 +75,10 @@ impl ServeConfig {
         if self.gpus == 0 {
             return Err("gpus must be positive".to_owned());
         }
+        // GPU ids are 16-bit; checked here, before any workload is built.
+        if self.gpus > usize::from(u16::MAX) {
+            return Err(format!("gpus must be at most {}", u16::MAX));
+        }
         if self.jobs == 0 {
             return Err("jobs must be positive".to_owned());
         }
@@ -135,6 +139,12 @@ mod tests {
             ..ServeConfig::default()
         };
         assert!(c.validate().is_err());
+
+        let c = ServeConfig {
+            gpus: usize::from(u16::MAX) + 1,
+            ..ServeConfig::default()
+        };
+        assert!(c.validate().unwrap_err().contains("at most 65535"));
 
         let c = ServeConfig {
             slots: 0,

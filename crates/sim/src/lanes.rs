@@ -30,11 +30,13 @@
 //!   [`LaneRouter`] handed out by the policy, the engine's one per-GPU
 //!   routing channel: the router decides every load, store, atomic, TLB
 //!   miss and release from lane-local state plus a snapshot of the
-//!   policy's shared state, and *buffers* every cross-lane effect. Lanes
-//!   advance in windows of the fabric's minimum cross-GPU latency `E`
+//!   policy's shared state, and *buffers* every cross-lane effect. It
+//!   answers with the eager hooks' routes, so both lane shapes share one
+//!   route→action mapping. Lanes advance in windows of the fabric's
+//!   minimum cross-GPU latency `E`
 //!   ([`Topology::min_cross_gpu_latency`]): an access at `t < W + E`
 //!   cannot observe data published after `W`, so applying the buffered
-//!   effects at the barrier in `(cycle, gpu, sequence)` order
+//!   effects at the barrier in `(cycle, gpu, program order)` order
 //!   ([`MemoryPolicy::lane_barrier`]) is *conservative*. Remote loads
 //!   suspend their warp; the barrier books them against the owner's DRAM
 //!   and the shared fabric in deterministic order and resumes the warp at

@@ -105,10 +105,12 @@ pub enum LaneMode {
     /// the policy's shared state and *buffers* every cross-lane effect.
     /// Lanes advance in windows of the fabric's minimum cross-GPU latency;
     /// at each window barrier the policy applies the buffered effects in
-    /// global `(cycle, gpu, sequence)` order ([`MemoryPolicy::lane_barrier`]).
-    /// GPS routers carry the write queue and GPS-TLB and publish
-    /// broadcasts; RDL routers carry a last-writer snapshot and publish
-    /// writer updates. The result is deterministic and
+    /// global `(cycle, gpu, program order)` order
+    /// ([`MemoryPolicy::lane_barrier`]). A router runs the same routing
+    /// rule as the policy's eager hooks and only defers the effects: GPS
+    /// routers carry the GPU's GPS unit (write queue and GPS-TLB) and
+    /// publish broadcasts; RDL routers carry a last-writer snapshot and
+    /// publish writer updates. The result is deterministic and
     /// worker-count-invariant but bounded-stale (one window) versus the
     /// reference lane, so this tier is pinned by its own golden reports.
     Epochs,
@@ -123,15 +125,18 @@ pub enum LaneMode {
 /// channel between a per-GPU lane and the policy.
 ///
 /// A router owns everything one GPU's accesses need inside a window — for
-/// GPS the GPU's write queue and GPS-TLB plus an immutable snapshot of the
-/// driver state, for RDL a snapshot of the last-writer map plus the GPU's
-/// own writes since the last barrier. Cross-lane effects (broadcasts,
-/// peer stores, collapses, access-tracking records, writer updates) are
-/// *buffered*, never applied: the owning policy drains and applies them
-/// at each window barrier ([`MemoryPolicy::lane_barrier`]) in
-/// deterministic order. The engine knows no policy's routing rule; it
-/// only forwards accesses here. Routers cross thread boundaries with
-/// their lane, hence `Send`.
+/// GPS the GPU's GPS unit (write queue and GPS-TLB) plus a shared,
+/// read-only view of the driver state as of the last barrier that changed
+/// it, for RDL a snapshot of the last-writer map plus the GPU's own
+/// writes since the last barrier. It decides with the same rule as the
+/// policy's eager hooks and answers in their vocabulary ([`LoadRoute`],
+/// [`StoreRoute`]), but cross-lane effects (broadcasts, peer stores,
+/// collapses, access-tracking records, writer updates) are *buffered*,
+/// never applied: the owning policy drains and applies them at each
+/// window barrier ([`MemoryPolicy::lane_barrier`]) in deterministic
+/// order. The engine knows no policy's routing rule; it only forwards
+/// accesses here. Routers cross thread boundaries with their lane, hence
+/// `Send`.
 pub trait LaneRouter: Send + 'static {
     /// Hands the router its lane's buffering probe (before the run).
     fn attach_probe(&mut self, probe: ProbeHandle);
@@ -274,7 +279,7 @@ pub trait MemoryPolicy {
 
     /// Window barrier for [`LaneMode::Epochs`]: drains every router's
     /// buffered cross-lane effects and applies them to `fabric` (and the
-    /// policy's shared state) in deterministic `(cycle, gpu, sequence)`
+    /// policy's shared state) in deterministic `(cycle, gpu, program order)`
     /// order. Returns, per GPU, the visibility horizon after the barrier —
     /// the lane engine resolves releases whose [`LaneRouter::flush`]
     /// returned `true` against it.
