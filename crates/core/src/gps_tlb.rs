@@ -21,9 +21,10 @@ use gps_types::{Cycle, Latency, Vpn};
 /// let mut table = GpsPageTable::new();
 /// table.subscribe(Vpn::new(7), GpuId::new(0), Ppn::new(1));
 /// let mut tlb = GpsTlb::paper(Latency::from_nanos(400));
-/// // First translation walks; the repeat hits.
+/// // First translation walks; the repeat hits. Both borrow the wide
+/// // entry instead of copying it.
 /// let (e, t) = tlb.translate(Vpn::new(7), &table, Cycle::ZERO);
-/// assert!(e.is_some());
+/// assert_eq!(e.map(|pte| pte.subscriber_count()), Some(1));
 /// assert_eq!(t, Cycle::new(400));
 /// let (_, t2) = tlb.translate(Vpn::new(7), &table, Cycle::ZERO);
 /// assert_eq!(t2, Cycle::ZERO);
@@ -50,26 +51,25 @@ impl GpsTlb {
 
     /// Translates `vpn` against `table`, walking on a miss.
     ///
-    /// Returns the (cloned) wide entry — `None` if the page has no GPS
-    /// mapping at all — and the time translation completes.
-    pub fn translate(
-        &mut self,
+    /// Returns the wide entry — the cached one on a hit (stale until shot
+    /// down), the table's on a walk, `None` if the page has no GPS mapping
+    /// at all — and the time translation completes. Only a walk copies an
+    /// entry, into the TLB.
+    pub fn translate<'a>(
+        &'a mut self,
         vpn: Vpn,
-        table: &GpsPageTable,
+        table: &'a GpsPageTable,
         now: Cycle,
-    ) -> (Option<GpsPte>, Cycle) {
-        if let Some(entry) = self.tlb.lookup(vpn) {
-            return (Some(entry.clone()), now);
+    ) -> (Option<&'a GpsPte>, Cycle) {
+        if self.tlb.lookup(vpn).is_some() {
+            return (self.tlb.peek(vpn), now);
         }
         // Hardware walk of the GPS page table.
-        match table.entry(vpn) {
-            Some(entry) => {
-                let entry = entry.clone();
-                self.tlb.insert(vpn, entry.clone());
-                (Some(entry), now + self.walk_latency)
-            }
-            None => (None, now + self.walk_latency),
+        let entry = table.entry(vpn);
+        if let Some(entry) = entry {
+            self.tlb.insert(vpn, entry.clone());
         }
+        (entry, now + self.walk_latency)
     }
 
     /// Invalidates the cached entry for `vpn` (subscription change or page

@@ -286,12 +286,20 @@ impl GpsSystem {
         if matches!(route, GpsLoad::RemoteFallback { .. }) && self.subscribes_on_touch(vpn) {
             // The read still goes remote, but subscribes the GPU for the
             // next ones.
-            let _ = self.runtime.subscribe_page(vpn, gpu);
-            let unit = &mut self.units[gpu.index()];
-            unit.invalidate_translation(vpn);
-            return unit.fallback(self.runtime.view(), vpn);
+            self.subscribe_touched(gpu, vpn);
+            return self.units[gpu.index()].fallback(self.runtime.view(), vpn);
         }
         route
+    }
+
+    /// Subscribes `gpu` to `vpn` on its first touch and shoots down every
+    /// unit's GPS-TLB entry for the page: its subscriber set changed, so a
+    /// cached wide entry anywhere is stale.
+    fn subscribe_touched(&mut self, gpu: GpuId, vpn: Vpn) {
+        let _ = self.runtime.subscribe_page(vpn, gpu);
+        for unit in &mut self.units {
+            unit.invalidate_translation(vpn);
+        }
     }
 
     /// Unsubscribed-by-default profiling (§3.2): while tracking, a GPU's
@@ -320,10 +328,7 @@ impl GpsSystem {
     ) -> GpsStore {
         let vpn = line.vpn(self.runtime.page_size());
         if self.subscribes_on_touch(vpn) && !self.runtime.view().is_subscriber(gpu, vpn) {
-            let _ = self.runtime.subscribe_page(vpn, gpu);
-            for unit in &mut self.units {
-                unit.invalidate_translation(vpn);
-            }
+            self.subscribe_touched(gpu, vpn);
         }
         let Self {
             runtime,
@@ -693,14 +698,30 @@ mod tests {
     fn unsubscribed_by_default_subscribes_on_first_read() {
         let mut cfg = GpsConfig::paper();
         cfg.profiling = ProfilingMode::UnsubscribedByDefault;
-        let mut sys = GpsSystem::new(2, PageSize::Standard64K, cfg).unwrap();
+        let mut sys = GpsSystem::new(3, PageSize::Standard64K, cfg).unwrap();
         let r = sys
             .runtime_mut()
             .malloc_gps(65536, AllocationKind::Manual)
             .unwrap();
+        // A second subscriber makes the page a GPS page, so G0's stores
+        // drain through its GPS-TLB.
+        sys.runtime_mut()
+            .mem_advise(&r, G2, crate::runtime::MemAdvise::Subscribe)
+            .unwrap();
         let vpn = r.base().vpn(PageSize::Standard64K);
         sys.tracking_start().unwrap();
-        // G1 is not subscribed (manual alloc backs G0 only); its first read
+        // G0's next translation of the page, tried on a copy of its GPS-TLB.
+        let g0_translation = |sys: &GpsSystem| {
+            let mut tlb = sys.unit(G0).tlb().clone();
+            let (entry, at) = tlb.translate(vpn, sys.runtime().view().table(), Cycle::ZERO);
+            (entry.map(|pte| pte.subscriber_count()), at)
+        };
+        // G0 drains a store to the page, caching its wide entry.
+        let mut fabric = Fabric::new(FabricConfig::new(3, LinkGen::Pcie3));
+        sys.store(G0, r.base().line(), Scope::Weak, Cycle::ZERO, &mut fabric);
+        sys.flush(G0, Cycle::ZERO, &mut fabric);
+        assert_eq!(g0_translation(&sys), (Some(2), Cycle::ZERO));
+        // G1 is not subscribed (manual alloc backs G0, advice G2); its first read
         // goes remote but subscribes it for the future.
         match sys.load(G1, r.base().line()) {
             GpsLoad::RemoteFallback { from } => assert_eq!(from, G0),
@@ -708,5 +729,9 @@ mod tests {
         }
         assert!(sys.runtime().view().is_subscriber(G1, vpn));
         assert_eq!(sys.load(G1, r.base().line()), GpsLoad::LocalReplica);
+        // The subscriber set changed, so G0's entry was shot down too: its
+        // next translation walks and sees the new replica.
+        let walk = Cycle::ZERO + GpsConfig::paper().gps_tlb_walk_latency;
+        assert_eq!(g0_translation(&sys), (Some(3), walk));
     }
 }

@@ -42,7 +42,7 @@ SWEEP / RESUME FLAGS:
                           (all apps, figure8, 4+16 GPUs, PCIe sweep, paper scale)
     --superpod            shorthand for the superpod scaling study (all apps,
                           figure8, 32+64 GPUs, nvlink3, nvswitch + pcietree
-                          fabrics, small scale, 8 lane workers)
+                          fabrics, small scale, 8 lane threads)
     --workers <n>         worker threads, default = host parallelism
     --retries <n>         extra attempts before quarantine, default 1
     --max-jobs <n>        stop after launching n jobs (interrupt simulation)
@@ -61,12 +61,12 @@ SWEEP / RESUME FLAGS:
     --topologies <t,..|all>
                           fabric topologies (switch|ring|nvswitch|pcietree),
                           default switch; each topology is one sweep point
-    --parallel <n>        run every unit on per-GPU lanes with n workers
-                          where the paradigm allows it (n >= 1; omit the
-                          flag for the reference lane that owns every GPU,
-                          the default); worker counts beyond 1 change
-                          wall-clock only, results and run keys are
-                          worker-invariant
+    --parallel <n>        run every unit on per-GPU lanes drained by n threads
+                          in total where the paradigm allows it (n >= 1;
+                          omit the flag for the reference lane that owns
+                          every GPU, the default); thread counts beyond 1
+                          change wall-clock only, results and run keys are
+                          thread-invariant
 
 SERVE FLAGS:
     simulates a stream of jobs from an application mix sharing one machine

@@ -605,7 +605,8 @@ mod tests {
 
     #[test]
     fn topology_labels_roundtrip() {
-        for t in Topology::ALL {
+        for (i, t) in Topology::ALL.into_iter().enumerate() {
+            assert_eq!(t as usize, i, "ALL skips or reorders a variant");
             assert_eq!(t.label().parse::<Topology>().unwrap(), t);
             assert_eq!(t.to_string(), t.label());
         }

@@ -40,6 +40,18 @@ pub enum LinkGen {
 }
 
 impl LinkGen {
+    /// Every generation, in declaration order.
+    pub const ALL: [LinkGen; 8] = [
+        LinkGen::Pcie3,
+        LinkGen::Pcie4,
+        LinkGen::Pcie5,
+        LinkGen::Pcie6,
+        LinkGen::NvLink1,
+        LinkGen::NvLink2,
+        LinkGen::NvLink3,
+        LinkGen::Infinite,
+    ];
+
     /// The PCIe sweep of Figure 13, slowest first.
     pub const PCIE_SWEEP: [LinkGen; 4] = [
         LinkGen::Pcie3,
@@ -204,12 +216,8 @@ mod tests {
 
     #[test]
     fn parse_roundtrip() {
-        for gen in [
-            LinkGen::Pcie3,
-            LinkGen::Pcie6,
-            LinkGen::NvLink2,
-            LinkGen::Infinite,
-        ] {
+        for (i, gen) in LinkGen::ALL.into_iter().enumerate() {
+            assert_eq!(gen as usize, i, "ALL skips or reorders a variant");
             assert_eq!(gen.label().parse::<LinkGen>().unwrap(), gen);
         }
         assert!("pcie7".parse::<LinkGen>().is_err());

@@ -29,6 +29,18 @@ pub enum Paradigm {
 }
 
 impl Paradigm {
+    /// Every paradigm, in declaration order.
+    pub const ALL: [Paradigm; 8] = [
+        Paradigm::Um,
+        Paradigm::UmHints,
+        Paradigm::Rdl,
+        Paradigm::Memcpy,
+        Paradigm::Gps,
+        Paradigm::GpsNoSubscription,
+        Paradigm::GpsOversub,
+        Paradigm::InfiniteBw,
+    ];
+
     /// The paradigms of the headline comparison (Figure 8), in the paper's
     /// bar order.
     pub const FIGURE8: [Paradigm; 6] = [
@@ -128,16 +140,8 @@ mod tests {
 
     #[test]
     fn labels_roundtrip() {
-        for p in [
-            Paradigm::Um,
-            Paradigm::UmHints,
-            Paradigm::Rdl,
-            Paradigm::Memcpy,
-            Paradigm::Gps,
-            Paradigm::GpsNoSubscription,
-            Paradigm::GpsOversub,
-            Paradigm::InfiniteBw,
-        ] {
+        for (i, p) in Paradigm::ALL.into_iter().enumerate() {
+            assert_eq!(p as usize, i, "ALL skips or reorders a variant");
             assert_eq!(p.label().parse::<Paradigm>().unwrap(), p);
         }
         assert!("carrier-pigeon".parse::<Paradigm>().is_err());

@@ -219,14 +219,16 @@ pub struct SimConfig {
     pub memory_pressure: MemoryPressure,
     /// Lane-shape selector: `0` (the default) runs the reference lane —
     /// one event lane owning every GPU, routing each access through the
-    /// policy as it happens. Any value `N >= 1` runs one lane per GPU on
-    /// `N` host worker threads (`1` = on the simulation thread itself)
+    /// policy as it happens. Any value `N >= 1` runs one lane per GPU
     /// whenever the policy's [`LaneMode`](crate::LaneMode) admits it, and
-    /// the reference lane otherwise. Per-GPU results are independent of
-    /// `N`, so harness run keys normalise it to `min(parallel_workers, 1)`:
-    /// they distinguish *which lane shape* ran (the epoch tiers are a
-    /// different, still deterministic, model for writer-tracking and GPS
-    /// paradigms) but never the thread count.
+    /// the reference lane otherwise. Per-GPU lanes drain on `N` host
+    /// threads in total, the simulation thread included (`1` = on it
+    /// alone; `N` is clamped to the lane count): each window splits the
+    /// lanes into `N` contiguous chunks, one per thread. Per-GPU results
+    /// are independent of `N`, so harness run keys normalise it to
+    /// `min(parallel_workers, 1)`: they distinguish *which lane shape* ran
+    /// (the epoch tiers are a different, still deterministic, model for
+    /// writer-tracking and GPS paradigms) but never the thread count.
     pub parallel_workers: usize,
     /// Number of tenants (concurrently served applications) sharing this
     /// machine. `1` — the default — is the exclusive single-application
@@ -293,7 +295,8 @@ impl SimConfig {
     }
 
     /// Selects the lane shape: `0` = the reference lane, `N >= 1` = one
-    /// lane per GPU on `N` worker threads where the policy's tier admits it.
+    /// lane per GPU, drained on `N` threads in total, where the policy's
+    /// tier admits it.
     #[must_use]
     pub fn with_parallel_workers(mut self, workers: usize) -> Self {
         self.parallel_workers = workers;

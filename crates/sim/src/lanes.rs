@@ -66,17 +66,18 @@
 //! pays at least `E` in flight — asserted in [`resolve_suspended`]), so
 //! re-queued warps never reenter the closed window.
 //!
-//! # Worker pool
+//! # Worker threads
 //!
-//! `SimConfig::parallel_workers > 1` drives per-GPU lanes from a persistent
-//! [`std::thread::scope`] pool: `N` workers pull lane indices from an
-//! atomic work queue each window and park on a barrier between windows,
-//! while the coordinator thread runs the policy, the shared fabric and all
-//! barrier work. Lanes are mutated only between the start/end barriers
-//! (workers) or under [`LaneExec::with_all`] (coordinator), never both at
-//! once; and because every lane drains its window against the same
-//! read-only inputs regardless of which worker claims it, reports *and*
-//! telemetry are bit-identical for 1 vs `N` workers (pinned by tests).
+//! `SimConfig::parallel_workers > 1` splits the per-GPU lanes into that
+//! many fixed contiguous chunks (sizes differ by at most one) and drains
+//! each window with one fork-join: the calling thread drains the first
+//! chunk, a [`std::thread::scope`] thread each of the others, and the
+//! scope's join is the window's barrier. Between windows the calling
+//! thread owns every lane and runs the policy, the shared fabric and all
+//! barrier work. Each drain reads only its own lane, the read-only run
+//! config and the window end, so reports *and* telemetry are
+//! bit-identical for 1 vs `N` workers (pinned by tests), whichever chunk
+//! a lane lands in. A panicking drain reaches the caller at the join.
 //!
 //! Telemetry: each per-GPU lane buffers its probe emissions tagged with
 //! the event time ([`ProbeHandle::buffering`]). At each phase end the
@@ -98,8 +99,6 @@
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
 
 use gps_interconnect::{Fabric, FabricConfig, LinkGen};
 use gps_obs::{names, ProbeHandle, Track};
@@ -762,7 +761,7 @@ impl Lane {
 /// (flush) suspends resume at the GPU's visibility horizon (`vis`,
 /// [`LaneMode::Epochs`] only), no earlier than the window end.
 fn resolve_suspended(
-    lanes: &mut [&mut Lane],
+    lanes: &mut [Lane],
     fabric: &mut Fabric,
     ctx: &LaneCtx<'_>,
     window_end: u64,
@@ -771,8 +770,8 @@ fn resolve_suspended(
     if lanes.iter().all(|l| l.suspended.is_empty()) {
         return;
     }
-    // Barrier-time DRAM/fabric emissions land in the owner lanes' buffers;
-    // tag them with the barrier so the merge stays ordered.
+    // DRAM/fabric emissions of barrier work land in the owner lanes'
+    // buffers; tag them with the window end so the merge stays ordered.
     for lane in lanes.iter().filter(|l| l.buffered) {
         lane.probe.set_tag(window_end);
     }
@@ -851,128 +850,40 @@ fn resolve_suspended(
     }
 }
 
-/// How the coordinator reaches the lanes: inline (one worker) or through
-/// the [`Pool`]. Window drains go through [`drain`]; all barrier-time
-/// mutation goes through [`with_all`], which hands back every lane.
-///
-/// [`drain`]: LaneExec::drain
-/// [`with_all`]: LaneExec::with_all
-trait LaneExec {
-    /// Drains every lane's events strictly before `window_end`, routing
-    /// through `eager` on the reference lane.
-    fn drain(&mut self, ctx: &LaneCtx<'_>, eager: Option<&mut Eager<'_>>, window_end: u64);
-
-    /// Runs `f` over all lanes (in lane order) with exclusive access.
-    fn with_all<R>(&mut self, f: impl FnOnce(&mut [&mut Lane]) -> R) -> R;
-}
-
-/// Single-worker execution: the coordinator drains lanes itself.
-struct InlineExec<'l> {
-    lanes: &'l mut Vec<Lane>,
-}
-
-impl LaneExec for InlineExec<'_> {
-    fn drain(&mut self, ctx: &LaneCtx<'_>, mut eager: Option<&mut Eager<'_>>, window_end: u64) {
-        for lane in self.lanes.iter_mut() {
+/// Drains every lane's events strictly before `window_end`: inline for
+/// one worker and on the reference lane (`eager` routing), otherwise as
+/// one fork-join over `workers` fixed chunks (see "Worker threads" in the
+/// module docs).
+fn drain_lanes(
+    lanes: &mut [Lane],
+    workers: usize,
+    ctx: &LaneCtx<'_>,
+    mut eager: Option<&mut Eager<'_>>,
+    window_end: u64,
+) {
+    if workers == 1 || eager.is_some() {
+        for lane in lanes.iter_mut() {
             lane.drain_window(ctx, eager.as_deref_mut(), window_end);
         }
+        return;
     }
-
-    fn with_all<R>(&mut self, f: impl FnOnce(&mut [&mut Lane]) -> R) -> R {
-        let mut lanes: Vec<&mut Lane> = self.lanes.iter_mut().collect();
-        f(&mut lanes)
-    }
-}
-
-/// The persistent worker pool: lanes live in per-lane mutex cells and are
-/// claimed by index from an atomic queue, so the lane→worker assignment is
-/// irrelevant to the result (each drain sees only the lane itself plus the
-/// read-only window end). Workers park on `start` between windows; the
-/// coordinator holds no cell lock while workers run and workers hold none
-/// while the coordinator runs barrier work — `end.wait()` hands exclusive
-/// access back.
-struct Pool<'w> {
-    cells: Vec<Mutex<Lane>>,
-    /// Next unclaimed lane index for the current window.
-    queue: AtomicUsize,
-    /// The current window's end, set by the coordinator before `start`.
-    window_end: Mutex<u64>,
-    start: Barrier,
-    end: Barrier,
-    stop: AtomicBool,
-    ctx: LaneCtx<'w>,
-}
-
-/// Worker loop: wait for a window, claim lanes until the queue runs dry,
-/// park again. Exits when the coordinator raises `stop` before a start
-/// barrier.
-fn lane_worker(pool: &Pool<'_>) {
-    loop {
-        pool.start.wait();
-        if pool.stop.load(Ordering::Acquire) {
-            return;
+    let drain_chunk = |chunk: &mut [Lane]| {
+        for lane in chunk {
+            lane.drain_window(ctx, None, window_end);
         }
-        // gps-lint: allow(no_expect) -- the window-end mutex is only held across a plain read/write
-        let window_end = *pool.window_end.lock().expect("window mutex poisoned");
-        // Worker-local copy: the per-step reads stay off the pool's shared
-        // cache lines, which the claim counter writes.
-        let ctx = pool.ctx;
-        loop {
-            // gps-lint: allow(relaxed_atomic_ordering) -- pure work-claim counter: only claim uniqueness matters, each lane lands in its own cell
-            let i = pool.queue.fetch_add(1, Ordering::Relaxed);
-            if i >= pool.cells.len() {
-                break;
-            }
-            pool.cells[i]
-                .lock()
-                // gps-lint: allow(no_expect) -- a poisoned cell means a sibling worker already panicked
-                .expect("lane mutex poisoned")
-                .drain_window(&ctx, None, window_end);
+    };
+    // `workers <= lanes.len()`, so every chunk holds at least one lane.
+    let (base, extra) = (lanes.len() / workers, lanes.len() % workers);
+    let (head, mut rest) = lanes.split_at_mut(base + usize::from(extra > 0));
+    std::thread::scope(|s| {
+        for i in 1..workers {
+            let (chunk, tail) =
+                std::mem::take(&mut rest).split_at_mut(base + usize::from(i < extra));
+            rest = tail;
+            s.spawn(move || drain_chunk(chunk));
         }
-        pool.end.wait();
-    }
-}
-
-/// Multi-worker execution (per-GPU lanes only): the coordinator publishes
-/// the window end and rides the start/end barriers.
-struct PoolExec<'p, 'w> {
-    pool: &'p Pool<'w>,
-}
-
-impl LaneExec for PoolExec<'_, '_> {
-    fn drain(&mut self, _ctx: &LaneCtx<'_>, eager: Option<&mut Eager<'_>>, window_end: u64) {
-        debug_assert!(eager.is_none(), "the reference lane runs inline");
-        self.pool.queue.store(0, Ordering::SeqCst);
-        // gps-lint: allow(no_expect) -- the window-end mutex is only held across a plain read/write
-        *self.pool.window_end.lock().expect("window mutex poisoned") = window_end;
-        self.pool.start.wait();
-        self.pool.end.wait();
-    }
-
-    fn with_all<R>(&mut self, f: impl FnOnce(&mut [&mut Lane]) -> R) -> R {
-        let mut guards: Vec<_> = self
-            .pool
-            .cells
-            .iter()
-            // gps-lint: allow(no_expect) -- a poisoned cell means a worker already panicked
-            .map(|c| c.lock().expect("lane mutex poisoned"))
-            .collect();
-        let mut lanes: Vec<&mut Lane> = guards.iter_mut().map(|g| &mut **g).collect();
-        f(&mut lanes)
-    }
-}
-
-/// Stops the workers exactly once, on both the success and the unwind
-/// path: raise `stop`, then release the start barrier they are parked on.
-struct PoolShutdown<'p, 'w> {
-    pool: &'p Pool<'w>,
-}
-
-impl Drop for PoolShutdown<'_, '_> {
-    fn drop(&mut self) {
-        self.pool.stop.store(true, Ordering::Release);
-        self.pool.start.wait();
-    }
+        drain_chunk(head);
+    });
 }
 
 /// Runs `engine`'s workload: on per-GPU lanes when `parallel_workers >= 1`,
@@ -1054,53 +965,26 @@ pub(crate) fn run(engine: Engine<'_>) -> SimReport {
     };
     let workers = config.parallel_workers.min(lanes.len()).max(1);
 
-    if workers == 1 {
-        run_phases(
-            &mut InlineExec { lanes: &mut lanes },
-            policy,
-            workload,
-            &ctx,
-            link,
-            &probe,
-            &mut fabric,
-            mode,
-            epoch,
-        )
-    } else {
-        let pool = Pool {
-            cells: lanes.into_iter().map(Mutex::new).collect(),
-            queue: AtomicUsize::new(0),
-            window_end: Mutex::new(0),
-            start: Barrier::new(workers + 1),
-            end: Barrier::new(workers + 1),
-            stop: AtomicBool::new(false),
-            ctx,
-        };
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| lane_worker(&pool));
-            }
-            let _shutdown = PoolShutdown { pool: &pool };
-            run_phases(
-                &mut PoolExec { pool: &pool },
-                policy,
-                workload,
-                &pool.ctx,
-                link,
-                &probe,
-                &mut fabric,
-                mode,
-                epoch,
-            )
-        })
-    }
+    run_phases(
+        &mut lanes,
+        workers,
+        policy,
+        workload,
+        &ctx,
+        link,
+        &probe,
+        &mut fabric,
+        mode,
+        epoch,
+    )
 }
 
 /// The coordinator loop: phases, windows, barriers, telemetry merge and
-/// the final report — generic over inline vs pooled lane execution.
+/// the final report.
 #[allow(clippy::too_many_arguments)]
-fn run_phases<E: LaneExec>(
-    exec: &mut E,
+fn run_phases(
+    lanes: &mut [Lane],
+    workers: usize,
     policy: &mut dyn MemoryPolicy,
     workload: &Workload,
     ctx: &LaneCtx<'_>,
@@ -1133,18 +1017,16 @@ fn run_phases<E: LaneExec>(
         }
         let phase_began = phase_start;
 
-        exec.with_all(|lanes| {
-            for lane in lanes.iter_mut() {
-                for lg in 0..lane.gpus.len() {
-                    let gpu = &mut lane.gpus[lg];
-                    let id = GpuId::new((lane.first + lg) as u16);
-                    gpu.queue = phase.launches_for(id).cloned().collect();
-                    gpu.done = None;
-                    gpu.pending_kernel = None;
-                    lane.advance_kernel(ctx, lg, phase_start);
-                }
+        for lane in lanes.iter_mut() {
+            for lg in 0..lane.gpus.len() {
+                let gpu = &mut lane.gpus[lg];
+                let id = GpuId::new((lane.first + lg) as u16);
+                gpu.queue = phase.launches_for(id).cloned().collect();
+                gpu.done = None;
+                gpu.pending_kernel = None;
+                lane.advance_kernel(ctx, lg, phase_start);
             }
-        });
+        }
 
         // Window loop. Each window starts at the earliest pending event
         // across non-empty lanes (idle lanes never hold the epoch back)
@@ -1156,13 +1038,10 @@ fn run_phases<E: LaneExec>(
         // those rounds run barrier work only.
         let mut last_window_end = phase_start.as_u64();
         loop {
-            let (next, has_pending) = exec.with_all(|lanes| {
-                let next = lanes.iter().filter_map(|l| l.events.peek_time()).min();
-                let pending = lanes
-                    .iter()
-                    .any(|l| l.gpus.iter().any(|g| g.pending_kernel.is_some()));
-                (next, pending)
-            });
+            let next = lanes.iter().filter_map(|l| l.events.peek_time()).min();
+            let has_pending = lanes
+                .iter()
+                .any(|l| l.gpus.iter().any(|g| g.pending_kernel.is_some()));
             if next.is_none() && !has_pending {
                 break;
             }
@@ -1178,42 +1057,38 @@ fn run_phases<E: LaneExec>(
                     fabric: &mut *fabric,
                     page_size: config.page_size,
                 });
-                exec.drain(ctx, routing.as_mut(), window_end);
+                drain_lanes(lanes, workers, ctx, routing.as_mut(), window_end);
             }
-            exec.with_all(|lanes| {
-                let vis = routed.then(|| {
-                    let mut routers: Vec<&mut dyn LaneRouter> = lanes
-                        .iter_mut()
-                        .filter_map(|l| l.router.as_deref_mut())
-                        .collect();
-                    policy.lane_barrier(&mut routers, fabric)
-                });
-                if let Some(vis) = vis.as_deref() {
-                    for lane in lanes.iter_mut() {
-                        for lg in 0..lane.gpus.len() {
-                            if let Some(t) = lane.gpus[lg].pending_kernel.take() {
-                                let g = lane.first + lg;
-                                lane.advance_kernel(ctx, lg, vis[g].max(t));
-                            }
+            let vis = routed.then(|| {
+                let mut routers: Vec<&mut dyn LaneRouter> = lanes
+                    .iter_mut()
+                    .filter_map(|l| l.router.as_deref_mut())
+                    .collect();
+                policy.lane_barrier(&mut routers, fabric)
+            });
+            if let Some(vis) = vis.as_deref() {
+                for lane in lanes.iter_mut() {
+                    for lg in 0..lane.gpus.len() {
+                        if let Some(t) = lane.gpus[lg].pending_kernel.take() {
+                            let g = lane.first + lg;
+                            lane.advance_kernel(ctx, lg, vis[g].max(t));
                         }
                     }
                 }
-                resolve_suspended(lanes, fabric, ctx, window_end, vis.as_deref());
-            });
+            }
+            resolve_suspended(lanes, fabric, ctx, window_end, vis.as_deref());
         }
 
-        let barrier = exec.with_all(|lanes| {
-            lanes
-                .iter()
-                .flat_map(|l| &l.gpus)
-                // gps-lint: allow(no_expect) -- the window loop only exits once every lane drained
-                .map(|g| g.done.expect("phase drained with running GPU"))
-                .max()
-                .unwrap_or(phase_start)
-        });
+        let barrier = lanes
+            .iter()
+            .flat_map(|l| &l.gpus)
+            // gps-lint: allow(no_expect) -- the window loop only exits once every lane drained
+            .map(|g| g.done.expect("phase drained with running GPU"))
+            .max()
+            .unwrap_or(phase_start);
 
         if telemetry {
-            exec.with_all(|lanes| master_probe.replay_merged(lanes.iter().map(|l| &l.probe)));
+            master_probe.replay_merged(lanes.iter().map(|l| &l.probe));
         }
 
         master_probe.instant(Track::SYSTEM, names::BARRIER, barrier);
@@ -1229,13 +1104,11 @@ fn run_phases<E: LaneExec>(
             // The phase hook may have changed shared state (GPS prunes
             // subscriptions, shoots down GPS TLBs): resynchronise every
             // router's snapshot.
-            exec.with_all(|lanes| {
-                let mut routers: Vec<&mut dyn LaneRouter> = lanes
-                    .iter_mut()
-                    .filter_map(|l| l.router.as_deref_mut())
-                    .collect();
-                policy.lane_phase_sync(&mut routers);
-            });
+            let mut routers: Vec<&mut dyn LaneRouter> = lanes
+                .iter_mut()
+                .filter_map(|l| l.router.as_deref_mut())
+                .collect();
+            policy.lane_phase_sync(&mut routers);
         }
         if telemetry {
             master_probe.span(
@@ -1252,18 +1125,15 @@ fn run_phases<E: LaneExec>(
     }
 
     if routed {
-        let routers: Vec<Box<dyn LaneRouter>> =
-            exec.with_all(|lanes| lanes.iter_mut().filter_map(|l| l.router.take()).collect());
+        let routers = lanes.iter_mut().filter_map(|l| l.router.take()).collect();
         policy.absorb_lane_routers(routers);
     }
 
-    let per_gpu = exec.with_all(|lanes| {
-        lanes
-            .iter()
-            .flat_map(|l| &l.gpus)
-            .map(GpuState::report)
-            .collect::<Vec<_>>()
-    });
+    let per_gpu = lanes
+        .iter()
+        .flat_map(|l| &l.gpus)
+        .map(GpuState::report)
+        .collect();
 
     let total = phase_ends.last().copied().unwrap_or(Cycle::ZERO);
     let mut report = SimReport {

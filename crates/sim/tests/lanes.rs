@@ -66,7 +66,7 @@ fn pure_tier_is_bit_identical_to_classic() {
     for gpus in [1usize, 2, 4] {
         let wl = mixed_workload(gpus, 32);
         let classic = run_with(&wl, SimConfig::gv100_system(gpus), LinkGen::NvLink2);
-        for workers in [1usize, 2, 4] {
+        for workers in [1usize, 2, 3, 4] {
             let lanes = run_with(
                 &wl,
                 SimConfig::gv100_system(gpus).with_parallel_workers(workers),

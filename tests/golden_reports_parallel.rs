@@ -171,7 +171,7 @@ fn rdl_lane_reports_are_worker_invariant_and_match_goldens() {
             &wl,
             SimConfig::gv100_system(GPUS).with_parallel_workers(1),
         );
-        for workers in [2usize, 4] {
+        for workers in [2usize, 3, 4] {
             let n = run(
                 Paradigm::Rdl,
                 &wl,
