@@ -26,17 +26,6 @@ use gps::workloads::{suite, ScaleProfile};
 const GOLDEN_PATH: &str = "tests/goldens/sim_reports_tiny.txt";
 const GPUS: usize = 4;
 
-const PARADIGMS: [Paradigm; 8] = [
-    Paradigm::Um,
-    Paradigm::UmHints,
-    Paradigm::Rdl,
-    Paradigm::Memcpy,
-    Paradigm::Gps,
-    Paradigm::GpsNoSubscription,
-    Paradigm::GpsOversub,
-    Paradigm::InfiniteBw,
-];
-
 /// Every report field, rendered losslessly (floats as IEEE-754 bit
 /// patterns, so `==` here really is bit-identity).
 fn fingerprint(r: &SimReport) -> String {
@@ -87,7 +76,7 @@ fn current_grid() -> String {
     );
     for app in suite::all() {
         let wl = (app.build)(GPUS, ScaleProfile::Tiny);
-        for paradigm in PARADIGMS {
+        for paradigm in Paradigm::ALL {
             let report = run_paradigm(paradigm, &wl, GPUS, LinkGen::Pcie3).unwrap();
             let _ = writeln!(
                 out,
