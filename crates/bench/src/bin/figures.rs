@@ -62,12 +62,19 @@ fn main() {
         print!("{USAGE}");
         return;
     }
+    if let Some(extra) = args.get(2) {
+        eprintln!("unexpected argument {extra:?}\n{USAGE}");
+        std::process::exit(2);
+    }
     let id = args.first().map(String::as_str).unwrap_or("all").to_owned();
     let id = id.as_str();
-    let scale = match args.get(1).map(String::as_str) {
-        Some("tiny") => ScaleProfile::Tiny,
-        Some("small") => ScaleProfile::Small,
-        _ => ScaleProfile::Paper,
+    let scale = match args.get(1).map(|s| s.parse::<ScaleProfile>()) {
+        None => ScaleProfile::Paper,
+        Some(Ok(scale)) => scale,
+        Some(Err(e)) => {
+            eprintln!("{e}\n{USAGE}");
+            std::process::exit(2);
+        }
     };
     match id {
         "table1" => println!("{}", figures::table1()),

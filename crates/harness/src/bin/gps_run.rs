@@ -279,12 +279,16 @@ fn parse_args(args: &[String], is_resume: bool) -> Result<ParsedArgs, ArgError> 
                 let v = value()?;
                 parsed.spec.paradigms = match v {
                     "figure8" => Paradigm::FIGURE8.to_vec(),
-                    "all" => {
-                        let mut p = Paradigm::FIGURE8.to_vec();
-                        p.push(Paradigm::GpsNoSubscription);
-                        p.push(Paradigm::GpsOversub);
-                        p
-                    }
+                    // Figure 8's bar order, then the rest in declaration
+                    // order, so sweep and store order stay put.
+                    "all" => Paradigm::FIGURE8
+                        .into_iter()
+                        .chain(
+                            Paradigm::ALL
+                                .into_iter()
+                                .filter(|p| !Paradigm::FIGURE8.contains(p)),
+                        )
+                        .collect(),
                     list => split_list(list)
                         .map(|s| s.parse::<Paradigm>().map_err(|e| invalid(e.to_string())))
                         .collect::<Result<_, _>>()?,
@@ -857,6 +861,17 @@ mod tests {
                 count: count.parse().unwrap(),
             };
             assert_eq!(err, Some(want));
+        }
+    }
+
+    #[test]
+    fn paradigms_all_lists_every_paradigm_once_after_figure8() {
+        let parsed = parse_args(&args(&["--paradigms", "all"]), false).unwrap();
+        let all = parsed.spec.paradigms;
+        assert_eq!(all[..Paradigm::FIGURE8.len()], Paradigm::FIGURE8);
+        assert_eq!(all.len(), Paradigm::ALL.len());
+        for p in Paradigm::ALL {
+            assert_eq!(all.iter().filter(|&&q| q == p).count(), 1, "{p:?}");
         }
     }
 

@@ -140,43 +140,18 @@ where
     let parallelism = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(4);
-    let n = jobs.len();
-    let workers = parallelism.clamp(1, n.max(1));
-    let next = AtomicUsize::new(0);
     let jobs: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|f| Mutex::new(Some(f))).collect();
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                // gps-lint: allow(relaxed_atomic_ordering) -- pure work-claim counter: only claim uniqueness matters, each result lands in its own slot
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                // gps-lint: allow(no_slice_index) -- i < n checked by the break above
-                let f = jobs[i]
-                    .lock()
-                    // gps-lint: allow(no_expect) -- poison implies a prior panic; this path propagates it
-                    .expect("job slot poisoned")
-                    .take()
-                    // gps-lint: allow(no_expect) -- fetch_add hands each index to exactly one worker
-                    .expect("job taken once");
-                let out = f();
-                // gps-lint: allow(no_slice_index, no_expect) -- i < n checked above; poison implies a prior panic
-                *slots[i].lock().expect("result slot poisoned") = Some(out);
-            });
-        }
-    });
-
-    slots
+    // The guard drops before the job runs, so a panicking job never
+    // poisons its slot; `run_jobs` hands each index to exactly one worker.
+    let run = |job: &Mutex<Option<F>>| job.lock().ok().and_then(|mut f| f.take()).map(|f| f());
+    run_jobs(&jobs, parallelism, 0, run, |_, _| {})
         .into_iter()
-        .map(|slot| {
-            slot.into_inner()
-                // gps-lint: allow(no_expect) -- poison implies a prior panic that already failed the run
-                .expect("result slot poisoned")
-                // gps-lint: allow(no_expect) -- the scope joined every worker; all n indices were claimed
-                .expect("job executed")
+        .map(|result| match result {
+            JobResult::Ok {
+                value: Some(value), ..
+            } => value,
+            JobResult::Ok { value: None, .. } => panic!("job claimed twice"),
+            JobResult::Quarantined { error, .. } => panic!("{error}"),
         })
         .collect()
 }
@@ -193,6 +168,14 @@ mod tests {
             .collect();
         let out = parallel_map(jobs);
         assert_eq!(out, (0..20usize).map(|i| i * i).collect::<Vec<_>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "boom in job 1")]
+    fn parallel_map_propagates_job_panics() {
+        let jobs: Vec<Box<dyn FnOnce() -> u32 + Send>> =
+            vec![Box::new(|| 0), Box::new(|| panic!("boom in job 1"))];
+        parallel_map(jobs);
     }
 
     #[test]

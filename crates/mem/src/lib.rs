@@ -5,9 +5,6 @@
 //!
 //! * [`FrameAllocator`] — per-GPU physical frame allocation over the 16 GB
 //!   device memory of a GV100.
-//! * [`Pte`] / [`PageTable`] — the conventional per-GPU page table, extended
-//!   with the single re-purposed **GPS bit** that marks potentially
-//!   replicated pages (§5.2, "Page table support").
 //! * [`Tlb`] — a generic set-associative, LRU translation lookaside buffer
 //!   used both for the conventional last-level GPU TLB and for the wide
 //!   GPS-TLB.
@@ -32,7 +29,6 @@ mod bitmap;
 mod evict;
 mod frame;
 mod gps_page_table;
-mod page_table;
 mod residency;
 mod tlb;
 mod va_space;
@@ -41,7 +37,6 @@ pub use bitmap::AccessBitmap;
 pub use evict::{ResidentSet, VictimPolicy};
 pub use frame::FrameAllocator;
 pub use gps_page_table::{GpsPageTable, GpsPte};
-pub use page_table::{PageTable, Pte};
 pub use residency::{CollapseOutcome, ResidencyMap, ResidencyState};
 pub use tlb::{Tlb, TlbConfig, TlbStats};
 pub use va_space::{VaRange, VaSpace};

@@ -104,11 +104,10 @@ struct Entry<T> {
 
 /// A set-associative, LRU-replacement TLB caching translations of type `T`.
 ///
-/// The payload type is generic because the conventional TLB caches [`Pte`]s
-/// while the GPS-TLB caches the wide [`GpsPte`] (all subscribers' physical
-/// addresses).
+/// The payload type is generic: the GPS-TLB caches the wide [`GpsPte`]
+/// (all subscribers' physical addresses), while the simulator's
+/// conventional TLB only models hits and misses and caches `()`.
 ///
-/// [`Pte`]: crate::Pte
 /// [`GpsPte`]: crate::GpsPte
 ///
 /// ```

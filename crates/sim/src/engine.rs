@@ -168,9 +168,8 @@ pub(crate) struct Warp {
     pub(crate) gpu: usize,
     pub(crate) sm: usize,
     pub(crate) cta: u32,
-    /// Remaining instructions. The stream subsumes the old `instrs`/`pc`
-    /// pair: an owned stream carries its cursor, a replay stream decodes
-    /// straight from the shared trace bytes.
+    /// The warp's instructions (a buffer from the lane's pool) and the
+    /// cursor of the next one to issue.
     pub(crate) stream: WarpStream,
     pub(crate) ready: Cycle,
 }

@@ -1,4 +1,5 @@
-//! The warp-level trace format.
+//! Warp-level instructions, the programs that generate them, and the
+//! pooled stream each running warp issues from.
 
 use std::fmt;
 use std::sync::Arc;
@@ -6,7 +7,6 @@ use std::sync::Arc;
 use gps_types::{CtaId, GpuId, LineAddr, LineRange, Scope};
 
 use crate::pipeline::BufferArena;
-use crate::trace::TraceCursor;
 
 /// One warp-level instruction, *after* the SM memory coalescer.
 ///
@@ -100,87 +100,52 @@ impl WarpCtx {
     }
 }
 
-/// A stream of [`WarpInstr`]s for one warp — the engine's unit of
-/// instruction supply.
+/// The instructions of one warp and the index of the next to issue — the
+/// engine's unit of instruction supply.
 ///
-/// Historically every warp owned a freshly allocated `Vec<WarpInstr>`;
-/// a `WarpStream` decouples "where the instructions live" from "the warp is
-/// executing them" so the engine can run warps off pooled buffers
-/// ([`WarpStream::Owned`]) or decode them lazily straight out of shared
-/// trace bytes ([`WarpStream::Replay`]) without materialising a vector at
-/// all.
-#[derive(Debug)]
-pub enum WarpStream {
-    /// Instructions materialised into a buffer, typically borrowed from a
-    /// [`BufferArena`] and returned to it via [`WarpStream::recycle`] when
-    /// the warp retires.
-    Owned {
-        /// The instruction buffer.
-        buf: Vec<WarpInstr>,
-        /// Index of the next instruction to yield.
-        pos: usize,
-    },
-    /// A zero-copy cursor decoding instructions directly out of the shared
-    /// `Arc<Vec<u8>>` bytes of a recorded [`Trace`](crate::Trace).
-    Replay(TraceCursor),
+/// The buffer is taken from the lane's [`BufferArena`] when the warp spawns
+/// and returned to it via [`WarpStream::recycle`] when the warp retires,
+/// so steady-state simulation allocates nothing per warp.
+#[derive(Debug, Default)]
+pub(crate) struct WarpStream {
+    buf: Vec<WarpInstr>,
+    pos: usize,
 }
 
 impl WarpStream {
     /// Wraps a materialised instruction buffer.
-    pub fn owned(buf: Vec<WarpInstr>) -> Self {
-        WarpStream::Owned { buf, pos: 0 }
+    pub(crate) fn new(buf: Vec<WarpInstr>) -> Self {
+        WarpStream { buf, pos: 0 }
     }
 
     /// True once every instruction has been yielded.
-    pub fn is_exhausted(&self) -> bool {
-        match self {
-            WarpStream::Owned { buf, pos } => *pos >= buf.len(),
-            WarpStream::Replay(cursor) => cursor.is_exhausted(),
-        }
+    pub(crate) fn is_exhausted(&self) -> bool {
+        self.pos >= self.buf.len()
     }
 
-    /// Replaces an empty stream with a single trivial `Compute(0)` so every
+    /// Gives an empty stream a single trivial `Compute(0)` so every
     /// launched warp executes at least one instruction (the engine's
     /// longstanding convention for degenerate warps).
     pub(crate) fn ensure_nonempty(&mut self) {
-        if let WarpStream::Owned { buf, pos } = self {
-            if buf.is_empty() {
-                buf.push(WarpInstr::Compute(0));
-                *pos = 0;
-                return;
-            }
-        }
-        if self.is_exhausted() {
-            *self = WarpStream::owned(vec![WarpInstr::Compute(0)]);
+        if self.buf.is_empty() {
+            self.buf.push(WarpInstr::Compute(0));
         }
     }
 
-    /// Consumes the stream, returning an owned buffer to `arena` for reuse.
-    /// Replay cursors hold no buffer and are simply dropped.
-    pub fn recycle(self, arena: &mut BufferArena) {
-        if let WarpStream::Owned { buf, .. } = self {
-            arena.put(buf);
-        }
+    /// Consumes the stream, returning its buffer to `arena` for reuse.
+    pub(crate) fn recycle(self, arena: &mut BufferArena) {
+        arena.put(self.buf);
     }
 }
 
 /// Yields the warp's instructions in issue order; `None` when exhausted.
-/// Never panics: a replay cursor over malformed bytes ends the stream
-/// instead (recorded traces are validated up front by
-/// [`Trace::replay`](crate::Trace::replay), so this only matters for
-/// cursors constructed over corrupt input).
 impl Iterator for WarpStream {
     type Item = WarpInstr;
 
     fn next(&mut self) -> Option<WarpInstr> {
-        match self {
-            WarpStream::Owned { buf, pos } => {
-                let instr = buf.get(*pos).copied()?;
-                *pos += 1;
-                Some(instr)
-            }
-            WarpStream::Replay(cursor) => cursor.next(),
-        }
+        let instr = self.buf.get(self.pos).copied()?;
+        self.pos += 1;
+        Some(instr)
     }
 }
 
@@ -193,10 +158,8 @@ impl Iterator for WarpStream {
 ///
 /// Only [`warp_instrs`](WarpProgram::warp_instrs) is required. Programs on
 /// the hot path can additionally override
-/// [`fill_warp`](WarpProgram::fill_warp) (write into a caller-supplied
-/// buffer, enabling allocation-free pooling — see [`FillProgram`]) or
-/// [`warp_stream`](WarpProgram::warp_stream) (hand back a custom stream,
-/// which is how recorded traces splice in zero-copy cursors).
+/// [`fill_warp`](WarpProgram::fill_warp) to write into the engine's pooled
+/// buffer directly, with no per-warp allocation (see [`FillProgram`]).
 pub trait WarpProgram: Send + Sync {
     /// Produces the full instruction list for the warp at `ctx`.
     fn warp_instrs(&self, ctx: WarpCtx) -> Vec<WarpInstr>;
@@ -209,16 +172,6 @@ pub trait WarpProgram: Send + Sync {
     fn fill_warp(&self, ctx: WarpCtx, out: &mut Vec<WarpInstr>) {
         out.clear();
         out.extend_from_slice(&self.warp_instrs(ctx));
-    }
-
-    /// Produces the warp's instruction stream, borrowing any needed buffer
-    /// from `arena`. The default fills a pooled buffer via
-    /// [`fill_warp`](WarpProgram::fill_warp); recorded traces override this
-    /// to return a zero-copy [`WarpStream::Replay`] cursor.
-    fn warp_stream(&self, ctx: WarpCtx, arena: &mut BufferArena) -> WarpStream {
-        let mut buf = arena.take();
-        self.fill_warp(ctx, &mut buf);
-        WarpStream::owned(buf)
     }
 
     /// Short label for debugging and reports.
@@ -245,10 +198,6 @@ impl WarpProgram for Arc<dyn WarpProgram> {
         (**self).fill_warp(ctx, out)
     }
 
-    fn warp_stream(&self, ctx: WarpCtx, arena: &mut BufferArena) -> WarpStream {
-        (**self).warp_stream(ctx, arena)
-    }
-
     fn label(&self) -> &str {
         (**self).label()
     }
@@ -258,9 +207,10 @@ impl WarpProgram for Arc<dyn WarpProgram> {
 /// `Fn(WarpCtx, &mut Vec<WarpInstr>)`.
 ///
 /// Fill-style generators append into a caller-supplied buffer instead of
-/// returning a fresh `Vec`, which lets the engine's [`BufferArena`] recycle
-/// one allocation across every warp a program ever launches. The workload
-/// generators in `gps-workloads` are all expressed this way.
+/// returning a fresh `Vec`, which lets the engine's pooled instruction
+/// buffers recycle one allocation across every warp a program ever
+/// launches. The workload generators in `gps-workloads` are all expressed
+/// this way.
 pub struct FillProgram<F> {
     fill: F,
     label: &'static str,
@@ -307,6 +257,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::expand_cta;
 
     #[test]
     fn lines_touched() {
@@ -367,8 +318,8 @@ mod tests {
     }
 
     #[test]
-    fn owned_stream_yields_in_order_and_exhausts() {
-        let mut s = WarpStream::owned(vec![WarpInstr::Compute(1), WarpInstr::Compute(2)]);
+    fn stream_yields_in_order_and_exhausts() {
+        let mut s = WarpStream::new(vec![WarpInstr::Compute(1), WarpInstr::Compute(2)]);
         assert!(!s.is_exhausted());
         assert_eq!(s.next(), Some(WarpInstr::Compute(1)));
         assert_eq!(s.next(), Some(WarpInstr::Compute(2)));
@@ -378,7 +329,7 @@ mod tests {
 
     #[test]
     fn empty_streams_gain_a_trivial_instruction() {
-        let mut s = WarpStream::owned(Vec::new());
+        let mut s = WarpStream::new(Vec::new());
         s.ensure_nonempty();
         assert_eq!(s.next(), Some(WarpInstr::Compute(0)));
         assert_eq!(s.next(), None);
@@ -388,13 +339,18 @@ mod tests {
     fn default_warp_stream_uses_the_arena() {
         let mut arena = BufferArena::new();
         let prog = |_ctx: WarpCtx| vec![WarpInstr::Compute(7)];
-        let mut s = prog.warp_stream(ctx0(), &mut arena);
+        let expand = |arena: &mut BufferArena| {
+            let mut streams = expand_cta(&prog, arena, GpuId::new(0), 1, 0, 1, 1);
+            assert_eq!(streams.len(), 1);
+            streams.remove(0)
+        };
+        let mut s = expand(&mut arena);
         assert_eq!(s.next(), Some(WarpInstr::Compute(7)));
         assert_eq!(s.next(), None);
         s.recycle(&mut arena);
         assert_eq!(arena.pooled(), 1);
         // The next stream reuses the pooled buffer.
-        let s2 = prog.warp_stream(ctx0(), &mut arena);
+        let s2 = expand(&mut arena);
         assert_eq!(arena.pooled(), 0);
         s2.recycle(&mut arena);
         assert_eq!(arena.pooled(), 1);

@@ -107,7 +107,7 @@ use gps_types::{Cycle, GpuId, LineAddr, PageSize, Scope, CACHE_LINE_BYTES};
 use crate::config::SimConfig;
 use crate::dram::DramModel;
 use crate::engine::{l2_read, l2_write, Engine, GpuState, KernelRun, Warp};
-use crate::instr::{WarpInstr, WarpStream};
+use crate::instr::WarpInstr;
 use crate::pipeline::{expand_cta, BufferArena};
 use crate::policy::{LaneMode, LaneRouter, LoadRoute, MemCtx, MemoryPolicy, StoreRoute};
 use crate::stats::SimReport;
@@ -636,8 +636,7 @@ impl Lane {
         let lg = g - self.first;
         self.gpus[lg].warps_done += 1;
         self.free_slots.push(slot);
-        std::mem::replace(&mut self.warps[slot].stream, WarpStream::owned(Vec::new()))
-            .recycle(&mut self.arena);
+        std::mem::take(&mut self.warps[slot].stream).recycle(&mut self.arena);
 
         // gps-lint: allow(no_expect) -- a live warp's GPU always has a running kernel
         let mut run = self.gpus[lg].running.take().expect("warp without kernel");

@@ -2,8 +2,9 @@
 //!
 //! This crate is the reproduction's stand-in for NVAS, the proprietary
 //! NVIDIA Architectural Simulator the paper extends (§6). Like NVAS it is a
-//! *system-level* simulator: it replays warp-level memory traces against
-//! architectural timing models rather than executing SASS cycle-exactly,
+//! *system-level* simulator: it runs warp-level memory traces, generated
+//! per warp by the workload programs, against architectural timing models
+//! rather than executing SASS cycle-exactly,
 //! and it "respects all functional dependencies such as work scheduling,
 //! barrier synchronization, and load dependencies".
 //!
@@ -25,8 +26,6 @@
 //!   every GPU (the reference lane) or one GPU each.
 //! * [`SimReport`] — cycle counts, cache/TLB statistics, DRAM and
 //!   interconnect traffic for the figure harness.
-//! * [`Trace`] — NVBit-style record/replay of expanded warp instruction
-//!   streams.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,7 +39,6 @@ mod lanes;
 mod pipeline;
 mod policy;
 mod stats;
-mod trace;
 mod workload;
 
 pub use cache::{Cache, CacheConfig, CacheStats, Evicted, Lookup};
@@ -48,11 +46,9 @@ pub use config::{GpuConfig, MemoryPressure, SimConfig};
 pub use dram::DramModel;
 pub use engine::Engine;
 pub use gps_mem::VictimPolicy;
-pub use instr::{FillProgram, WarpCtx, WarpInstr, WarpProgram, WarpStream};
-pub use pipeline::BufferArena;
+pub use instr::{FillProgram, WarpCtx, WarpInstr, WarpProgram};
 pub use policy::{
     AllLocalPolicy, LaneMode, LaneRouter, LoadRoute, MemCtx, MemoryPolicy, StoreRoute,
 };
 pub use stats::{GpuReport, SimReport, TlbCounts};
-pub use trace::{Trace, TraceCursor};
 pub use workload::{AllocSpec, KernelSpec, Phase, SharedIndex, Workload, WorkloadBuilder};

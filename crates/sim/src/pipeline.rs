@@ -18,25 +18,25 @@ const ARENA_MAX_BUFFERS: usize = 4096;
 
 /// A free list of instruction buffers, owned by one lane.
 #[derive(Debug, Default)]
-pub struct BufferArena {
+pub(crate) struct BufferArena {
     free: Vec<Vec<WarpInstr>>,
 }
 
 impl BufferArena {
     /// Creates an empty arena.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Takes a cleared buffer from the pool (or a fresh one if the pool is
     /// empty).
-    pub fn take(&mut self) -> Vec<WarpInstr> {
+    pub(crate) fn take(&mut self) -> Vec<WarpInstr> {
         self.free.pop().unwrap_or_default()
     }
 
     /// Returns a buffer to the pool. The buffer is cleared; its capacity is
     /// what the pool recycles.
-    pub fn put(&mut self, mut buf: Vec<WarpInstr>) {
+    pub(crate) fn put(&mut self, mut buf: Vec<WarpInstr>) {
         if buf.capacity() == 0 || self.free.len() >= ARENA_MAX_BUFFERS {
             return;
         }
@@ -45,7 +45,8 @@ impl BufferArena {
     }
 
     /// Number of buffers currently pooled.
-    pub fn pooled(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn pooled(&self) -> usize {
         self.free.len()
     }
 }
@@ -62,7 +63,8 @@ pub(crate) fn expand_cta(
 ) -> Vec<WarpStream> {
     (0..warps_per_cta)
         .map(|warp_in_cta| {
-            program.warp_stream(
+            let mut buf = arena.take();
+            program.fill_warp(
                 WarpCtx {
                     gpu,
                     gpu_count,
@@ -71,8 +73,9 @@ pub(crate) fn expand_cta(
                     warp_in_cta,
                     warps_per_cta,
                 },
-                arena,
-            )
+                &mut buf,
+            );
+            WarpStream::new(buf)
         })
         .collect()
 }

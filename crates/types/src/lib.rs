@@ -45,7 +45,7 @@ pub use addr::{LineAddr, PhysAddr, Ppn, VirtAddr, Vpn, CACHE_LINE_BYTES, CACHE_L
 pub use error::GpsError;
 pub use ids::{CtaId, GpuId, KernelId, SmId, StreamId, WarpId};
 pub use json::Json;
-pub use mem_op::{AccessKind, LineRange};
+pub use mem_op::LineRange;
 pub use page::PageSize;
 pub use scope::Scope;
 pub use units::{Bandwidth, Cycle, Latency, CYCLES_PER_SECOND, GIB, KIB, MIB};

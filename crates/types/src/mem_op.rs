@@ -1,41 +1,9 @@
-//! Memory-operation descriptors shared between the trace format and the
-//! memory-policy interface.
+//! Memory-operation descriptors shared between the warp instruction
+//! stream and the memory-policy interface.
 
 use std::fmt;
 
 use crate::addr::LineAddr;
-
-/// The kind of a coalesced memory access observed by a memory policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AccessKind {
-    /// A read of one cache line.
-    Load,
-    /// A write of one cache line (possibly partial).
-    Store,
-    /// A read-modify-write of part of one cache line.
-    ///
-    /// Atomics follow the store path through GPS (§5.1) but are *not*
-    /// coalesced by the remote write queue (§7.4: Pagerank, ALS and SSSP see
-    /// 0 % write-queue hit rates because they predominantly issue atomics).
-    Atomic,
-}
-
-impl AccessKind {
-    /// Whether this access writes memory.
-    pub const fn is_write(self) -> bool {
-        matches!(self, AccessKind::Store | AccessKind::Atomic)
-    }
-}
-
-impl fmt::Display for AccessKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AccessKind::Load => write!(f, "load"),
-            AccessKind::Store => write!(f, "store"),
-            AccessKind::Atomic => write!(f, "atomic"),
-        }
-    }
-}
 
 /// A strided run of cache lines touched by one warp-level instruction after
 /// the SM coalescer.
@@ -210,12 +178,5 @@ mod tests {
     #[should_panic(expected = "stride must be positive")]
     fn zero_stride_multi_line_rejected() {
         let _ = LineRange::new(LineAddr::new(0), 2, 0);
-    }
-
-    #[test]
-    fn atomic_is_write() {
-        assert!(AccessKind::Atomic.is_write());
-        assert!(AccessKind::Store.is_write());
-        assert!(!AccessKind::Load.is_write());
     }
 }
