@@ -1,9 +1,10 @@
 //! The GPS programming interface and driver state (§4).
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use gps_mem::{FrameAllocator, GpsPageTable, GpsPte, ResidentSet, VaRange, VaSpace, VictimPolicy};
+use gps_mem::{
+    FrameAllocator, GpsPageTable, GpsPte, PageMap, ResidentSet, VaRange, VaSpace, VictimPolicy,
+};
 use gps_types::{GpsError, GpuId, PageSize, Ppn, Result, Vpn, GIB};
 
 use crate::atu::AccessTrackingUnit;
@@ -79,7 +80,7 @@ pub struct PageState {
 pub struct DriverView {
     page_size: PageSize,
     table: GpsPageTable,
-    pages: BTreeMap<Vpn, PageState>,
+    pages: PageMap<PageState>,
 }
 
 impl DriverView {
@@ -90,7 +91,7 @@ impl DriverView {
 
     /// Driver state of `vpn`; `None` if the page is not GPS-managed.
     pub fn page_state(&self, vpn: Vpn) -> Option<PageState> {
-        self.pages.get(&vpn).copied()
+        self.pages.get(vpn).copied()
     }
 
     /// Whether `gpu` holds a local replica of `vpn`.
@@ -101,7 +102,7 @@ impl DriverView {
     /// A GPU that can serve remote accesses to `vpn`: the collapse target
     /// if collapsed, else the first subscriber.
     pub fn serving_gpu(&self, vpn: Vpn) -> Option<GpuId> {
-        if let Some(state) = self.pages.get(&vpn) {
+        if let Some(state) = self.pages.get(vpn) {
             if let Some(owner) = state.collapsed {
                 return Some(owner);
             }
@@ -161,7 +162,7 @@ impl GpsRuntime {
             view: Arc::new(DriverView {
                 page_size,
                 table: GpsPageTable::new(),
-                pages: BTreeMap::new(),
+                pages: PageMap::new(),
             }),
             frames: (0..gpu_count)
                 .map(|g| FrameAllocator::new(GpuId::new(g as u16), dram_bytes, page_size))
@@ -331,7 +332,7 @@ impl GpsRuntime {
                 actual: range.page_size(),
             });
         }
-        if range.vpns().any(|v| self.view.pages.contains_key(&v)) {
+        if range.vpns().any(|v| self.view.pages.contains_key(v)) {
             return Err(GpsError::InvalidRange {
                 reason: "range overlaps an existing GPS region".to_owned(),
             });
@@ -389,7 +390,7 @@ impl GpsRuntime {
                 actual: range.page_size(),
             });
         }
-        if range.vpns().any(|v| self.view.pages.contains_key(&v)) {
+        if range.vpns().any(|v| self.view.pages.contains_key(v)) {
             return Err(GpsError::InvalidRange {
                 reason: "range overlaps an existing GPS region".to_owned(),
             });
@@ -508,7 +509,7 @@ impl GpsRuntime {
                     self.note_unsubscribed(gpu, vpn);
                 }
             }
-            self.pages_mut().remove(&vpn);
+            self.pages_mut().remove(vpn);
         }
         self.space.free(range)
     }
@@ -579,7 +580,7 @@ impl GpsRuntime {
             .table
             .entry(vpn)
             .map_or(0, GpsPte::subscriber_count);
-        if let Some(state) = self.pages_mut().get_mut(&vpn) {
+        if let Some(state) = self.pages_mut().get_mut(vpn) {
             state.gps_bit = subs > 1 && state.collapsed.is_none();
         }
     }
@@ -679,7 +680,7 @@ impl GpsRuntime {
                     })?;
                 self.subscribe_page(vpn, target)?;
                 self.unsubscribe_page(vpn, gpu)?;
-                if let Some(state) = self.pages_mut().get_mut(&vpn) {
+                if let Some(state) = self.pages_mut().get_mut(vpn) {
                     if state.collapsed == Some(gpu) {
                         state.collapsed = Some(target);
                     }
@@ -708,7 +709,7 @@ impl GpsRuntime {
         recently_used: &dyn Fn(GpuId, Vpn) -> bool,
     ) -> Result<Vec<(GpuId, Vpn)>> {
         self.check_gpu(gpu)?;
-        if !self.view.pages.contains_key(&vpn) {
+        if !self.view.pages.contains_key(vpn) {
             return Err(GpsError::Unmapped { vpn });
         }
         if self.view.is_subscriber(gpu, vpn) {
@@ -763,7 +764,7 @@ impl GpsRuntime {
             self.frames[gpu.index()].free(ppn);
             self.note_unsubscribed(gpu, vpn);
         }
-        if let Some(state) = self.pages_mut().get_mut(&vpn) {
+        if let Some(state) = self.pages_mut().get_mut(vpn) {
             state.collapsed = Some(to);
             state.gps_bit = false;
         }
@@ -813,7 +814,7 @@ impl GpsRuntime {
         &mut Arc::make_mut(&mut self.view).table
     }
 
-    fn pages_mut(&mut self) -> &mut BTreeMap<Vpn, PageState> {
+    fn pages_mut(&mut self) -> &mut PageMap<PageState> {
         &mut Arc::make_mut(&mut self.view).pages
     }
 

@@ -1,8 +1,8 @@
 //! The secondary GPS page table with wide, multi-subscriber leaf entries.
 
-use std::collections::BTreeMap;
-
 use gps_types::{GpsError, GpuId, Ppn, Result, Vpn};
+
+use crate::PageMap;
 
 /// A wide GPS page-table entry: the physical page address of every
 /// subscriber's replica of one virtual page (§5.2).
@@ -101,7 +101,7 @@ impl GpsPte {
 /// coalesced GPS stores drain toward the interconnect (§5.2).
 #[derive(Debug, Clone, Default)]
 pub struct GpsPageTable {
-    entries: BTreeMap<Vpn, GpsPte>,
+    entries: PageMap<GpsPte>,
 }
 
 impl GpsPageTable {
@@ -122,13 +122,15 @@ impl GpsPageTable {
 
     /// Looks up the entry for `vpn`.
     pub fn entry(&self, vpn: Vpn) -> Option<&GpsPte> {
-        self.entries.get(&vpn)
+        self.entries.get(vpn)
     }
 
     /// Subscribes `gpu` to `vpn` with replica frame `ppn`, creating the
     /// entry if needed.
     pub fn subscribe(&mut self, vpn: Vpn, gpu: GpuId, ppn: Ppn) {
-        self.entries.entry(vpn).or_default().add_replica(gpu, ppn);
+        self.entries
+            .get_or_insert_with(vpn, GpsPte::default)
+            .add_replica(gpu, ppn);
     }
 
     /// Unsubscribes `gpu` from `vpn`, returning the freed replica frame.
@@ -142,7 +144,7 @@ impl GpsPageTable {
     pub fn unsubscribe(&mut self, vpn: Vpn, gpu: GpuId) -> Result<Ppn> {
         let entry = self
             .entries
-            .get_mut(&vpn)
+            .get_mut(vpn)
             .ok_or(GpsError::Unmapped { vpn })?;
         if !entry.is_subscriber(gpu) {
             return Err(GpsError::Subscription {
@@ -159,12 +161,12 @@ impl GpsPageTable {
     /// Removes the whole entry for `vpn` (page collapse or region free),
     /// returning the replicas it held.
     pub fn remove(&mut self, vpn: Vpn) -> Option<GpsPte> {
-        self.entries.remove(&vpn)
+        self.entries.remove(vpn)
     }
 
-    /// Iterates over all `(vpn, entry)` pairs in unspecified order.
+    /// Iterates over all `(vpn, entry)` pairs in ascending VPN order.
     pub fn iter(&self) -> impl Iterator<Item = (Vpn, &GpsPte)> + '_ {
-        self.entries.iter().map(|(&v, e)| (v, e))
+        self.entries.iter()
     }
 
     /// Distribution of subscriber counts over all GPS pages: index `k` of

@@ -13,6 +13,8 @@
 //!   subscriber's replica (§5.2).
 //! * [`VaSpace`] — allocation of ranges in the shared 49-bit virtual address
 //!   space.
+//! * [`PageMap`] — the dense, VPN-indexed map every per-page table here
+//!   and in the policies is kept in.
 //! * [`AccessBitmap`] — the one-bit-per-page DRAM bitmap maintained by the
 //!   access tracking unit during profiling (§5.2, "Access tracking unit").
 //! * [`ResidencyMap`] — page-residency and read-duplication state used by
@@ -29,6 +31,7 @@ mod bitmap;
 mod evict;
 mod frame;
 mod gps_page_table;
+mod page_map;
 mod residency;
 mod tlb;
 mod va_space;
@@ -37,6 +40,7 @@ pub use bitmap::AccessBitmap;
 pub use evict::{ResidentSet, VictimPolicy};
 pub use frame::FrameAllocator;
 pub use gps_page_table::{GpsPageTable, GpsPte};
+pub use page_map::PageMap;
 pub use residency::{CollapseOutcome, ResidencyMap, ResidencyState};
 pub use tlb::{Tlb, TlbConfig, TlbStats};
 pub use va_space::{VaRange, VaSpace};

@@ -1,9 +1,9 @@
 //! Page residency and read-duplication state for the Unified Memory
 //! baselines.
 
-use std::collections::BTreeMap;
-
 use gps_types::{GpuId, Vpn};
+
+use crate::PageMap;
 
 /// Where a UM-managed page currently lives.
 ///
@@ -71,7 +71,7 @@ pub enum CollapseOutcome {
 /// touches the page").
 #[derive(Debug, Clone, Default)]
 pub struct ResidencyMap {
-    pages: BTreeMap<Vpn, ResidencyState>,
+    pages: PageMap<ResidencyState>,
 }
 
 impl ResidencyMap {
@@ -82,7 +82,7 @@ impl ResidencyMap {
 
     /// The residency of `vpn`, if it has been touched.
     pub fn state(&self, vpn: Vpn) -> Option<&ResidencyState> {
-        self.pages.get(&vpn)
+        self.pages.get(vpn)
     }
 
     /// Number of touched pages.
@@ -106,7 +106,7 @@ impl ResidencyMap {
     /// `gpu` — in which case the page is now owned by `gpu` (fault-based
     /// migration semantics, no duplication).
     pub fn read_migrate(&mut self, vpn: Vpn, gpu: GpuId) -> bool {
-        match self.pages.get_mut(&vpn) {
+        match self.pages.get_mut(vpn) {
             None => {
                 // First touch: page materialises on the reader.
                 self.pages.insert(vpn, ResidencyState::solely(gpu));
@@ -125,7 +125,7 @@ impl ResidencyMap {
     /// stays put and `gpu` gains a replica. Returns `true` if the read was
     /// already local.
     pub fn read_duplicate(&mut self, vpn: Vpn, gpu: GpuId) -> bool {
-        match self.pages.get_mut(&vpn) {
+        match self.pages.get_mut(vpn) {
             None => {
                 self.pages.insert(vpn, ResidencyState::solely(gpu));
                 true
@@ -140,7 +140,7 @@ impl ResidencyMap {
 
     /// Records a write by `gpu`, applying UM collapse semantics.
     pub fn write(&mut self, vpn: Vpn, gpu: GpuId) -> CollapseOutcome {
-        match self.pages.get_mut(&vpn) {
+        match self.pages.get_mut(vpn) {
             None => {
                 self.pages.insert(vpn, ResidencyState::solely(gpu));
                 CollapseOutcome::LocalWrite
@@ -167,9 +167,9 @@ impl ResidencyMap {
         }
     }
 
-    /// Iterates over all `(vpn, state)` pairs in unspecified order.
+    /// Iterates over all `(vpn, state)` pairs in ascending VPN order.
     pub fn iter(&self) -> impl Iterator<Item = (Vpn, &ResidencyState)> + '_ {
-        self.pages.iter().map(|(&v, s)| (v, s))
+        self.pages.iter()
     }
 }
 

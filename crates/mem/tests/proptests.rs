@@ -2,7 +2,11 @@
 //! Each test replays scripted operation sequences generated from a fixed
 //! seed against a simple reference model.
 
-use gps_mem::{AccessBitmap, FrameAllocator, GpsPageTable, ResidencyMap, Tlb, TlbConfig, VaSpace};
+use std::collections::BTreeMap;
+
+use gps_mem::{
+    AccessBitmap, FrameAllocator, GpsPageTable, PageMap, ResidencyMap, Tlb, TlbConfig, VaSpace,
+};
 use gps_types::rng::SmallRng;
 use gps_types::{GpuId, PageSize, Ppn, VirtAddr, Vpn};
 
@@ -164,6 +168,70 @@ fn residency_owner_is_unique_and_writers_own() {
             // Owner never appears in its own reader list.
             assert!(!s.readers.contains(&s.owner));
         }
+    }
+}
+
+/// `PageMap` behaves as a `BTreeMap<Vpn, _>`: random inserts, removes,
+/// lookups and `get_or_insert_with` over clusters of keys farther apart
+/// than one run reaches, keys below the first base the map saw,
+/// neighbours of held keys and occasional keys anywhere in `u64`; the two
+/// iterate identically after every step. (Runs growing into each other
+/// are pinned by the unit tests beside `PageMap`.)
+#[test]
+fn page_map_matches_btree_map() {
+    let mut rng = SmallRng::seed_from_u64(31);
+    for round in 0..40 {
+        let mut map = PageMap::new();
+        let mut model: BTreeMap<Vpn, u64> = BTreeMap::new();
+        let spread = [16, 512, 4096][round % 3];
+        let clusters = 1 + round as u64 % 4;
+        for step in 0..rng.gen_range(1..400) {
+            let key = match rng.gen_range(0..20) {
+                0 => Vpn::new(rng.next_u64()),
+                1 => Vpn::new((1 << 20) - rng.gen_range(1..4 * spread)),
+                2 if !model.is_empty() => {
+                    let held = model.keys().nth(rng.gen_range_usize(0..model.len()));
+                    let held = held.map_or(0, |k| k.as_u64());
+                    match rng.gen_bool(0.5) {
+                        true => Vpn::new(held.wrapping_add(1)),
+                        false => Vpn::new(held.wrapping_sub(1)),
+                    }
+                }
+                _ => {
+                    let centre = (1 << 20) + rng.gen_range(0..clusters) * (1 << 18);
+                    Vpn::new(centre + rng.gen_range(0..spread) - spread / 2)
+                }
+            };
+            match rng.gen_range(0..5) {
+                0 | 1 => {
+                    assert_eq!(map.insert(key, step), model.insert(key, step));
+                }
+                2 => assert_eq!(map.remove(key), model.remove(&key)),
+                3 => assert_eq!(map.get(key), model.get(&key)),
+                _ => {
+                    let got = *map.get_or_insert_with(key, || step);
+                    assert_eq!(got, *model.entry(key).or_insert(step));
+                    if let Some(v) = map.get_mut(key) {
+                        *v += 1;
+                    }
+                    if let Some(v) = model.get_mut(&key) {
+                        *v += 1;
+                    }
+                }
+            }
+            assert_eq!(map.len(), model.len());
+            assert_eq!(map.contains_key(key), model.contains_key(&key));
+            assert!(map
+                .iter()
+                .map(|(k, &v)| (k, v))
+                .eq(model.iter().map(|(&k, &v)| (k, v))));
+        }
+        assert!(map.values().eq(model.values()));
+        map.values_mut().for_each(|v| *v *= 2);
+        assert!(map.values().copied().eq(model.values().map(|v| v * 2)));
+        map.clear();
+        assert!(map.is_empty());
+        assert_eq!(map.iter().count(), 0);
     }
 }
 

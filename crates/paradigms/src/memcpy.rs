@@ -1,9 +1,8 @@
 //! Bulk-synchronous replication via `cudaMemcpy` at barriers (§6).
 
-use std::collections::{BTreeMap, BTreeSet};
-
+use gps_mem::PageMap;
 use gps_sim::{LoadRoute, MemCtx, MemoryPolicy, SharedIndex, SimConfig, StoreRoute, Workload};
-use gps_types::{Cycle, GpuId, LineAddr, Scope, Vpn};
+use gps_types::{Cycle, GpuId, LineAddr, Scope};
 
 /// The memcpy paradigm.
 ///
@@ -33,11 +32,11 @@ pub struct MemcpyPolicy {
     gpu_count: usize,
     phases_per_iter: usize,
     /// Pages dirtied this phase, with their (last) writer.
-    dirty: BTreeMap<Vpn, GpuId>,
+    dirty: PageMap<GpuId>,
     /// Last writer of each page across the run.
-    last_writer: BTreeMap<Vpn, GpuId>,
+    last_writer: PageMap<GpuId>,
     /// Pages ever read by a GPU other than their writer.
-    shared_pages: BTreeSet<Vpn>,
+    shared_pages: PageMap<()>,
     broadcast_bytes: u64,
     broadcast_pages: u64,
 }
@@ -69,9 +68,9 @@ impl MemoryPolicy for MemcpyPolicy {
         // consumption so the barrier knows which pages are truly shared.
         if self.is_shared_alloc(line) {
             let vpn = ctx.vpn_of(line);
-            match self.last_writer.get(&vpn) {
+            match self.last_writer.get(vpn) {
                 Some(&w) if w != gpu => {
-                    self.shared_pages.insert(vpn);
+                    self.shared_pages.insert(vpn, ());
                 }
                 _ => {}
             }
@@ -99,13 +98,16 @@ impl MemoryPolicy for MemcpyPolicy {
         // pages to every peer; the barrier releases when the last transfer
         // lands. The first iteration broadcasts everything dirty.
         let first_iteration = phase_idx < self.phases_per_iter;
-        let plan: Vec<(Vpn, GpuId)> = std::mem::take(&mut self.dirty)
-            .into_iter()
-            .filter(|(vpn, _)| first_iteration || self.shared_pages.contains(vpn))
+        let plan: Vec<GpuId> = self
+            .dirty
+            .iter()
+            .filter(|&(vpn, _)| first_iteration || self.shared_pages.contains_key(vpn))
+            .map(|(_, &writer)| writer)
             .collect();
+        self.dirty.clear();
         let mut release = ctx.now;
         let page_bytes = ctx.page_size.bytes();
-        for (_vpn, writer) in plan {
+        for writer in plan {
             for dst in 0..self.gpu_count {
                 let dst = GpuId::new(dst as u16);
                 if dst == writer {

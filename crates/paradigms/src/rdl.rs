@@ -1,10 +1,10 @@
 //! Remote demand loads: the converse of GPS (§6).
 
 use std::any::Any;
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use gps_interconnect::Fabric;
+use gps_mem::PageMap;
 use gps_obs::ProbeHandle;
 use gps_sim::{
     LaneMode, LaneRouter, LoadRoute, MemCtx, MemoryPolicy, SharedIndex, SimConfig, StoreRoute,
@@ -13,7 +13,7 @@ use gps_sim::{
 use gps_types::{Cycle, GpuId, LineAddr, Scope, Vpn};
 
 /// The last GPU to store to each shared page.
-type Writers = BTreeMap<Vpn, GpuId>;
+type Writers = PageMap<GpuId>;
 
 /// Shared-line loads by where they went (private lines are not counted).
 #[derive(Debug, Default, Clone, Copy)]
@@ -109,7 +109,7 @@ impl MemoryPolicy for RdlPolicy {
             return LoadRoute::Local;
         };
         let writers = &self.last_writer;
-        let writer_of = |vpn| writers.get(&vpn).copied();
+        let writer_of = |vpn| writers.get(vpn).copied();
         match last_writer_route(index, gpu, line, writer_of, &mut self.loads) {
             Some(from) => LoadRoute::Remote { from },
             None => LoadRoute::Local,
@@ -139,7 +139,7 @@ impl MemoryPolicy for RdlPolicy {
                     gpu: GpuId::new(g as u16),
                     index: index.clone(),
                     writers: Arc::clone(&self.last_writer),
-                    overlay: BTreeSet::new(),
+                    overlay: PageMap::new(),
                     writes: Vec::new(),
                     loads: LoadCounts::default(),
                 }) as Box<dyn LaneRouter>
@@ -208,7 +208,7 @@ pub(crate) struct RdlLaneRouter {
     /// The policy's last-writer map as of the previous barrier.
     writers: Arc<Writers>,
     /// Shared pages this GPU wrote since the previous barrier.
-    overlay: BTreeSet<Vpn>,
+    overlay: PageMap<()>,
     /// Those writes in program order, `(cycle, page)`.
     writes: Vec<(Cycle, Vpn)>,
     loads: LoadCounts,
@@ -218,7 +218,7 @@ impl RdlLaneRouter {
     fn record_write(&mut self, line: LineAddr, now: Cycle) -> StoreRoute {
         if self.index.is_shared(line) {
             let vpn = line.vpn(self.index.page_size());
-            self.overlay.insert(vpn);
+            self.overlay.insert(vpn, ());
             self.writes.push((now, vpn));
         }
         StoreRoute::Local
@@ -230,9 +230,9 @@ impl LaneRouter for RdlLaneRouter {
 
     fn load(&mut self, line: LineAddr) -> LoadRoute {
         let (gpu, overlay, writers) = (self.gpu, &self.overlay, &self.writers);
-        let writer_of = |vpn| match overlay.contains(&vpn) {
+        let writer_of = |vpn| match overlay.contains_key(vpn) {
             true => Some(gpu),
-            false => writers.get(&vpn).copied(),
+            false => writers.get(vpn).copied(),
         };
         match last_writer_route(&self.index, gpu, line, writer_of, &mut self.loads) {
             Some(from) => LoadRoute::Remote { from },

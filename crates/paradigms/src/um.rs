@@ -1,8 +1,6 @@
 //! Baseline Unified Memory: fault-based page migration (§2.1, §6).
 
-use std::collections::BTreeMap;
-
-use gps_mem::{CollapseOutcome, ResidencyMap};
+use gps_mem::{CollapseOutcome, PageMap, ResidencyMap};
 use gps_sim::{LoadRoute, MemCtx, MemoryPolicy, SharedIndex, SimConfig, StoreRoute, Workload};
 use gps_types::{Cycle, GpuId, LineAddr, Scope, Vpn};
 
@@ -24,7 +22,7 @@ pub struct UmPolicy {
     residency: ResidencyMap,
     index: Option<SharedIndex>,
     /// In-flight fault per page: accesses before `ready` join it.
-    inflight: BTreeMap<Vpn, Cycle>,
+    inflight: PageMap<Cycle>,
     /// Per-GPU fault-handling serialisation point.
     fault_queue: Vec<Cycle>,
     faults: u64,
@@ -43,7 +41,7 @@ impl UmPolicy {
             costs,
             residency: ResidencyMap::new(),
             index: None,
-            inflight: BTreeMap::new(),
+            inflight: PageMap::new(),
             fault_queue: Vec::new(),
             faults: 0,
             migrated_pages: 0,
@@ -53,7 +51,7 @@ impl UmPolicy {
     /// Books the fault-plus-migration for `vpn` moving from `from` to
     /// `gpu`; returns when the warp may retry.
     fn fault(&mut self, gpu: GpuId, vpn: Vpn, from: Option<GpuId>, ctx: &mut MemCtx<'_>) -> Cycle {
-        if let Some(&ready) = self.inflight.get(&vpn) {
+        if let Some(&ready) = self.inflight.get(vpn) {
             if ready > ctx.now {
                 // Piggyback on the in-flight migration.
                 return ready;
@@ -107,7 +105,7 @@ impl MemoryPolicy for UmPolicy {
         if self.residency.read_migrate(vpn, gpu) {
             // Resident — but a migration for this page may still be in
             // flight; the access cannot complete before it lands.
-            match self.inflight.get(&vpn) {
+            match self.inflight.get(vpn) {
                 Some(&ready) if ready > ctx.now => LoadRoute::StallThenLocal { ready },
                 _ => LoadRoute::Local,
             }
@@ -129,7 +127,7 @@ impl MemoryPolicy for UmPolicy {
         }
         let vpn = ctx.vpn_of(line);
         match self.residency.write(vpn, gpu) {
-            CollapseOutcome::LocalWrite => match self.inflight.get(&vpn) {
+            CollapseOutcome::LocalWrite => match self.inflight.get(vpn) {
                 Some(&ready) if ready > ctx.now => StoreRoute::StallThenLocal { ready },
                 _ => StoreRoute::Local,
             },

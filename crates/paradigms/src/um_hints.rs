@@ -1,7 +1,6 @@
 //! Unified Memory with expert hints (§6).
 
-use std::collections::{BTreeMap, BTreeSet};
-
+use gps_mem::PageMap;
 use gps_sim::{LoadRoute, MemCtx, MemoryPolicy, SharedIndex, SimConfig, StoreRoute, Workload};
 use gps_types::{Cycle, GpuId, LineAddr, Scope, Vpn};
 
@@ -30,14 +29,10 @@ pub struct UmHintsPolicy {
     costs: FaultCosts,
     index: Option<SharedIndex>,
     phases_per_iter: usize,
-    /// Preferred location: the page's first writer.
-    owner: BTreeMap<Vpn, GpuId>,
+    /// Every touched shared page.
+    pages: PageMap<HintedPage>,
     /// Learned remote-read sets: `read_sets[class][gpu]`.
-    read_sets: Vec<Vec<BTreeSet<Vpn>>>,
-    /// Live prefetch replicas: `(gpu, vpn)` -> arrival time.
-    replicas: BTreeMap<(GpuId, Vpn), Cycle>,
-    /// Pages with at least one live replica (for O(1) write checks).
-    replicated_pages: BTreeMap<Vpn, u32>,
+    read_sets: Vec<Vec<PageMap<()>>>,
     current_class: usize,
     pattern_known: bool,
     prefetch_bytes: u64,
@@ -58,10 +53,8 @@ impl UmHintsPolicy {
             costs,
             index: None,
             phases_per_iter: 1,
-            owner: BTreeMap::new(),
+            pages: PageMap::new(),
             read_sets: Vec::new(),
-            replicas: BTreeMap::new(),
-            replicated_pages: BTreeMap::new(),
             current_class: 0,
             pattern_known: false,
             prefetch_bytes: 0,
@@ -74,13 +67,23 @@ impl UmHintsPolicy {
     fn is_shared(&self, line: LineAddr) -> bool {
         self.index.as_ref().is_some_and(|i| i.is_shared(line))
     }
+}
 
-    fn drop_replicas_of(&mut self, vpn: Vpn) -> bool {
-        if self.replicated_pages.remove(&vpn).is_none() {
-            return false;
+/// What the hints know of one shared page.
+#[derive(Debug)]
+struct HintedPage {
+    /// Preferred location: the first GPU to touch the page.
+    owner: GpuId,
+    /// Live prefetch replicas, `(gpu, arrival time)` in GPU order.
+    replicas: Vec<(GpuId, Cycle)>,
+}
+
+impl HintedPage {
+    fn owned_by(owner: GpuId) -> Self {
+        Self {
+            owner,
+            replicas: Vec::new(),
         }
-        self.replicas.retain(|&(_, v), _| v != vpn);
-        true
     }
 }
 
@@ -99,7 +102,7 @@ impl MemoryPolicy for UmHintsPolicy {
         self.index = Some(workload.index());
         self.phases_per_iter = workload.phases_per_iteration.max(1);
         self.read_sets = (0..self.phases_per_iter)
-            .map(|_| vec![BTreeSet::new(); config.gpu_count])
+            .map(|_| (0..config.gpu_count).map(|_| PageMap::new()).collect())
             .collect();
     }
 
@@ -108,12 +111,15 @@ impl MemoryPolicy for UmHintsPolicy {
             return LoadRoute::Local;
         }
         let vpn = ctx.vpn_of(line);
-        let owner = *self.owner.entry(vpn).or_insert(gpu);
+        let page = self
+            .pages
+            .get_or_insert_with(vpn, || HintedPage::owned_by(gpu));
+        let owner = page.owner;
         if owner == gpu {
             return LoadRoute::Local;
         }
-        self.read_sets[self.current_class][gpu.index()].insert(vpn);
-        if let Some(&arrival) = self.replicas.get(&(gpu, vpn)) {
+        self.read_sets[self.current_class][gpu.index()].insert(vpn, ());
+        if let Some(&(_, arrival)) = page.replicas.iter().find(|&&(g, _)| g == gpu) {
             if arrival <= ctx.now {
                 return LoadRoute::Local;
             }
@@ -136,9 +142,13 @@ impl MemoryPolicy for UmHintsPolicy {
             return StoreRoute::Local;
         }
         let vpn = ctx.vpn_of(line);
-        let owner = *self.owner.entry(vpn).or_insert(gpu);
-        if owner == gpu {
-            if self.drop_replicas_of(vpn) {
+        let page = self
+            .pages
+            .get_or_insert_with(vpn, || HintedPage::owned_by(gpu));
+        let replicated = !page.replicas.is_empty();
+        page.replicas.clear();
+        if page.owner == gpu {
+            if replicated {
                 // Writes to read-duplicated pages collapse them (§2.1).
                 self.shootdowns += 1;
                 return StoreRoute::StallThenLocal {
@@ -149,8 +159,7 @@ impl MemoryPolicy for UmHintsPolicy {
         } else {
             // Accessed-by mapping: remote store to the preferred location.
             self.remote_writes += 1;
-            let _ = self.drop_replicas_of(vpn);
-            StoreRoute::Remote { to: owner }
+            StoreRoute::Remote { to: page.owner }
         }
     }
 
@@ -159,8 +168,9 @@ impl MemoryPolicy for UmHintsPolicy {
         self.pattern_known = phase_idx >= self.phases_per_iter;
         // Previous phase's replicas have been (or are about to be)
         // invalidated by their producers; start clean.
-        self.replicas.clear();
-        self.replicated_pages.clear();
+        for page in self.pages.values_mut() {
+            page.replicas.clear();
+        }
 
         if !self.pattern_known {
             return ctx.now;
@@ -180,17 +190,18 @@ impl MemoryPolicy for UmHintsPolicy {
         let mut plan: Vec<(GpuId, Vpn, GpuId)> = Vec::new();
         for (g, set) in self.read_sets[class].iter().enumerate() {
             let gpu = GpuId::new(g as u16);
-            let foreign: Vec<u64> = set
-                .iter()
-                .filter(|v| self.owner.get(v).is_some_and(|&o| o != gpu))
-                .map(|v| v.as_u64())
-                .collect();
-            let (Some(&lo), Some(&hi)) = (foreign.iter().min(), foreign.iter().max()) else {
+            // Read sets iterate in page order: the first and last foreign
+            // pages bound the span.
+            let mut foreign = set
+                .keys()
+                .filter(|&v| self.pages.get(v).is_some_and(|p| p.owner != gpu));
+            let Some(lo) = foreign.next() else {
                 continue;
             };
-            for page in lo..=hi {
+            let hi = foreign.last().unwrap_or(lo);
+            for page in lo.as_u64()..=hi.as_u64() {
                 let page = Vpn::new(page);
-                let Some(&owner) = self.owner.get(&page) else {
+                let Some(owner) = self.pages.get(page).map(|p| p.owner) else {
                     continue;
                 };
                 if owner != gpu {
@@ -206,8 +217,9 @@ impl MemoryPolicy for UmHintsPolicy {
                 .transfer(owner, gpu, ctx.page_size.bytes(), ctx.now)
                 .map(|t| t.arrived)
                 .unwrap_or(ctx.now);
-            self.replicas.insert((gpu, vpn), arrival);
-            *self.replicated_pages.entry(vpn).or_insert(0) += 1;
+            if let Some(page) = self.pages.get_mut(vpn) {
+                page.replicas.push((gpu, arrival));
+            }
             self.prefetch_bytes += ctx.page_size.bytes();
             gate = gate.max(arrival);
         }

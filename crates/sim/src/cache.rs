@@ -84,24 +84,9 @@ impl Lookup {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Way {
-    tag: LineAddr,
-    dirty: bool,
-    home: GpuId,
-    last_use: u64,
-    valid: bool,
-}
-
-impl Way {
-    const INVALID: Way = Way {
-        tag: LineAddr::new(0),
-        dirty: false,
-        home: GpuId::new(0),
-        last_use: 0,
-        valid: false,
-    };
-}
+/// The tag of a way that holds no line. No simulated line reaches it:
+/// line addresses are virtual addresses shifted right by seven bits.
+const INVALID: u64 = u64::MAX;
 
 /// A set-associative, LRU, write-back, write-validate cache.
 ///
@@ -127,7 +112,13 @@ impl Way {
 pub struct Cache {
     config: CacheConfig,
     sets: usize,
-    ways: Vec<Way>,
+    /// Way state in parallel arrays, `sets * assoc` long, set-major: the
+    /// line held ([`INVALID`] if none), its last use, its home GPU and
+    /// whether it is dirty.
+    tags: Vec<u64>,
+    last_use: Vec<u64>,
+    homes: Vec<GpuId>,
+    dirty: Vec<bool>,
     clock: u64,
     stats: CacheStats,
 }
@@ -136,10 +127,14 @@ impl Cache {
     /// Creates an empty cache.
     pub fn new(config: CacheConfig) -> Self {
         let sets = config.sets();
+        let ways = sets * config.assoc;
         Self {
             config,
             sets,
-            ways: vec![Way::INVALID; sets * config.assoc],
+            tags: vec![INVALID; ways],
+            last_use: vec![0; ways],
+            homes: vec![GpuId::new(0); ways],
+            dirty: vec![false; ways],
             clock: 0,
             stats: CacheStats::default(),
         }
@@ -166,58 +161,66 @@ impl Cache {
         start..start + self.config.assoc
     }
 
-    fn access(&mut self, line: LineAddr, home: GpuId, write: bool) -> Lookup {
+    /// Ticks the LRU clock and looks `line` up in its set, marking it used
+    /// on a hit. Returns the set's ways and the hit way, if any.
+    fn lookup(&mut self, line: LineAddr) -> (std::ops::Range<usize>, Option<usize>) {
         self.clock += 1;
-        let clock = self.clock;
         let range = self.set_range(line);
-
-        // Hit path.
-        for way in &mut self.ways[range.clone()] {
-            if way.valid && way.tag == line {
-                way.last_use = clock;
-                if write {
-                    way.dirty = true;
-                }
-                self.stats.hits += 1;
-                return Lookup::Hit;
-            }
+        let tag = line.as_u64();
+        let hit = self.tags[range.clone()]
+            .iter()
+            .position(|&t| t == tag)
+            .map(|i| range.start + i);
+        if let Some(way) = hit {
+            self.last_use[way] = self.clock;
         }
+        (range, hit)
+    }
 
-        // Miss: find an invalid way or evict LRU.
-        self.stats.misses += 1;
-        let victim = {
-            let ways = &self.ways[range.clone()];
-            match ways.iter().position(|w| !w.valid) {
+    /// Installs `line` in `range`'s victim way: the first invalid way,
+    /// else the first least recently used. Returns what it displaced.
+    fn install(
+        &mut self,
+        range: std::ops::Range<usize>,
+        line: LineAddr,
+        home: GpuId,
+        dirty: bool,
+    ) -> Option<Evicted> {
+        let victim = range.start
+            + match self.tags[range.clone()].iter().position(|&t| t == INVALID) {
                 Some(i) => i,
-                None => ways
+                None => self.last_use[range.clone()]
                     .iter()
                     .enumerate()
-                    .min_by_key(|(_, w)| w.last_use)
+                    .min_by_key(|&(_, &t)| t)
                     .map(|(i, _)| i)
                     // gps-lint: allow(no_expect) -- assoc >= 1 by construction, so min_by_key sees a non-empty iterator
                     .expect("assoc > 0"),
-            }
-        };
-        let slot = &mut self.ways[range.start + victim];
-        let evicted = if slot.valid {
-            if slot.dirty {
-                self.stats.writebacks += 1;
-            }
-            Some(Evicted {
-                line: slot.tag,
-                dirty: slot.dirty,
-                home: slot.home,
-            })
-        } else {
-            None
-        };
-        *slot = Way {
-            tag: line,
-            dirty: write,
-            home,
-            last_use: clock,
-            valid: true,
-        };
+            };
+        let evicted = (self.tags[victim] != INVALID).then(|| Evicted {
+            line: LineAddr::new(self.tags[victim]),
+            dirty: self.dirty[victim],
+            home: self.homes[victim],
+        });
+        self.tags[victim] = line.as_u64();
+        self.last_use[victim] = self.clock;
+        self.homes[victim] = home;
+        self.dirty[victim] = dirty;
+        evicted
+    }
+
+    fn access(&mut self, line: LineAddr, home: GpuId, write: bool) -> Lookup {
+        let (range, hit) = self.lookup(line);
+        if let Some(way) = hit {
+            self.dirty[way] |= write;
+            self.stats.hits += 1;
+            return Lookup::Hit;
+        }
+        self.stats.misses += 1;
+        let evicted = self.install(range, line, home, write);
+        if evicted.is_some_and(|e| e.dirty) {
+            self.stats.writebacks += 1;
+        }
         Lookup::Miss { evicted }
     }
 
@@ -235,62 +238,16 @@ impl Cache {
     /// install a fetched line whose miss was already counted elsewhere
     /// (e.g. the L1 fill after a miss that was probed first).
     pub fn fill(&mut self, line: LineAddr, home: GpuId) -> Option<Evicted> {
-        self.clock += 1;
-        let clock = self.clock;
-        let range = self.set_range(line);
-
-        for way in &mut self.ways[range.clone()] {
-            if way.valid && way.tag == line {
-                way.last_use = clock;
-                return None;
-            }
+        match self.lookup(line) {
+            (_, Some(_)) => None,
+            (range, None) => self.install(range, line, home, false),
         }
-        let victim = {
-            let ways = &self.ways[range.clone()];
-            match ways.iter().position(|w| !w.valid) {
-                Some(i) => i,
-                None => ways
-                    .iter()
-                    .enumerate()
-                    .min_by_key(|(_, w)| w.last_use)
-                    .map(|(i, _)| i)
-                    // gps-lint: allow(no_expect) -- assoc >= 1 by construction, so min_by_key sees a non-empty iterator
-                    .expect("assoc > 0"),
-            }
-        };
-        let slot = &mut self.ways[range.start + victim];
-        let evicted = if slot.valid {
-            Some(Evicted {
-                line: slot.tag,
-                dirty: slot.dirty,
-                home: slot.home,
-            })
-        } else {
-            None
-        };
-        *slot = Way {
-            tag: line,
-            dirty: false,
-            home,
-            last_use: clock,
-            valid: true,
-        };
-        evicted
     }
 
     /// Probes for `line` without allocating; updates LRU and counters on
     /// hit only. Used by the write-through L1 store path.
     pub fn probe(&mut self, line: LineAddr) -> bool {
-        self.clock += 1;
-        let clock = self.clock;
-        let range = self.set_range(line);
-        for way in &mut self.ways[range] {
-            if way.valid && way.tag == line {
-                way.last_use = clock;
-                return true;
-            }
-        }
-        false
+        self.lookup(line).1.is_some()
     }
 
     /// Drops every line whose home is not `local`, returning how many were
@@ -298,9 +255,9 @@ impl Cache {
     /// not allocate), so no write-backs result.
     pub fn invalidate_remote(&mut self, local: GpuId) -> u64 {
         let mut dropped = 0;
-        for way in &mut self.ways {
-            if way.valid && way.home != local {
-                way.valid = false;
+        for (tag, &home) in self.tags.iter_mut().zip(&self.homes) {
+            if *tag != INVALID && home != local {
+                *tag = INVALID;
                 dropped += 1;
             }
         }
@@ -311,18 +268,16 @@ impl Cache {
     /// written back.
     pub fn flush(&mut self) -> Vec<Evicted> {
         let mut out = Vec::new();
-        for way in &mut self.ways {
-            if way.valid {
-                if way.dirty {
-                    self.stats.writebacks += 1;
-                    out.push(Evicted {
-                        line: way.tag,
-                        dirty: true,
-                        home: way.home,
-                    });
-                }
-                way.valid = false;
+        for (way, tag) in self.tags.iter_mut().enumerate() {
+            if *tag != INVALID && self.dirty[way] {
+                self.stats.writebacks += 1;
+                out.push(Evicted {
+                    line: LineAddr::new(*tag),
+                    dirty: true,
+                    home: self.homes[way],
+                });
             }
+            *tag = INVALID;
         }
         out
     }
@@ -330,14 +285,12 @@ impl Cache {
     /// Invalidates everything without tracking write-backs (L1s at kernel
     /// boundaries; L1 is write-through so nothing is lost).
     pub fn invalidate_all(&mut self) {
-        for way in &mut self.ways {
-            way.valid = false;
-        }
+        self.tags.fill(INVALID);
     }
 
     /// Number of valid lines.
     pub fn len(&self) -> usize {
-        self.ways.iter().filter(|w| w.valid).count()
+        self.tags.iter().filter(|&&t| t != INVALID).count()
     }
 
     /// Whether the cache holds no lines.

@@ -3,7 +3,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use gps_mem::{VaRange, VaSpace};
+use gps_mem::{PageMap, VaRange, VaSpace};
 use gps_types::{GpsError, GpuId, LineAddr, PageSize, Result, Vpn};
 
 use crate::instr::WarpProgram;
@@ -116,6 +116,12 @@ impl Workload {
     }
 
     /// Builds a line/page classifier over this workload's allocations.
+    ///
+    /// # Panics
+    ///
+    /// If an allocation's pages are not the workload's pages; every range
+    /// [`WorkloadBuilder`] allocates comes from one [`VaSpace`] of the
+    /// workload's page size.
     pub fn index(&self) -> SharedIndex {
         SharedIndex::new(self)
     }
@@ -160,65 +166,54 @@ impl Workload {
     }
 }
 
-/// A sorted interval index classifying lines/pages as shared or private.
+/// A page-indexed table classifying lines and pages as shared or private.
 ///
-/// Memory policies build one in `init` and consult it on every access, so
-/// lookups are binary searches over a handful of ranges.
+/// Memory policies build one in `init` and consult it on every access.
+/// Allocations are page-aligned, so every line of a page belongs to the
+/// same allocation and one entry per page answers for all of them. Clones
+/// share the table.
 #[derive(Debug, Clone)]
 pub struct SharedIndex {
-    /// `(first_line, last_line_exclusive, alloc_idx, shared)` sorted by
-    /// first line.
-    spans: Vec<(u64, u64, usize, bool)>,
+    /// `(allocation index, shared)` of every allocated page.
+    pages: Arc<PageMap<(u32, bool)>>,
     page_size: PageSize,
 }
 
 impl SharedIndex {
     fn new(workload: &Workload) -> Self {
-        let mut spans: Vec<_> = workload
-            .allocs
-            .iter()
-            .enumerate()
-            .map(|(i, a)| {
-                let first = a.range.base().line().as_u64();
-                (first, first + a.range.lines(), i, a.shared)
-            })
-            .collect();
-        spans.sort_unstable_by_key(|s| s.0);
-        Self {
-            spans,
-            page_size: workload.page_size,
-        }
-    }
-
-    fn span_of(&self, line: LineAddr) -> Option<&(u64, u64, usize, bool)> {
-        let l = line.as_u64();
-        match self.spans.binary_search_by(|s| {
-            if l < s.0 {
-                std::cmp::Ordering::Greater
-            } else if l >= s.1 {
-                std::cmp::Ordering::Less
-            } else {
-                std::cmp::Ordering::Equal
+        let page_size = workload.page_size;
+        let mut pages = PageMap::new();
+        for (i, a) in (0u32..).zip(&workload.allocs) {
+            assert_eq!(
+                a.range.page_size(),
+                page_size,
+                "allocation {} does not use the workload's page size",
+                a.name
+            );
+            for vpn in a.range.vpns() {
+                pages.insert(vpn, (i, a.shared));
             }
-        }) {
-            Ok(i) => Some(&self.spans[i]),
-            Err(_) => None,
+        }
+        Self {
+            pages: Arc::new(pages),
+            page_size,
         }
     }
 
     /// Whether `line` belongs to a shared allocation.
     pub fn is_shared(&self, line: LineAddr) -> bool {
-        self.span_of(line).is_some_and(|s| s.3)
+        self.is_shared_page(line.vpn(self.page_size))
     }
 
     /// The allocation index containing `line`, if any.
     pub fn alloc_of(&self, line: LineAddr) -> Option<usize> {
-        self.span_of(line).map(|s| s.2)
+        let &(alloc, _) = self.pages.get(line.vpn(self.page_size))?;
+        Some(alloc as usize)
     }
 
-    /// Whether the *page* holding `line` belongs to a shared allocation.
+    /// Whether the page `vpn` belongs to a shared allocation.
     pub fn is_shared_page(&self, vpn: Vpn) -> bool {
-        self.is_shared(vpn.first_line(self.page_size))
+        self.pages.get(vpn).is_some_and(|&(_, shared)| shared)
     }
 
     /// The page size the index classifies at.
