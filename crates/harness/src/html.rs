@@ -46,19 +46,10 @@ fn esc(text: &str) -> String {
     out
 }
 
-/// The value of metric `name` on `record`, if recorded.
-fn metric(record: &RunRecord, name: &str) -> Option<f64> {
-    record
-        .metrics
-        .iter()
-        .find(|(k, _)| k == name)
-        .map(|(_, v)| *v)
-}
-
 /// Whether a record came through the serving lane ([`crate::run_serve`]
 /// stamps a `qps` metric; sweep runs never do).
 fn is_serve(record: &RunRecord) -> bool {
-    metric(record, "qps").is_some()
+    record.metric("qps").is_some()
 }
 
 /// One bar of a slowdown grid.
@@ -371,14 +362,14 @@ pub fn html_report(records: &[RunRecord]) -> String {
     let mut groups: BTreeMap<ServeGroup, Vec<QpsPoint>> = BTreeMap::new();
     for r in &serve_rows {
         let (Some(qps), Some(p50), Some(p95), Some(p99)) = (
-            metric(r, "qps"),
-            metric(r, "p50_cycles"),
-            metric(r, "p95_cycles"),
-            metric(r, "p99_cycles"),
+            r.metric("qps"),
+            r.metric("p50_cycles"),
+            r.metric("p95_cycles"),
+            r.metric("p99_cycles"),
         ) else {
             continue;
         };
-        let slots = metric(r, "slots").unwrap_or(0.0) as u64;
+        let slots = r.metric("slots").unwrap_or(0.0) as u64;
         groups
             .entry((
                 r.app.clone(),

@@ -19,7 +19,7 @@
 //!   quarantined and reported, never aborting sibling jobs.
 //!
 //! The `gps-run` binary exposes this as a CLI (`sweep`, `resume`,
-//! `serve`, `report`, `timeline`, `gc`, `lint`); the `gps-bench` crate
+//! `serve`, `report`, `timeline`, `gc`, `lint`); the `gps-figures` crate
 //! builds the paper's figures on top of the same machinery. The
 //! simulator's host-time benchmark is the repository benchmark under
 //! `benchmark/`, not part of this crate.
@@ -39,8 +39,8 @@ pub use html::{html_report, write_html_report};
 pub use key::{run_key, run_key_default_machine, serve_key};
 pub use pool::{parallel_map, run_jobs, JobResult};
 pub use runner::{
-    baseline, geomean, measure, measure_probed, measure_with_policy, speedup,
-    steady_cycles_per_iteration, steady_traffic_per_iteration, Measurement, RunSpec,
+    geomean, measure, measure_probed, measure_with_policy, steady_cycles_per_iteration,
+    steady_traffic_per_iteration, Measurement, RunSpec,
 };
 pub use serve::{
     run_serve, run_serve_telemetry, serve_record, serve_telemetry_summary, ServeTelemetryPaths,

@@ -1,4 +1,4 @@
-//! Measurement machinery: steady-state timing, speedups, derived metrics.
+//! Measurement machinery: steady-state timing and derived metrics.
 //!
 //! This is the layer between the simulator and the orchestration: one
 //! [`RunSpec`] plus an application name fully determines a simulation, and
@@ -146,32 +146,6 @@ pub fn measure_with_policy(
         steady_cycles: steady,
         phases_per_iteration: workload.phases_per_iteration,
     })
-}
-
-/// The single-GPU baseline: the application partitioned for one GPU, all
-/// accesses local.
-///
-/// # Errors
-///
-/// Returns [`GpsError::Config`] on a workload/machine mismatch.
-pub fn baseline(app: &AppEntry, scale: ScaleProfile) -> Result<Measurement, GpsError> {
-    measure(
-        app,
-        RunSpec {
-            paradigm: Paradigm::InfiniteBw,
-            gpus: 1,
-            link: LinkGen::Pcie3,
-            scale,
-            pressure: MemoryPressure::NONE,
-            topology: Topology::Switch,
-            parallel: 0,
-        },
-    )
-}
-
-/// Steady-state speedup of `m` relative to `base`.
-pub fn speedup(m: &Measurement, base: &Measurement) -> f64 {
-    base.steady_cycles / m.steady_cycles
 }
 
 /// Steady-state interconnect bytes per iteration (traffic past the end of

@@ -18,6 +18,9 @@ use gps_sim::{MemoryPressure, VictimPolicy};
 
 use gps_types::Json;
 
+use crate::runner::{steady_traffic_per_iteration, Measurement};
+use crate::sweep::RunUnit;
+
 /// Schema version stamped on every record.
 pub const STORE_VERSION: u32 = 1;
 
@@ -87,6 +90,46 @@ pub struct RunRecord {
 }
 
 impl RunRecord {
+    /// The record of a run that finished: `unit`'s identity, `m`'s results,
+    /// and `m`'s policy metrics followed by `steady_traffic_per_iteration`.
+    /// The sweep executor stores exactly this, and the figure harness builds
+    /// the same record for a run it keeps in memory.
+    pub fn ok(unit: &RunUnit, m: &Measurement, attempts: u32, wall_ms: f64) -> RunRecord {
+        let mut metrics = m.report.policy_metrics.clone();
+        metrics.push((
+            "steady_traffic_per_iteration".to_owned(),
+            steady_traffic_per_iteration(&m.report, m.phases_per_iteration),
+        ));
+        RunRecord {
+            key: unit.key.clone(),
+            app: unit.app.clone(),
+            paradigm: unit.spec.paradigm.label().to_owned(),
+            gpus: unit.spec.gpus as u64,
+            link: unit.spec.link.label().to_owned(),
+            scale: unit.spec.scale.label().to_owned(),
+            topology: unit.spec.topology.label().to_owned(),
+            parallel: unit.spec.parallel as u64,
+            pressure: unit.spec.pressure,
+            status: RunStatus::Ok,
+            attempts,
+            wall_ms,
+            steady_cycles: m.steady_cycles,
+            total_cycles: m.report.total_cycles.as_u64(),
+            interconnect_bytes: m.report.interconnect_bytes,
+            interconnect_transfers: m.report.interconnect_transfers,
+            metrics,
+            error: None,
+        }
+    }
+
+    /// The value of the metric `name`, if the record carries it.
+    pub fn metric(&self, name: &str) -> Option<f64> {
+        self.metrics
+            .iter()
+            .find(|(k, _)| k == name)
+            .map(|(_, v)| *v)
+    }
+
     /// Serialises the record as one JSON line (no newline).
     pub fn to_json(&self) -> String {
         let mut members = vec![

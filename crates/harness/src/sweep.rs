@@ -21,7 +21,7 @@ use gps_workloads::{suite, ScaleProfile};
 
 use crate::key::run_key_default_machine;
 use crate::pool::{run_jobs, JobResult};
-use crate::runner::{measure_probed, steady_traffic_per_iteration, Measurement, RunSpec};
+use crate::runner::{measure_probed, RunSpec};
 use crate::store::{ResultStore, RunRecord, RunStatus};
 use crate::telemetry;
 
@@ -294,36 +294,6 @@ fn migrate_stale_keys(existing: &mut Vec<RunRecord>, store_path: &Path) -> std::
     Ok(migrated)
 }
 
-fn ok_record(unit: &RunUnit, m: &Measurement, attempts: u32, wall_ms: f64) -> RunRecord {
-    RunRecord {
-        key: unit.key.clone(),
-        app: unit.app.clone(),
-        paradigm: unit.spec.paradigm.label().to_owned(),
-        gpus: unit.spec.gpus as u64,
-        link: unit.spec.link.label().to_owned(),
-        scale: unit.spec.scale.label().to_owned(),
-        topology: unit.spec.topology.label().to_owned(),
-        parallel: unit.spec.parallel as u64,
-        pressure: unit.spec.pressure,
-        status: RunStatus::Ok,
-        attempts,
-        wall_ms,
-        steady_cycles: m.steady_cycles,
-        total_cycles: m.report.total_cycles.as_u64(),
-        interconnect_bytes: m.report.interconnect_bytes,
-        interconnect_transfers: m.report.interconnect_transfers,
-        metrics: {
-            let mut metrics = m.report.policy_metrics.clone();
-            metrics.push((
-                "steady_traffic_per_iteration".to_owned(),
-                steady_traffic_per_iteration(&m.report, m.phases_per_iteration),
-            ));
-            metrics
-        },
-        error: None,
-    }
-}
-
 fn quarantine_record(unit: &RunUnit, attempts: u32, error: &str) -> RunRecord {
     RunRecord {
         key: unit.key.clone(),
@@ -468,7 +438,7 @@ pub fn run_units(
                 JobResult::Ok {
                     value: (m, wall_ms),
                     attempts,
-                } => (ok_record(unit, m, *attempts, *wall_ms), false),
+                } => (RunRecord::ok(unit, m, *attempts, *wall_ms), false),
                 JobResult::Quarantined { attempts, error } => {
                     (quarantine_record(unit, *attempts, error), true)
                 }

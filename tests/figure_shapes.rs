@@ -2,8 +2,8 @@
 //! at tiny test scale: these tests run the actual figure code and assert
 //! the relationships the paper's evaluation narrative rests on.
 
-use gps_bench::figures;
-use gps_bench::figures::FigureCtx;
+use gps_figures::figures;
+use gps_figures::figures::FigureCtx;
 use gps_workloads::ScaleProfile;
 
 const SCALE: ScaleProfile = ScaleProfile::Tiny;
@@ -147,27 +147,41 @@ fn figures_resume_from_result_store() {
     std::fs::create_dir_all(&dir).unwrap();
     let store = dir.join("figures.jsonl");
     let _ = std::fs::remove_file(&store);
+    let lines = || {
+        std::fs::read_to_string(&store)
+            .map(|s| s.lines().count())
+            .unwrap_or(0)
+    };
 
     let ctx = FigureCtx::with_store(&store);
-    let first = figures::fig9(&ctx, SCALE);
-    let lines = std::fs::read_to_string(&store).unwrap().lines().count();
-    assert!(lines >= 8, "expected one record per suite app, got {lines}");
+    let runners: [fn(&FigureCtx, ScaleProfile) -> figures::Figure; 2] =
+        [figures::fig9, figures::topology_comparison];
+    for run in runners {
+        let before = lines();
+        let first = run(&ctx, SCALE);
+        let after = lines();
+        assert!(
+            after >= before + 8,
+            "expected at least one record per suite app, got {}",
+            after - before
+        );
 
-    // Regenerating against the same store must be all cache hits: no new
-    // records appended, identical figure values.
-    let second = figures::fig9(&ctx, SCALE);
-    let lines_after = std::fs::read_to_string(&store).unwrap().lines().count();
-    assert_eq!(
-        lines, lines_after,
-        "regeneration must not re-run completed keys"
-    );
-    assert_eq!(first.rows, second.rows);
+        // Regenerating against the same store must be all cache hits: no
+        // new records appended, identical figure values.
+        let second = run(&ctx, SCALE);
+        assert_eq!(
+            after,
+            lines(),
+            "regeneration must not re-run completed keys"
+        );
+        assert_eq!(first.rows, second.rows);
 
-    // The store path and the in-memory path feed the figure math the same
-    // numbers (the JSON codec round-trips f64 exactly).
-    let in_memory = figures::fig9(&mem(), SCALE);
-    assert_eq!(first.rows, in_memory.rows);
-    assert_eq!(first.columns, in_memory.columns);
+        // The store path and the in-memory path feed the figure math the
+        // same numbers (the JSON codec round-trips f64 exactly).
+        let in_memory = run(&mem(), SCALE);
+        assert_eq!(first.rows, in_memory.rows, "{}", first.title);
+        assert_eq!(first.columns, in_memory.columns);
+    }
 
     let _ = std::fs::remove_file(&store);
     let _ = std::fs::remove_dir(&dir);
