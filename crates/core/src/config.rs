@@ -18,30 +18,34 @@ pub enum ProfilingMode {
     UnsubscribedByDefault,
 }
 
-/// Configuration of the GPS hardware units.
+/// Bytes of SRAM per remote-write-queue entry (Table 1: 135 — a 128-byte
+/// data block plus tag/valid metadata).
+pub const RWQ_ENTRY_BYTES: u64 = 135;
+
+/// Penalty of a GPS-TLB miss (hardware walk of the GPS page table). Off the
+/// critical path: it delays the drain, never the warp (§5.2).
+pub const GPS_TLB_WALK_LATENCY: Latency = Latency::from_nanos(400);
+
+/// Cost of a sys-scoped store to a GPS page: fault, flush in-flight
+/// accesses, collapse the page to one copy and demote it (§5.3).
+pub const COLLAPSE_LATENCY: Latency = Latency::from_micros(20);
+
+/// Configuration of the GPS hardware units: the structures a figure sweeps.
 ///
 /// Defaults reproduce Table 1's "GPS Structures" block: a 512-entry remote
-/// write queue with 135-byte entries (≈68 KB of SRAM, §5.2) drained at a
-/// high watermark of capacity − 1, and a 32-entry, 8-way GPS-TLB.
+/// write queue of [`RWQ_ENTRY_BYTES`]-byte entries (≈68 KB of SRAM, §5.2)
+/// drained at a high watermark of capacity − 1, and a 32-entry, 8-way
+/// GPS-TLB.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpsConfig {
     /// Remote write queue capacity in cache-line entries (Table 1: 512).
     pub rwq_entries: usize,
-    /// Bytes of SRAM per remote-write-queue entry (Table 1: 135 — a
-    /// 128-byte data block plus tag/valid metadata).
-    pub rwq_entry_bytes: usize,
     /// Occupancy at which the queue starts draining its oldest entry. The
     /// paper sets this "to one less than the buffer's capacity to maximize
     /// coalescing opportunity" (§5.2).
     pub drain_watermark: usize,
     /// GPS-TLB geometry (Table 1: 32 entries, 8-way).
     pub gps_tlb: TlbConfig,
-    /// Penalty of a GPS-TLB miss (hardware walk of the GPS page table).
-    /// Off the critical path: it delays the drain, never the warp (§5.2).
-    pub gps_tlb_walk_latency: Latency,
-    /// Cost of a sys-scoped store to a GPS page: fault, flush in-flight
-    /// accesses, collapse the page to one copy and demote it (§5.3).
-    pub collapse_latency: Latency,
     /// Automatic profiling flavour.
     pub profiling: ProfilingMode,
 }
@@ -51,11 +55,8 @@ impl GpsConfig {
     pub fn paper() -> Self {
         Self {
             rwq_entries: 512,
-            rwq_entry_bytes: 135,
             drain_watermark: 511,
             gps_tlb: TlbConfig::gps_tlb(),
-            gps_tlb_walk_latency: Latency::from_nanos(400),
-            collapse_latency: Latency::from_micros(20),
             profiling: ProfilingMode::SubscribedByDefault,
         }
     }
@@ -95,7 +96,7 @@ impl GpsConfig {
     /// assert_eq!(kb, 67); // 512 * 135 = 69120 B = 67.5 KiB ≈ "68 KB"
     /// ```
     pub fn rwq_sram_bytes(&self) -> u64 {
-        (self.rwq_entries * self.rwq_entry_bytes) as u64
+        self.rwq_entries as u64 * RWQ_ENTRY_BYTES
     }
 
     /// Validates the configuration.
@@ -131,7 +132,7 @@ mod tests {
     fn paper_config_matches_table1() {
         let c = GpsConfig::paper();
         assert_eq!(c.rwq_entries, 512);
-        assert_eq!(c.rwq_entry_bytes, 135);
+        assert_eq!(RWQ_ENTRY_BYTES, 135);
         assert_eq!(c.drain_watermark, 511);
         assert_eq!(c.gps_tlb.entries(), 32);
         c.validate().unwrap();

@@ -1,7 +1,9 @@
 //! The GPS-TLB: a small, wide TLB over the GPS page table (§5.2).
 
 use gps_mem::{GpsPageTable, GpsPte, Tlb, TlbConfig};
-use gps_types::{Cycle, Latency, Vpn};
+use gps_types::{Cycle, Vpn};
+
+use crate::config::GPS_TLB_WALK_LATENCY;
 
 /// Caches wide GPS page-table entries (every subscriber's replica frame)
 /// for the drain path of the remote write queue.
@@ -9,18 +11,19 @@ use gps_types::{Cycle, Latency, Vpn};
 /// §7.4 finds that 32 entries reach ≈100 % hit rate: the GPS-TLB services
 /// only drained GPS stores (a small fraction of the address space, never
 /// loads), so it is under far less pressure than the general-purpose GPU
-/// TLBs. Misses trigger a hardware walk of the GPS page table; the latency
-/// lands on the *drain*, never on the issuing warp (§5.2: the GPS page
-/// table "lies off the critical path for memory operations").
+/// TLBs. Misses trigger a hardware walk of the GPS page table
+/// ([`GPS_TLB_WALK_LATENCY`]); the latency lands on the *drain*, never on
+/// the issuing warp (§5.2: the GPS page table "lies off the critical path
+/// for memory operations").
 ///
 /// ```
 /// use gps_core::GpsTlb;
 /// use gps_mem::GpsPageTable;
-/// use gps_types::{Cycle, GpuId, Latency, Ppn, Vpn};
+/// use gps_types::{Cycle, GpuId, Ppn, Vpn};
 ///
 /// let mut table = GpsPageTable::new();
 /// table.subscribe(Vpn::new(7), GpuId::new(0), Ppn::new(1));
-/// let mut tlb = GpsTlb::paper(Latency::from_nanos(400));
+/// let mut tlb = GpsTlb::paper();
 /// // First translation walks; the repeat hits. Both borrow the wide
 /// // entry instead of copying it.
 /// let (e, t) = tlb.translate(Vpn::new(7), &table, Cycle::ZERO);
@@ -32,21 +35,19 @@ use gps_types::{Cycle, Latency, Vpn};
 #[derive(Debug, Clone)]
 pub struct GpsTlb {
     tlb: Tlb<GpsPte>,
-    walk_latency: Latency,
 }
 
 impl GpsTlb {
-    /// Creates a GPS-TLB with the given geometry and walk penalty.
-    pub fn new(config: TlbConfig, walk_latency: Latency) -> Self {
+    /// Creates a GPS-TLB with the given geometry.
+    pub fn new(config: TlbConfig) -> Self {
         Self {
             tlb: Tlb::new(config),
-            walk_latency,
         }
     }
 
     /// The Table 1 geometry: 32 entries, 8-way.
-    pub fn paper(walk_latency: Latency) -> Self {
-        Self::new(TlbConfig::gps_tlb(), walk_latency)
+    pub fn paper() -> Self {
+        Self::new(TlbConfig::gps_tlb())
     }
 
     /// Translates `vpn` against `table`, walking on a miss.
@@ -69,7 +70,7 @@ impl GpsTlb {
         if let Some(entry) = entry {
             self.tlb.insert(vpn, entry.clone());
         }
-        (entry, now + self.walk_latency)
+        (entry, now + GPS_TLB_WALK_LATENCY)
     }
 
     /// Invalidates the cached entry for `vpn` (subscription change or page
@@ -112,7 +113,7 @@ mod tests {
     #[test]
     fn miss_walks_then_hits() {
         let table = table_with(&[1]);
-        let mut tlb = GpsTlb::paper(Latency::from_nanos(400));
+        let mut tlb = GpsTlb::paper();
         let (e, t) = tlb.translate(Vpn::new(1), &table, Cycle::new(10));
         assert_eq!(e.unwrap().subscriber_count(), 2);
         assert_eq!(t, Cycle::new(410));
@@ -124,7 +125,7 @@ mod tests {
     #[test]
     fn unknown_page_walks_and_returns_none() {
         let table = GpsPageTable::new();
-        let mut tlb = GpsTlb::paper(Latency::from_nanos(400));
+        let mut tlb = GpsTlb::paper();
         let (e, t) = tlb.translate(Vpn::new(9), &table, Cycle::ZERO);
         assert!(e.is_none());
         assert_eq!(t, Cycle::new(400));
@@ -133,11 +134,11 @@ mod tests {
     #[test]
     fn invalidate_forces_rewalk() {
         let table = table_with(&[5]);
-        let mut tlb = GpsTlb::paper(Latency::from_nanos(100));
+        let mut tlb = GpsTlb::paper();
         tlb.translate(Vpn::new(5), &table, Cycle::ZERO);
         tlb.invalidate(Vpn::new(5));
         let (_, t) = tlb.translate(Vpn::new(5), &table, Cycle::ZERO);
-        assert_eq!(t, Cycle::new(100), "invalidated entry must walk again");
+        assert_eq!(t, Cycle::new(400), "invalidated entry must walk again");
     }
 
     #[test]
@@ -146,7 +147,7 @@ mod tests {
         // drains exhibit page locality. Simulate a drain stream sweeping 16
         // pages repeatedly.
         let table = table_with(&(0..16).collect::<Vec<_>>());
-        let mut tlb = GpsTlb::paper(Latency::from_nanos(400));
+        let mut tlb = GpsTlb::paper();
         for round in 0..100 {
             let _ = round;
             for v in 0..16 {
@@ -159,7 +160,7 @@ mod tests {
     #[test]
     fn stale_entries_after_subscription_change_need_shootdown() {
         let mut table = table_with(&[3]);
-        let mut tlb = GpsTlb::paper(Latency::from_nanos(1));
+        let mut tlb = GpsTlb::paper();
         let (before, _) = tlb.translate(Vpn::new(3), &table, Cycle::ZERO);
         assert_eq!(before.unwrap().subscriber_count(), 2);
         // Driver unsubscribes GPU 1...

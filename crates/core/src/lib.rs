@@ -47,7 +47,9 @@ mod unit;
 
 pub use atu::AccessTrackingUnit;
 pub use budget::{HardwareBudget, MmuWidths};
-pub use config::{GpsConfig, ProfilingMode};
+pub use config::{
+    GpsConfig, ProfilingMode, COLLAPSE_LATENCY, GPS_TLB_WALK_LATENCY, RWQ_ENTRY_BYTES,
+};
 pub use gps_tlb::GpsTlb;
 pub use runtime::{AllocationKind, DriverView, EvictionOutcome, GpsRuntime, MemAdvise, PageState};
 pub use rwq::{InsertOutcome, RemoteWriteQueue, RwqStats};

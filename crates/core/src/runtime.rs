@@ -188,11 +188,6 @@ impl GpsRuntime {
         });
     }
 
-    /// Whether eviction tracking is enabled.
-    pub fn eviction_enabled(&self) -> bool {
-        self.eviction.is_some()
-    }
-
     /// Replicas evicted so far, per GPU (all zeros when eviction is
     /// disabled or never triggered).
     pub fn evictions(&self) -> Vec<u64> {

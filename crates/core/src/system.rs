@@ -634,7 +634,7 @@ mod tests {
         sys.store(G1, line, Scope::Weak, Cycle::ZERO, &mut fabric);
         match sys.store(G0, line, Scope::Sys, Cycle::new(100), &mut fabric) {
             GpsStore::CollapseStall { ready } => {
-                assert_eq!(ready, Cycle::new(100) + GpsConfig::paper().collapse_latency);
+                assert_eq!(ready, Cycle::new(100) + crate::COLLAPSE_LATENCY);
             }
             other => panic!("expected collapse, got {other:?}"),
         }
@@ -731,7 +731,7 @@ mod tests {
         assert_eq!(sys.load(G1, r.base().line()), GpsLoad::LocalReplica);
         // The subscriber set changed, so G0's entry was shot down too: its
         // next translation walks and sees the new replica.
-        let walk = Cycle::ZERO + GpsConfig::paper().gps_tlb_walk_latency;
+        let walk = Cycle::ZERO + crate::GPS_TLB_WALK_LATENCY;
         assert_eq!(g0_translation(&sys), (Some(3), walk));
     }
 }

@@ -1,9 +1,9 @@
 //! One GPU's GPS unit: the remote write queue and GPS-TLB in front of the
 //! shared GPS page table (Figure 7).
 
-use gps_types::{Cycle, GpuId, Latency, LineAddr, PageSize, Scope, Vpn};
+use gps_types::{Cycle, GpuId, LineAddr, PageSize, Scope, Vpn};
 
-use crate::config::GpsConfig;
+use crate::config::{GpsConfig, COLLAPSE_LATENCY};
 use crate::gps_tlb::GpsTlb;
 use crate::runtime::DriverView;
 use crate::rwq::{InsertOutcome, RemoteWriteQueue, RwqStats};
@@ -28,7 +28,6 @@ pub struct GpsUnit {
     gpu: GpuId,
     rwq: RemoteWriteQueue,
     tlb: GpsTlb,
-    collapse_latency: Latency,
     atomic_broadcasts: u64,
 }
 
@@ -38,8 +37,7 @@ impl GpsUnit {
         Self {
             gpu,
             rwq: RemoteWriteQueue::new(config.rwq_entries, config.drain_watermark),
-            tlb: GpsTlb::new(config.gps_tlb, config.gps_tlb_walk_latency),
-            collapse_latency: config.collapse_latency,
+            tlb: GpsTlb::new(config.gps_tlb),
             atomic_broadcasts: 0,
         }
     }
@@ -84,7 +82,7 @@ impl GpsUnit {
         }
         if scope == Scope::Sys {
             return GpsStore::CollapseStall {
-                ready: now + self.collapse_latency,
+                ready: now + COLLAPSE_LATENCY,
             };
         }
         let (outcome, drained) = self.rwq.insert(line, scope);

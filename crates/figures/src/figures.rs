@@ -19,7 +19,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use gps_core::GpsConfig;
+use gps_core::{GpsConfig, RWQ_ENTRY_BYTES};
 use gps_harness::{
     geomean, measure, measure_with_policy, parallel_map, run_key_default_machine, run_units,
     steady_cycles_per_iteration, Measurement, RunRecord, RunSpec, RunStatus, RunUnit, SweepOptions,
@@ -385,7 +385,7 @@ pub fn table1() -> String {
     row("Remote write queue", format!("{} entries", c.rwq_entries));
     row(
         "Remote write queue entry size",
-        format!("{} bytes", c.rwq_entry_bytes),
+        format!("{RWQ_ENTRY_BYTES} bytes"),
     );
     row("GPS-TLB", format!("{}-way set associative", c.gps_tlb.ways));
     row("GPS-TLB size", format!("{} entries", c.gps_tlb.entries()));

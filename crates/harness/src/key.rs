@@ -2,18 +2,20 @@
 //!
 //! Every run in a sweep is identified by a stable 128-bit hash of
 //! everything that determines its result: the application name, the
-//! [`RunSpec`] (paradigm, GPU count, link, scale) and the full
-//! [`SimConfig`] of the simulated machine. The key is the address of the
-//! run in the result store: a sweep resumes by skipping keys that already
-//! have a completed record, and a config change (say, a different L2 size)
+//! [`RunSpec`] (paradigm, GPU count, link, scale), the full
+//! [`SimConfig`] of the simulated machine and the per-GPU constants of
+//! [`GpuConfig::gv100`]. The key is the address of the run in the result
+//! store: a sweep resumes by skipping keys that already have a completed
+//! record, and a machine change (say, a different L2 size in `gv100()`)
 //! changes every affected key, so stale results can never be replayed as
 //! fresh ones.
 //!
 //! [`RunSpec`]: crate::RunSpec
 //! [`SimConfig`]: gps_sim::SimConfig
+//! [`GpuConfig::gv100`]: gps_sim::GpuConfig::gv100
 
 use gps_serve::ServeConfig;
-use gps_sim::SimConfig;
+use gps_sim::{GpuConfig, SimConfig};
 
 use crate::runner::RunSpec;
 
@@ -33,7 +35,11 @@ use crate::runner::RunSpec;
 ///
 /// v5: `SimConfig` lost its trace-expansion depth field (the overlapped
 /// expansion pipeline was removed), changing the Debug rendering again.
-const KEY_VERSION: u32 = 5;
+///
+/// v6: `SimConfig` lost its `gpu` field (the GV100 is the only machine);
+/// the encoding appends `|gpu=` and the Debug rendering of
+/// [`GpuConfig::gv100`] instead, so the Table-1 constants still key runs.
+const KEY_VERSION: u32 = 6;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -48,8 +54,9 @@ fn fnv1a(seed: u64, bytes: &[u8]) -> u64 {
 }
 
 /// The canonical byte encoding a run key hashes: key version, app, spec
-/// labels, and the debug rendering of the machine configuration (stable
-/// for a given field set; any config change perturbs it).
+/// labels, and the debug rendering of the machine configuration and of the
+/// per-GPU constants (stable for a given field set; any change to either
+/// perturbs it).
 fn canonical(app: &str, spec: RunSpec, config: &SimConfig) -> String {
     // `parallel_workers` is half a knob: 0 vs ≥1 selects the lane shape
     // (the epoch tiers legitimately deviate from the reference lane, so
@@ -59,11 +66,12 @@ fn canonical(app: &str, spec: RunSpec, config: &SimConfig) -> String {
     config.parallel_workers = config.parallel_workers.min(1);
     let config = &config;
     format!(
-        "v{KEY_VERSION}|app={app}|paradigm={}|gpus={}|link={}|scale={}|config={config:?}",
+        "v{KEY_VERSION}|app={app}|paradigm={}|gpus={}|link={}|scale={}|config={config:?}|gpu={:?}",
         spec.paradigm.label(),
         spec.gpus,
         spec.link.label(),
         spec.scale.label(),
+        GpuConfig::gv100(),
     )
 }
 
@@ -76,11 +84,16 @@ pub fn run_key(app: &str, spec: RunSpec, config: &SimConfig) -> String {
 /// Computes the content-addressed key of one serving run: the mix,
 /// arrival model, seed and slot count all participate, plus the Debug
 /// rendering of the base machine (before per-level tenancy is applied by
-/// the service-time oracle).
+/// the service-time oracle) and of the per-GPU constants.
 pub fn serve_key(cfg: &ServeConfig) -> String {
+    digest(&serve_canonical(cfg))
+}
+
+/// The canonical byte encoding a serve key hashes.
+fn serve_canonical(cfg: &ServeConfig) -> String {
     let machine = SimConfig::gv100_system(cfg.gpus);
-    let payload = format!(
-        "v{KEY_VERSION}|serve|mix={}|paradigm={}|gpus={}|link={}|scale={}|seed={}|arrival={:?}|jobs={}|slots={}|config={machine:?}",
+    format!(
+        "v{KEY_VERSION}|serve|mix={}|paradigm={}|gpus={}|link={}|scale={}|seed={}|arrival={:?}|jobs={}|slots={}|config={machine:?}|gpu={:?}",
         cfg.mix.join("+"),
         cfg.paradigm.label(),
         cfg.gpus,
@@ -90,8 +103,8 @@ pub fn serve_key(cfg: &ServeConfig) -> String {
         cfg.arrival,
         cfg.jobs,
         cfg.slots,
-    );
-    digest(&payload)
+        GpuConfig::gv100(),
+    )
 }
 
 fn digest(payload: &str) -> String {
@@ -219,8 +232,17 @@ mod tests {
     fn machine_config_perturbs_the_key() {
         let mut config = gps_sim::SimConfig::gv100_system(4);
         let base = run_key("jacobi", spec(), &config);
-        config.gpu.l2_bytes *= 2;
+        config.tenants = 2;
         assert_ne!(base, run_key("jacobi", spec(), &config));
+    }
+
+    #[test]
+    fn gpu_constants_are_hashed_into_every_key() {
+        // Editing a Table-1 constant in `gv100()` must re-key every run.
+        let gpu = format!("{:?}", GpuConfig::gv100());
+        let config = gps_sim::SimConfig::gv100_system(4);
+        assert!(canonical("jacobi", spec(), &config).contains(&gpu));
+        assert!(serve_canonical(&gps_serve::ServeConfig::default()).contains(&gpu));
     }
 
     #[test]

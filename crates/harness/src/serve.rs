@@ -5,10 +5,7 @@ use std::fs::File;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use gps_obs::{
-    names, ChromeTraceSink, JsonlSink, ProbeHandle, Sink, Telemetry, Track, DEFAULT_BUCKET_CYCLES,
-    DEFAULT_SPAN_CAPACITY,
-};
+use gps_obs::{names, ChromeTraceSink, JsonlSink, ProbeHandle, Sink, Telemetry, Track};
 use gps_serve::{serve, serve_probed, ServeConfig, ServeReport};
 use gps_sim::MemoryPressure;
 
@@ -195,8 +192,7 @@ pub fn run_serve_telemetry(
         Box::new(JsonlSink::new(create(&paths.metrics)?)),
         Box::new(ChromeTraceSink::new(create(&paths.trace)?)),
     ];
-    let probe =
-        ProbeHandle::recording_with_sinks(DEFAULT_BUCKET_CYCLES, DEFAULT_SPAN_CAPACITY, sinks);
+    let probe = ProbeHandle::recording_with_sinks(sinks);
 
     let started = Instant::now();
     let report = serve_probed(config, probe.clone())?;

@@ -698,7 +698,7 @@ mod tests {
     fn mutated_store_lines_and_traces_never_panic_the_parser() {
         // SplitMix64-driven byte flips, truncations and splices over real
         // emitted documents: every input must come back Ok or Err.
-        let probe = gps_obs::ProbeHandle::recording(100, 16);
+        let probe = gps_obs::ProbeHandle::recording();
         probe.counter(
             gps_obs::Track::gpu(0),
             "bytes",

@@ -11,10 +11,7 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
-use gps_obs::{
-    chrome_trace, phase_breakdown, ProbeHandle, Telemetry, DEFAULT_BUCKET_CYCLES,
-    DEFAULT_SPAN_CAPACITY,
-};
+use gps_obs::{chrome_trace, phase_breakdown, ProbeHandle, Telemetry};
 use gps_types::Json;
 use gps_workloads::suite;
 
@@ -22,11 +19,10 @@ use crate::key::run_key_default_machine;
 use crate::runner::{measure_probed, RunSpec};
 use crate::store::ResultStore;
 
-/// A recording probe with the harness defaults (4096-cycle buckets, 64 Ki
-/// span ring) — what `gps-run sweep --telemetry` and `gps-run timeline`
-/// attach to a run.
+/// A recording probe (4096-cycle buckets, 64 Ki span ring) — what
+/// `gps-run sweep --telemetry` and `gps-run timeline` attach to a run.
 pub fn recording_probe() -> ProbeHandle {
-    ProbeHandle::recording(DEFAULT_BUCKET_CYCLES, DEFAULT_SPAN_CAPACITY)
+    ProbeHandle::recording()
 }
 
 /// Where [`write_run_telemetry`] put the artifacts of one run.

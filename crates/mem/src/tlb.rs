@@ -6,8 +6,8 @@ use gps_types::{GpsError, Result, Vpn};
 ///
 /// Table 1 specifies the GPS-TLB as 8-way set-associative with 32 entries
 /// (i.e. 4 sets); [`TlbConfig::gps_tlb`] builds exactly that. The
-/// conventional last-level GPU TLB is much larger
-/// ([`TlbConfig::conventional_l2_tlb`]).
+/// conventional last-level GPU TLB is much larger: the engine builds a
+/// 2048-entry, 8-way one from `GpuConfig::gv100()` in `gps-sim`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TlbConfig {
     /// Number of sets; must be a power of two.
@@ -20,12 +20,6 @@ impl TlbConfig {
     /// The GPS-TLB of Table 1: 32 entries, 8-way set-associative.
     pub const fn gps_tlb() -> Self {
         Self { sets: 4, ways: 8 }
-    }
-
-    /// A conventional last-level GPU TLB (thousands of entries; the paper
-    /// cites GPU last-level TLBs "sized to provide full coverage").
-    pub const fn conventional_l2_tlb() -> Self {
-        Self { sets: 512, ways: 8 }
     }
 
     /// Total entry count.
@@ -156,11 +150,6 @@ impl<T> Tlb<T> {
     /// Cumulative hit/miss counters.
     pub fn stats(&self) -> TlbStats {
         self.stats
-    }
-
-    /// Resets the hit/miss counters (but not the cached translations).
-    pub fn reset_stats(&mut self) {
-        self.stats = TlbStats::default();
     }
 
     fn set_index(&self, vpn: Vpn) -> usize {

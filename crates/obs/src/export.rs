@@ -3,7 +3,7 @@
 use gps_types::{Cycle, Json};
 
 use crate::probe::Track;
-use crate::recorder::{SeriesKind, Telemetry};
+use crate::recorder::{SeriesKind, Telemetry, BUCKET_CYCLES};
 
 /// Simulated cycles per Chrome-trace microsecond. The trace format carries
 /// timestamps in µs; dividing by 1000 renders one "millisecond" per million
@@ -87,7 +87,7 @@ pub fn chrome_trace(telemetry: &Telemetry) -> Json {
         (
             "otherData",
             obj(vec![
-                ("bucket_cycles", Json::Num(telemetry.bucket_cycles as f64)),
+                ("bucket_cycles", Json::Num(BUCKET_CYCLES as f64)),
                 ("dropped_spans", Json::Num(telemetry.dropped_spans as f64)),
             ]),
         ),
@@ -148,27 +148,20 @@ mod tests {
     use crate::probe::Probe;
     use crate::recorder::Recorder;
 
+    /// `n` tenths of a series bucket.
+    fn at(tenths: u64) -> Cycle {
+        Cycle::new(tenths * BUCKET_CYCLES / 10)
+    }
+
     fn sample_telemetry() -> Telemetry {
-        let mut r = Recorder::new(100, 16);
-        r.span(
-            Track::SYSTEM,
-            "phase 0",
-            "phase",
-            Cycle::ZERO,
-            Cycle::new(200),
-        );
-        r.span(
-            Track::SYSTEM,
-            "phase 1",
-            "phase",
-            Cycle::new(200),
-            Cycle::new(500),
-        );
-        r.span(Track::gpu(0), "mv", "kernel", Cycle::ZERO, Cycle::new(180));
-        r.instant(Track::SYSTEM, "barrier", Cycle::new(200));
-        r.counter(Track::gpu(0), "link_egress_bytes", Cycle::new(50), 64.0);
-        r.counter(Track::gpu(0), "link_egress_bytes", Cycle::new(250), 128.0);
-        r.gauge(Track::gpu(1), "rwq_occupancy", Cycle::new(120), 3.0);
+        let mut r = Recorder::new();
+        r.span(Track::SYSTEM, "phase 0", "phase", Cycle::ZERO, at(20));
+        r.span(Track::SYSTEM, "phase 1", "phase", at(20), at(50));
+        r.span(Track::gpu(0), "mv", "kernel", Cycle::ZERO, at(18));
+        r.instant(Track::SYSTEM, "barrier", at(20));
+        r.counter(Track::gpu(0), "link_egress_bytes", at(5), 77.0);
+        r.counter(Track::gpu(0), "link_egress_bytes", at(25), 333.0);
+        r.gauge(Track::gpu(1), "rwq_occupancy", at(12), 3.0);
         r.finish()
     }
 
@@ -191,13 +184,13 @@ mod tests {
         assert_eq!(count("i"), 1, "barrier instant");
         // Tracks touched: system, gpu0, gpu1 -> three metadata events.
         assert_eq!(count("M"), 3);
-        // µs conversion: phase 1 starts at cycle 200 -> ts 0.2.
+        // µs conversion: phase 1 starts at cycle 8192 -> ts 8.192.
         let phase1 = events
             .iter()
             .find(|e| e.get("name").and_then(Json::as_str) == Some("phase 1"))
             .unwrap();
-        assert_eq!(phase1.get("ts").and_then(Json::as_f64), Some(0.2));
-        assert_eq!(phase1.get("dur").and_then(Json::as_f64), Some(0.3));
+        assert_eq!(phase1.get("ts").and_then(Json::as_f64), Some(8.192));
+        assert_eq!(phase1.get("dur").and_then(Json::as_f64), Some(12.288));
     }
 
     #[test]
@@ -206,7 +199,7 @@ mod tests {
         // exporter must route every name through the JSON codec: quotes,
         // backslashes and control characters may not corrupt the document.
         let hostile = "mv \"fused\"\\\u{1}\n\ttail";
-        let mut r = Recorder::new(100, 16);
+        let mut r = Recorder::new();
         r.span(
             Track::gpu(0),
             hostile,
@@ -231,21 +224,21 @@ mod tests {
     #[test]
     fn breakdown_attributes_counters_to_phases() {
         let text = phase_breakdown(&sample_telemetry());
-        assert!(text.contains("phase 0 [0 .. 200) = 200 cycles"));
-        assert!(text.contains("phase 1 [200 .. 500) = 300 cycles"));
-        // 64 bytes land in phase 0's range, 128 in phase 1's.
+        assert!(text.contains("phase 0 [0 .. 8192) = 8192 cycles"));
+        assert!(text.contains("phase 1 [8192 .. 20480) = 12288 cycles"));
+        // 77 bytes land in phase 0's range, 333 in phase 1's.
         let p0 = text.find("phase 0").unwrap();
         let p1 = text.find("phase 1").unwrap();
         let phase0_block = &text[p0..p1];
         assert!(phase0_block.contains("link_egress_bytes"));
-        assert!(phase0_block.contains("64"));
-        assert!(!phase0_block.contains("128"));
-        assert!(text[p1..].contains("128"));
+        assert!(phase0_block.contains("77"));
+        assert!(!phase0_block.contains("333"));
+        assert!(text[p1..].contains("333"));
     }
 
     #[test]
     fn breakdown_without_phases_is_explicit() {
-        let t = Recorder::new(100, 4).finish();
+        let t = Recorder::new().finish();
         assert!(phase_breakdown(&t).contains("no phase spans"));
     }
 }

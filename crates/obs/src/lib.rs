@@ -39,10 +39,9 @@ pub mod sink;
 
 pub use export::{chrome_trace, phase_breakdown};
 pub use hist::Histogram;
-pub use probe::{NoopProbe, Probe, ProbeHandle, Track};
+pub use probe::{Probe, ProbeHandle, Track};
 pub use recorder::{
-    HistData, Recorder, SeriesData, SeriesKind, Telemetry, DEFAULT_BUCKET_CYCLES,
-    DEFAULT_SPAN_CAPACITY,
+    HistData, Recorder, SeriesData, SeriesKind, Telemetry, BUCKET_CYCLES, SPAN_CAPACITY,
 };
 pub use ring::{EventRing, SpanEvent};
 pub use series::TimeSeries;

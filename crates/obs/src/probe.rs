@@ -59,8 +59,7 @@ impl Track {
 }
 
 /// A telemetry sink. Every method has a no-op default, so a sink only
-/// implements the signals it cares about; [`NoopProbe`] implements none and
-/// compiles down to nothing.
+/// implements the signals it cares about.
 ///
 /// Determinism contract: probes *observe* the simulation and must never
 /// feed back into it — the instrumented components call sinks with copies
@@ -96,12 +95,6 @@ pub trait Probe: Send {
         let _ = (track, name, now, value);
     }
 }
-
-/// The do-nothing sink: every hook inherits the empty default body.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopProbe;
-
-impl Probe for NoopProbe {}
 
 /// One emission in transit: what a buffering [`ProbeHandle`] queues until
 /// [`ProbeHandle::replay_merged`] re-emits it, and what every handle hands
@@ -231,20 +224,17 @@ impl LaneBuffer {
     }
 }
 
-/// The run's side of an enabled handle: an optional in-memory
-/// [`Recorder`] and any number of streaming [`Sink`]s, fed the same
-/// emission stream.
+/// The run's side of an enabled handle: the in-memory [`Recorder`] and
+/// any number of streaming [`Sink`]s, fed the same emission stream.
 struct Fanout {
-    recorder: Option<Recorder>,
+    recorder: Recorder,
     sinks: Vec<Box<dyn Sink>>,
 }
 
 impl Fanout {
     #[inline]
     fn apply(&mut self, record: Record, spans: &[SpanEvent]) {
-        if let Some(r) = &mut self.recorder {
-            record.replay_into(r, spans);
-        }
+        record.replay_into(&mut self.recorder, spans);
         for s in &mut self.sinks {
             record.replay_into(s.as_mut(), spans);
         }
@@ -364,7 +354,7 @@ fn merge(lanes: &mut [&mut LaneBuffer], mut replay: impl FnMut(Record, &[SpanEve
 /// predictable branch and no recorder, lock or allocation exists anywhere —
 /// the price of having telemetry compiled in is one null check per probe
 /// site. Enabled, all clones share one target behind a mutex: either the
-/// run's in-memory [`Recorder`] and/or streaming [`Sink`]s, or — for a
+/// run's in-memory [`Recorder`] plus any streaming [`Sink`]s, or — for a
 /// per-GPU lane — a buffer of tagged 40-byte records. An emission builds
 /// its record on the stack, takes the lock and hands the record over: the
 /// recorder finds its series by the name's address, a lane pushes it. The
@@ -383,18 +373,9 @@ impl ProbeHandle {
         Self(None)
     }
 
-    /// A recording handle with the given bucket width and span capacity.
-    pub fn recording(bucket_cycles: u64, span_capacity: usize) -> Self {
-        Self::recording_with_sinks(bucket_cycles, span_capacity, Vec::new())
-    }
-
-    /// A streaming handle: every emission goes to each sink, nothing is
-    /// buffered in memory ([`finish`](ProbeHandle::finish) returns `None`).
-    pub fn streaming(sinks: Vec<Box<dyn Sink>>) -> Self {
-        Self(Some(Shared::new(Target::Run(Box::new(Fanout {
-            recorder: None,
-            sinks,
-        })))))
+    /// A handle that records in memory ([`Recorder`]).
+    pub fn recording() -> Self {
+        Self::recording_with_sinks(Vec::new())
     }
 
     /// A buffering handle for one per-GPU lane: every emission is queued
@@ -409,13 +390,9 @@ impl ProbeHandle {
     }
 
     /// A handle that both records in memory and streams to `sinks`.
-    pub fn recording_with_sinks(
-        bucket_cycles: u64,
-        span_capacity: usize,
-        sinks: Vec<Box<dyn Sink>>,
-    ) -> Self {
+    pub fn recording_with_sinks(sinks: Vec<Box<dyn Sink>>) -> Self {
         Self(Some(Shared::new(Target::Run(Box::new(Fanout {
-            recorder: Some(Recorder::new(bucket_cycles, span_capacity)),
+            recorder: Recorder::new(),
             sinks,
         })))))
     }
@@ -539,15 +516,14 @@ impl ProbeHandle {
     }
 
     /// Extracts everything the in-memory recorder captured so far,
-    /// resetting it. Returns `None` for a disabled, purely streaming or
-    /// buffering handle. Attached sinks are unaffected — close them
+    /// resetting it. Returns `None` for a disabled or buffering handle. Attached sinks are unaffected — close them
     /// separately with [`close_sinks`](ProbeHandle::close_sinks).
     pub fn finish(&self) -> Option<Telemetry> {
         let mut guard = self.0.as_deref()?.lock();
         let Target::Run(run) = &mut *guard else {
             return None;
         };
-        Some(run.recorder.as_mut()?.take().finish())
+        Some(run.recorder.take().finish())
     }
 
     /// Closes and detaches every attached sink (format trailers, flush),
@@ -609,18 +585,8 @@ mod tests {
     }
 
     #[test]
-    fn noop_probe_accepts_everything() {
-        let mut p = NoopProbe;
-        p.counter(Track::SYSTEM, "x", Cycle::ZERO, 1.0);
-        p.gauge(Track::SYSTEM, "x", Cycle::ZERO, 1.0);
-        p.span(Track::SYSTEM, "s", "c", Cycle::ZERO, Cycle::ZERO);
-        p.instant(Track::SYSTEM, "i", Cycle::ZERO);
-        p.latency(Track::SYSTEM, "l", Cycle::ZERO, 1);
-    }
-
-    #[test]
     fn clones_share_one_recorder() {
-        let h = ProbeHandle::recording(100, 16);
+        let h = ProbeHandle::recording();
         let h2 = h.clone();
         h.counter(Track::SYSTEM, "bytes", Cycle::new(50), 1.0);
         h2.counter(Track::SYSTEM, "bytes", Cycle::new(150), 2.0);
@@ -648,8 +614,7 @@ mod tests {
     #[test]
     fn recorder_and_sink_see_the_same_stream() {
         let buf = Shared::default();
-        let h =
-            ProbeHandle::recording_with_sinks(100, 16, vec![Box::new(JsonlSink::new(buf.clone()))]);
+        let h = ProbeHandle::recording_with_sinks(vec![Box::new(JsonlSink::new(buf.clone()))]);
         h.counter(Track::gpu(1), "bytes", Cycle::new(5), 64.0);
         h.latency(Track::tenant(0), "sojourn", Cycle::new(9), 31);
         let t = h.finish().unwrap();
@@ -706,7 +671,7 @@ mod tests {
 
         // Replaying into a recording handle lands the events for real and
         // clears the lane.
-        let master = ProbeHandle::recording(100, 16);
+        let master = ProbeHandle::recording();
         master.replay_merged([&lane]);
         assert!(queued_tags(&lane).is_empty(), "replay drains the lane");
         let t = master.finish().unwrap();
@@ -723,7 +688,7 @@ mod tests {
 
     #[test]
     fn set_tag_and_drain_are_noops_on_other_handles() {
-        let h = ProbeHandle::recording(100, 16);
+        let h = ProbeHandle::recording();
         h.set_tag(3);
         h.counter(Track::SYSTEM, "x", Cycle::ZERO, 1.0);
         assert!(queued_tags(&h).is_empty());
@@ -751,7 +716,7 @@ mod tests {
         outer.replay_merged([&lane, &outer, &lane]);
         assert!(queued_tags(&lane).is_empty());
         assert_eq!(queued_tags(&outer), vec![5, 5]);
-        let master = ProbeHandle::recording(100, 16);
+        let master = ProbeHandle::recording();
         master.replay_merged([&outer]);
         let t = master.finish().unwrap();
         assert_eq!((t.spans.len(), t.counters.len()), (1, 1));
@@ -775,7 +740,7 @@ mod tests {
 
     fn jsonl_stream(feed: impl FnOnce(&ProbeHandle)) -> String {
         let buf = Shared::default();
-        let h = ProbeHandle::streaming(vec![Box::new(JsonlSink::new(buf.clone()))]);
+        let h = ProbeHandle::recording_with_sinks(vec![Box::new(JsonlSink::new(buf.clone()))]);
         feed(&h);
         h.close_sinks().unwrap();
         let bytes = buf.0.lock().unwrap().clone();
@@ -853,17 +818,5 @@ mod tests {
                 .collect();
             assert_merge_matches_oracle(lane_count, &script);
         }
-    }
-
-    #[test]
-    fn streaming_handle_has_no_recorder() {
-        let buf = Shared::default();
-        let h = ProbeHandle::streaming(vec![Box::new(JsonlSink::new(buf.clone()))]);
-        assert!(h.is_enabled());
-        h.gauge(Track::SYSTEM, "depth", Cycle::ZERO, 1.0);
-        assert!(h.finish().is_none());
-        h.close_sinks().unwrap();
-        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
-        assert!(text.contains("\"k\":\"gauge\""));
     }
 }

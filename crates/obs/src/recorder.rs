@@ -9,12 +9,14 @@ use crate::probe::{Probe, Track};
 use crate::ring::{EventRing, SpanEvent};
 use crate::series::TimeSeries;
 
-/// Default counter/gauge bucket width: 4096 cycles keeps even paper-scale
-/// runs (tens of millions of cycles) to a few thousand buckets per series.
-pub const DEFAULT_BUCKET_CYCLES: u64 = 4096;
+/// Counter/gauge bucket width of every recording: 4096 cycles keeps even
+/// paper-scale runs (tens of millions of cycles) to a few thousand buckets
+/// per series.
+pub const BUCKET_CYCLES: u64 = 4096;
 
-/// Default span-ring capacity.
-pub const DEFAULT_SPAN_CAPACITY: usize = 65_536;
+/// Span-ring capacity of every recording; older spans are dropped and
+/// counted ([`Telemetry::dropped_spans`]).
+pub const SPAN_CAPACITY: usize = 65_536;
 
 /// Whether a series accumulated deltas or sampled levels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,11 +51,10 @@ pub struct HistData {
     pub hist: Histogram,
 }
 
-/// Everything one recording captured, ready for export.
+/// Everything one recording captured, ready for export. Every series is
+/// bucketed at [`BUCKET_CYCLES`].
 #[derive(Debug, Clone)]
 pub struct Telemetry {
-    /// Bucket width of every series.
-    pub bucket_cycles: u64,
     /// Counter series, ordered by `(track, name)`.
     pub counters: Vec<SeriesData>,
     /// Gauge series, ordered by `(track, name)`.
@@ -102,8 +103,9 @@ impl Telemetry {
     }
 }
 
-/// The standard [`Probe`] implementation: bucketed series per
-/// `(track, name)` plus a bounded span ring.
+/// The standard [`Probe`] implementation: series bucketed at
+/// [`BUCKET_CYCLES`] per `(track, name)` plus a span ring of
+/// [`SPAN_CAPACITY`].
 ///
 /// Each `(track, name)` resolves to a dense row the first time it is
 /// emitted (the private `Rows`); later emissions find the row by the
@@ -113,8 +115,6 @@ impl Telemetry {
 /// regardless of insertion order.
 #[derive(Debug)]
 pub struct Recorder {
-    bucket_cycles: u64,
-    span_capacity: usize,
     counters: Rows<TimeSeries>,
     gauges: Rows<TimeSeries>,
     hists: Rows<Histogram>,
@@ -123,21 +123,19 @@ pub struct Recorder {
 
 impl Recorder {
     /// Creates an empty recorder.
-    pub fn new(bucket_cycles: u64, span_capacity: usize) -> Self {
+    pub fn new() -> Self {
         Self {
-            bucket_cycles,
-            span_capacity,
             counters: Rows::default(),
             gauges: Rows::default(),
             hists: Rows::default(),
-            ring: EventRing::new(span_capacity),
+            ring: EventRing::new(SPAN_CAPACITY),
         }
     }
 
-    /// Replaces `self` with an empty recorder of the same shape and
-    /// returns the previous contents.
+    /// Replaces `self` with an empty recorder and returns the previous
+    /// contents.
     pub fn take(&mut self) -> Recorder {
-        std::mem::replace(self, Recorder::new(self.bucket_cycles, self.span_capacity))
+        std::mem::take(self)
     }
 
     /// Finishes the recording into an exportable [`Telemetry`].
@@ -153,7 +151,6 @@ impl Recorder {
                 .collect()
         };
         Telemetry {
-            bucket_cycles: self.bucket_cycles,
             counters: pack(self.counters, SeriesKind::Counter),
             gauges: pack(self.gauges, SeriesKind::Gauge),
             hists: self
@@ -169,21 +166,25 @@ impl Recorder {
 
 impl Default for Recorder {
     fn default() -> Self {
-        Self::new(DEFAULT_BUCKET_CYCLES, DEFAULT_SPAN_CAPACITY)
+        Self::new()
     }
 }
 
 impl Probe for Recorder {
     fn counter(&mut self, track: Track, name: &'static str, now: Cycle, delta: f64) {
-        let width = self.bucket_cycles;
-        if let Some(series) = self.counters.row(track, name, || TimeSeries::new(width)) {
+        if let Some(series) = self
+            .counters
+            .row(track, name, || TimeSeries::new(BUCKET_CYCLES))
+        {
             series.add(now, delta);
         }
     }
 
     fn gauge(&mut self, track: Track, name: &'static str, now: Cycle, value: f64) {
-        let width = self.bucket_cycles;
-        if let Some(series) = self.gauges.row(track, name, || TimeSeries::new(width)) {
+        if let Some(series) = self
+            .gauges
+            .row(track, name, || TimeSeries::new(BUCKET_CYCLES))
+        {
             series.sample(now, value);
         }
     }
@@ -323,7 +324,7 @@ mod tests {
 
     #[test]
     fn series_are_keyed_by_track_and_name() {
-        let mut r = Recorder::new(100, 8);
+        let mut r = Recorder::new();
         r.counter(Track::gpu(1), "bytes", Cycle::ZERO, 1.0);
         r.counter(Track::gpu(0), "bytes", Cycle::ZERO, 2.0);
         r.counter(Track::gpu(0), "bytes", Cycle::new(50), 3.0);
@@ -340,7 +341,7 @@ mod tests {
 
     #[test]
     fn spans_and_instants_share_the_ring() {
-        let mut r = Recorder::new(100, 8);
+        let mut r = Recorder::new();
         r.span(
             Track::SYSTEM,
             "phase 0",
@@ -358,7 +359,7 @@ mod tests {
 
     #[test]
     fn latency_samples_collect_into_histograms() {
-        let mut r = Recorder::new(100, 8);
+        let mut r = Recorder::new();
         r.latency(Track::tenant(0), "sojourn", Cycle::new(10), 100);
         r.latency(Track::tenant(0), "sojourn", Cycle::new(20), 300);
         r.latency(Track::tenant(1), "sojourn", Cycle::new(30), 7);
@@ -374,8 +375,9 @@ mod tests {
 
     #[test]
     fn span_ring_overflow_is_counted_not_silent() {
-        let mut r = Recorder::new(100, 4);
-        for n in 0..10u64 {
+        let mut r = Recorder::new();
+        let total = SPAN_CAPACITY as u64 + 6;
+        for n in 0..total {
             r.span(
                 Track::SYSTEM,
                 &format!("phase {n}"),
@@ -385,7 +387,8 @@ mod tests {
             );
         }
         let t = r.finish();
-        assert_eq!(t.spans.len(), 4, "ring keeps the newest spans");
+        assert_eq!(t.spans.len(), SPAN_CAPACITY, "ring keeps the newest spans");
+        assert_eq!(t.spans[0].name, "phase 6");
         assert_eq!(t.dropped_spans, 6, "every eviction is counted");
     }
 
@@ -393,7 +396,7 @@ mod tests {
     fn equal_names_from_different_literals_share_one_series() {
         let leaked: &'static str = Box::leak(String::from("bytes").into_boxed_str());
         assert_ne!(leaked.as_ptr(), "bytes".as_ptr(), "distinct addresses");
-        let mut r = Recorder::new(100, 8);
+        let mut r = Recorder::new();
         r.counter(Track::gpu(0), "bytes", Cycle::ZERO, 1.0);
         r.counter(Track::gpu(0), leaked, Cycle::new(50), 2.0);
         r.counter(Track::gpu(0), "bytes", Cycle::new(150), 4.0);
@@ -424,7 +427,7 @@ mod tests {
             Track::SYSTEM,
             Track::gpu(0),
         ];
-        let mut r = Recorder::new(100, 8);
+        let mut r = Recorder::new();
         let mut expected = Vec::new();
         // Enough keys to grow the address index several times, emitted in
         // an order unrelated to the sorted one.
@@ -445,7 +448,7 @@ mod tests {
 
     #[test]
     fn take_resets_in_place() {
-        let mut r = Recorder::new(100, 8);
+        let mut r = Recorder::new();
         r.counter(Track::SYSTEM, "x", Cycle::ZERO, 1.0);
         let old = r.take();
         assert_eq!(old.finish().counters.len(), 1);

@@ -103,36 +103,16 @@ impl FromStr for Paradigm {
     }
 }
 
-/// Software-visible costs of the Unified Memory machinery.
-///
-/// GPU page-fault servicing is tens of microseconds (§2.1: "the page fault
-/// handling overheads are often performance prohibitive"); TLB shootdowns
-/// for collapsing replicated pages are cheaper but far from free (§7.1).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultCosts {
-    /// Fixed cost of servicing one GPU page fault (driver round trip,
-    /// unmap, remap), excluding the data transfer.
-    pub fault_overhead: Latency,
-    /// Cost of a TLB shootdown when a replicated page collapses to one
-    /// copy.
-    pub shootdown: Latency,
-}
+/// Fixed cost of servicing one GPU page fault (driver round trip, unmap,
+/// remap), excluding the data transfer: tens of microseconds (§2.1: "the
+/// page fault handling overheads are often performance prohibitive"),
+/// calibrated to publicly reported UM behaviour on Volta. Shared by um,
+/// um+hints and gps-oversub.
+pub const FAULT_OVERHEAD: Latency = Latency::from_micros(25);
 
-impl FaultCosts {
-    /// Defaults calibrated to publicly reported UM behaviour on Volta.
-    pub fn volta() -> Self {
-        Self {
-            fault_overhead: Latency::from_micros(25),
-            shootdown: Latency::from_micros(2),
-        }
-    }
-}
-
-impl Default for FaultCosts {
-    fn default() -> Self {
-        Self::volta()
-    }
-}
+/// Cost of a TLB shootdown when a replicated page collapses to one copy:
+/// cheaper than a fault but far from free (§7.1).
+pub const SHOOTDOWN: Latency = Latency::from_micros(2);
 
 #[cfg(test)]
 mod tests {
@@ -156,8 +136,7 @@ mod tests {
 
     #[test]
     fn fault_costs_are_microseconds() {
-        let c = FaultCosts::volta();
-        assert!(c.fault_overhead >= Latency::from_micros(10));
-        assert!(c.shootdown < c.fault_overhead);
+        assert!(FAULT_OVERHEAD >= Latency::from_micros(10));
+        assert!(SHOOTDOWN < FAULT_OVERHEAD);
     }
 }

@@ -11,7 +11,7 @@ use gps_sim::{
 };
 use gps_types::{Cycle, GpuId, LineAddr, Scope, Vpn};
 
-use crate::common::FaultCosts;
+use crate::common::{FAULT_OVERHEAD, SHOOTDOWN};
 use crate::gps_lane::{self, GpsLaneRouter};
 
 /// GPS with automatic subscription management (§6):
@@ -291,7 +291,7 @@ impl MemoryPolicy for GpsPolicy {
                     self.probe
                         .counter(Track::gpu(gpu.index()), names::REFAULTS, ctx.now, 1.0);
                     let start = self.fault_queue[gpu.index()].max(ctx.now);
-                    let handled = start + FaultCosts::volta().fault_overhead;
+                    let handled = start + FAULT_OVERHEAD;
                     let swapped_in = match self.sys_mut().fault_in(gpu, vpn) {
                         Ok(displaced) => {
                             self.evicted.remove(&(gpu, vpn));
@@ -396,7 +396,7 @@ impl MemoryPolicy for GpsPolicy {
             // Swapping out replicas at registration is synchronous driver
             // work on the critical path: each eviction pays an unmap plus
             // an all-GPU GPS-TLB shootdown before any kernel may launch.
-            return ctx.now + FaultCosts::volta().shootdown * self.evicted_replicas;
+            return ctx.now + SHOOTDOWN * self.evicted_replicas;
         }
         ctx.now
     }

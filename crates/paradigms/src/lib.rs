@@ -40,7 +40,7 @@ mod rdl;
 mod um;
 mod um_hints;
 
-pub use common::{FaultCosts, Paradigm};
+pub use common::{Paradigm, FAULT_OVERHEAD, SHOOTDOWN};
 pub use gps_policy::GpsPolicy;
 pub use infinite::InfiniteBwPolicy;
 pub use memcpy::MemcpyPolicy;

@@ -4,7 +4,7 @@ use gps_mem::{CollapseOutcome, PageMap, ResidencyMap};
 use gps_sim::{LoadRoute, MemCtx, MemoryPolicy, SharedIndex, SimConfig, StoreRoute, Workload};
 use gps_types::{Cycle, GpuId, LineAddr, Scope, Vpn};
 
-use crate::common::FaultCosts;
+use crate::common::{FAULT_OVERHEAD, SHOOTDOWN};
 
 /// Unified Memory without hints.
 ///
@@ -18,7 +18,6 @@ use crate::common::FaultCosts;
 /// in-flight migration.
 #[derive(Debug)]
 pub struct UmPolicy {
-    costs: FaultCosts,
     residency: ResidencyMap,
     index: Option<SharedIndex>,
     /// In-flight fault per page: accesses before `ready` join it.
@@ -30,15 +29,9 @@ pub struct UmPolicy {
 }
 
 impl UmPolicy {
-    /// Creates the policy with default fault costs.
+    /// Creates the policy.
     pub fn new() -> Self {
-        Self::with_costs(FaultCosts::default())
-    }
-
-    /// Creates the policy with explicit fault costs.
-    pub fn with_costs(costs: FaultCosts) -> Self {
         Self {
-            costs,
             residency: ResidencyMap::new(),
             index: None,
             inflight: PageMap::new(),
@@ -59,7 +52,7 @@ impl UmPolicy {
         }
         self.faults += 1;
         let start = self.fault_queue[gpu.index()].max(ctx.now);
-        let handled = start + self.costs.fault_overhead;
+        let handled = start + FAULT_OVERHEAD;
         let ready = match from {
             Some(src) if src != gpu => {
                 self.migrated_pages += 1;
@@ -132,7 +125,7 @@ impl MemoryPolicy for UmPolicy {
                 _ => StoreRoute::Local,
             },
             CollapseOutcome::Collapsed { .. } => StoreRoute::StallThenLocal {
-                ready: ctx.now + self.costs.shootdown,
+                ready: ctx.now + SHOOTDOWN,
             },
             CollapseOutcome::Migrated { from, .. } => {
                 let ready = self.fault(gpu, vpn, Some(from), ctx);

@@ -4,7 +4,7 @@ use gps_mem::PageMap;
 use gps_sim::{LoadRoute, MemCtx, MemoryPolicy, SharedIndex, SimConfig, StoreRoute, Workload};
 use gps_types::{Cycle, GpuId, LineAddr, Scope, Vpn};
 
-use crate::common::FaultCosts;
+use crate::common::SHOOTDOWN;
 
 /// Hand-tuned Unified Memory, following the paper's §6 recipe:
 ///
@@ -26,7 +26,6 @@ use crate::common::FaultCosts;
 /// clearly behind GPS.
 #[derive(Debug)]
 pub struct UmHintsPolicy {
-    costs: FaultCosts,
     index: Option<SharedIndex>,
     phases_per_iter: usize,
     /// Every touched shared page.
@@ -42,15 +41,9 @@ pub struct UmHintsPolicy {
 }
 
 impl UmHintsPolicy {
-    /// Creates the policy with default fault costs.
+    /// Creates the policy.
     pub fn new() -> Self {
-        Self::with_costs(FaultCosts::default())
-    }
-
-    /// Creates the policy with explicit fault costs.
-    pub fn with_costs(costs: FaultCosts) -> Self {
         Self {
-            costs,
             index: None,
             phases_per_iter: 1,
             pages: PageMap::new(),
@@ -152,7 +145,7 @@ impl MemoryPolicy for UmHintsPolicy {
                 // Writes to read-duplicated pages collapse them (§2.1).
                 self.shootdowns += 1;
                 return StoreRoute::StallThenLocal {
-                    ready: ctx.now + self.costs.shootdown,
+                    ready: ctx.now + SHOOTDOWN,
                 };
             }
             StoreRoute::Local

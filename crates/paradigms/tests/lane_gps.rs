@@ -22,7 +22,7 @@ use gps_workloads::{suite, ScaleProfile};
 /// serialised telemetry (Chrome-trace JSON — a stable, total rendering of
 /// every counter, gauge, histogram and span the run emitted).
 fn run(paradigm: Paradigm, wl: &Workload, gpus: usize, workers: usize) -> (SimReport, String) {
-    let probe = ProbeHandle::recording(1024, 512);
+    let probe = ProbeHandle::recording();
     let cfg = SimConfig::gv100_system(gpus).with_parallel_workers(workers);
     let report = run_paradigm_configured(paradigm, wl, cfg, LinkGen::NvLink2, probe.clone())
         .expect("suite workload must run");

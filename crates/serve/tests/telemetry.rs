@@ -32,7 +32,7 @@ fn probed_config() -> ServeConfig {
 fn probed_report_is_bit_identical_to_unprobed() {
     let cfg = probed_config();
     let unprobed = serve(&cfg).unwrap();
-    let handle = ProbeHandle::recording(4096, 65_536);
+    let handle = ProbeHandle::recording();
     let probed = serve_probed(&cfg, handle.clone()).unwrap();
     assert_eq!(
         unprobed, probed,
@@ -47,7 +47,7 @@ fn probed_report_is_bit_identical_to_unprobed() {
 #[test]
 fn serve_sites_cover_every_series_and_lane() {
     let cfg = probed_config();
-    let handle = ProbeHandle::recording(4096, 65_536);
+    let handle = ProbeHandle::recording();
     let report = serve_probed(&cfg, handle.clone()).unwrap();
     let t = handle.finish().unwrap();
 
@@ -95,7 +95,7 @@ fn serve_sites_cover_every_series_and_lane() {
 #[test]
 fn merged_histograms_agree_with_exact_percentiles() {
     let cfg = probed_config();
-    let handle = ProbeHandle::recording(4096, 65_536);
+    let handle = ProbeHandle::recording();
     let report = serve_probed(&cfg, handle.clone()).unwrap();
     let t = handle.finish().unwrap();
 

@@ -150,11 +150,6 @@ impl Cache {
         self.stats
     }
 
-    /// Resets counters (contents stay).
-    pub fn reset_stats(&mut self) {
-        self.stats = CacheStats::default();
-    }
-
     fn set_range(&self, line: LineAddr) -> std::ops::Range<usize> {
         let set = (line.as_u64() as usize) & (self.sets - 1);
         let start = set * self.config.assoc;

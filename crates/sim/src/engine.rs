@@ -109,11 +109,12 @@ pub(crate) struct GpuState {
 }
 
 impl GpuState {
-    /// Fresh per-GPU machine state for `config`. Tenancy shrinks the
-    /// last-level TLB's ways (sets stay a power of two); with one tenant
-    /// this reduces to the exclusive machine exactly.
+    /// Fresh per-GPU machine state: a [`GpuConfig::gv100`] shared by
+    /// `config.tenants`. Tenancy shrinks the last-level TLB's ways (sets
+    /// stay a power of two); with one tenant this reduces to the exclusive
+    /// machine exactly.
     pub(crate) fn new(config: &SimConfig) -> Self {
-        let gpu_cfg = config.gpu;
+        let gpu_cfg = GpuConfig::gv100();
         let tlb_cfg = TlbConfig {
             sets: gpu_cfg.tlb_entries / gpu_cfg.tlb_assoc,
             ways: gpu_cfg.tlb_assoc,
@@ -271,22 +272,17 @@ impl<'a> Engine<'a> {
 }
 
 /// L2 -> DRAM read path for a locally-homed line.
-pub(crate) fn l2_read(
-    gpu: &mut GpuState,
-    gcfg: &GpuConfig,
-    line: LineAddr,
-    home: GpuId,
-    t: Cycle,
-) -> Cycle {
+pub(crate) fn l2_read(gpu: &mut GpuState, line: LineAddr, home: GpuId, t: Cycle) -> Cycle {
+    let l2_latency = GpuConfig::gv100().l2_latency;
     match gpu.l2.access_read(line, home) {
-        Lookup::Hit => t + gcfg.l2_latency,
+        Lookup::Hit => t + l2_latency,
         Lookup::Miss { evicted } => {
             if let Some(e) = evicted {
                 if e.dirty {
                     gpu.dram.write(CACHE_LINE_BYTES, t);
                 }
             }
-            gpu.dram.read(CACHE_LINE_BYTES, t + gcfg.l2_latency)
+            gpu.dram.read(CACHE_LINE_BYTES, t + l2_latency)
         }
     }
 }

@@ -104,7 +104,7 @@ use gps_interconnect::{Fabric, FabricConfig, LinkGen};
 use gps_obs::{names, ProbeHandle, Track};
 use gps_types::{Cycle, GpuId, LineAddr, PageSize, Scope, CACHE_LINE_BYTES};
 
-use crate::config::SimConfig;
+use crate::config::{GpuConfig, SimConfig};
 use crate::dram::DramModel;
 use crate::engine::{l2_read, l2_write, Engine, GpuState, KernelRun, Warp};
 use crate::instr::WarpInstr;
@@ -370,7 +370,7 @@ impl Lane {
         mut eager: Option<&mut Eager<'_>>,
         slot: usize,
     ) -> Stepped {
-        let gcfg = ctx.config.gpu;
+        let gcfg = GpuConfig::gv100();
         let (g, sm, instr) = {
             let w = &mut self.warps[slot];
             // gps-lint: allow(no_expect) -- queued slots always hold a next instruction; retire removes exhausted warps
@@ -410,7 +410,7 @@ impl Lane {
                     match self.route_load(eager.as_deref_mut(), gpu_id, line, t) {
                         RoutedLoad::Local(at) => {
                             let gpu = &mut self.gpus[lg];
-                            let arrival = l2_read(gpu, &gcfg, line, gpu_id, at);
+                            let arrival = l2_read(gpu, line, gpu_id, at);
                             gpu.l1[sm].fill(line, gpu_id);
                             ready = ready.max(arrival);
                         }
@@ -510,7 +510,7 @@ impl Lane {
         t0: Cycle,
     ) -> Cycle {
         let g = self.first + lg;
-        let gcfg = &ctx.config.gpu;
+        let gcfg = GpuConfig::gv100();
         let gpu = &mut self.gpus[lg];
         let vpn = line.vpn(ctx.config.page_size);
         if gpu.tlb.lookup(vpn).is_some() {
@@ -694,7 +694,7 @@ impl Lane {
             self.gpus[lg].done = Some(visible);
             return;
         };
-        let gpu_cfg = ctx.config.gpu;
+        let gpu_cfg = GpuConfig::gv100();
         let at = visible + gpu_cfg.kernel_launch_overhead;
         let slots_per_sm = gpu_cfg.cta_slots_per_sm(spec.warps_per_cta);
         let mut run = KernelRun::new(spec, at, gpu_cfg.sms);
@@ -997,7 +997,7 @@ fn run_phases(
     // The epoch tier: every lane routes through its policy router.
     let routed = mode == LaneMode::Epochs;
     let eager = mode == LaneMode::Fallback;
-    let gpu_cfg = config.gpu;
+    let gpu_cfg = GpuConfig::gv100();
     let telemetry = master_probe.is_enabled();
 
     let mut phase_ends: Vec<Cycle> = Vec::new();

@@ -6,8 +6,8 @@
 //! crate:
 //!
 //! * [`types`] — identifiers, addresses, page sizes, scopes, units.
-//! * [`mem`] — page tables (with the GPS bit), TLBs, frame allocators, the
-//!   wide GPS page table, VA-space allocation, access bitmaps.
+//! * [`mem`] — TLBs, frame allocators, the wide GPS page table, VA-space
+//!   allocation, access bitmaps, page-residency and resident-set state.
 //! * [`interconnect`] — PCIe/NVLink fabric models and traffic accounting.
 //! * [`sim`] — the trace-driven multi-GPU timing simulator.
 //! * [`obs`] — cycle-resolved telemetry: probes, time series, span
