@@ -26,7 +26,6 @@ use gps_types::{GpuId, Vpn};
 pub struct AccessTrackingUnit {
     bitmaps: Vec<AccessBitmap>,
     active: bool,
-    recorded: u64,
 }
 
 impl AccessTrackingUnit {
@@ -38,7 +37,6 @@ impl AccessTrackingUnit {
                 .map(|_| AccessBitmap::new(first_vpn, pages))
                 .collect(),
             active: false,
-            recorded: 0,
         }
     }
 
@@ -54,7 +52,6 @@ impl AccessTrackingUnit {
             for bm in &mut self.bitmaps {
                 bm.clear();
             }
-            self.recorded = 0;
         }
         self.active = active;
     }
@@ -64,10 +61,7 @@ impl AccessTrackingUnit {
     pub fn record(&mut self, gpu: GpuId, vpn: Vpn) {
         if self.active {
             if let Some(bm) = self.bitmaps.get_mut(gpu.index()) {
-                if bm.covers(vpn) {
-                    bm.set(vpn);
-                    self.recorded += 1;
-                }
+                bm.set(vpn);
             }
         }
     }
@@ -88,11 +82,6 @@ impl AccessTrackingUnit {
         self.bitmaps[gpu.index()].iter_set()
     }
 
-    /// Total recording events (diagnostics).
-    pub fn recorded_events(&self) -> u64 {
-        self.recorded
-    }
-
     /// DRAM consumed by the bitmaps across all GPUs, in bytes.
     pub fn storage_bytes(&self) -> u64 {
         self.bitmaps.iter().map(AccessBitmap::storage_bytes).sum()
@@ -108,7 +97,7 @@ mod tests {
         let mut atu = AccessTrackingUnit::new(1, Vpn::new(0), 8);
         atu.record(GpuId::new(0), Vpn::new(3));
         assert!(!atu.accessed(GpuId::new(0), Vpn::new(3)));
-        assert_eq!(atu.recorded_events(), 0);
+        assert_eq!(atu.touched(GpuId::new(0)).count(), 0);
     }
 
     #[test]
@@ -140,7 +129,7 @@ mod tests {
         let mut atu = AccessTrackingUnit::new(1, Vpn::new(10), 4);
         atu.set_active(true);
         atu.record(GpuId::new(0), Vpn::new(3));
-        assert_eq!(atu.recorded_events(), 0);
+        assert_eq!(atu.touched(GpuId::new(0)).count(), 0);
     }
 
     #[test]

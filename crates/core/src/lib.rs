@@ -26,9 +26,6 @@
 //!   fabric, collapses §5.3) and subscribes on first touch under
 //!   unsubscribed-by-default profiling.
 //!
-//! [`HardwareBudget`] reproduces §5.2's area arithmetic (68 KB of write
-//! queue SRAM, 126-bit wide PTEs, 64 KB tracking bitmaps).
-//!
 //! The simulation glue (a `MemoryPolicy` implementation) lives in
 //! `gps-paradigms`; everything in this crate is independent of the engine
 //! and usable directly, as the examples demonstrate.
@@ -37,7 +34,6 @@
 #![warn(missing_docs)]
 
 mod atu;
-mod budget;
 mod config;
 mod gps_tlb;
 mod runtime;
@@ -46,7 +42,6 @@ mod system;
 mod unit;
 
 pub use atu::AccessTrackingUnit;
-pub use budget::{HardwareBudget, MmuWidths};
 pub use config::{
     GpsConfig, ProfilingMode, COLLAPSE_LATENCY, GPS_TLB_WALK_LATENCY, RWQ_ENTRY_BYTES,
 };

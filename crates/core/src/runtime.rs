@@ -2,9 +2,7 @@
 
 use std::sync::Arc;
 
-use gps_mem::{
-    FrameAllocator, GpsPageTable, GpsPte, PageMap, ResidentSet, VaRange, VaSpace, VictimPolicy,
-};
+use gps_mem::{FrameAllocator, GpsPageTable, GpsPte, PageMap, ResidentSet, VaRange, VaSpace};
 use gps_types::{GpsError, GpuId, PageSize, Ppn, Result, Vpn, GIB};
 
 use crate::atu::AccessTrackingUnit;
@@ -50,7 +48,6 @@ pub struct EvictionOutcome {
 /// [`GpsRuntime::enable_eviction`].
 #[derive(Debug)]
 struct EvictionState {
-    policy: VictimPolicy,
     sets: Vec<ResidentSet>,
     evictions: Vec<u64>,
 }
@@ -174,16 +171,11 @@ impl GpsRuntime {
     }
 
     /// Turns on per-GPU resident-set tracking so that registration under
-    /// memory pressure can swap replicas out with `policy` instead of
-    /// failing. Must be enabled before any region is registered.
-    pub fn enable_eviction(&mut self, policy: VictimPolicy) {
+    /// memory pressure can swap replicas out instead of failing. Must be
+    /// enabled before any region is registered.
+    pub fn enable_eviction(&mut self) {
         self.eviction = Some(EvictionState {
-            policy,
-            // One fixed-seed stream per GPU keeps the random control
-            // policy bit-reproducible run to run.
-            sets: (0..self.gpu_count)
-                .map(|g| ResidentSet::new(0xE51C_7E57 ^ (g as u64)))
-                .collect(),
+            sets: vec![ResidentSet::new(); self.gpu_count],
             evictions: vec![0; self.gpu_count],
         });
     }
@@ -195,14 +187,6 @@ impl GpsRuntime {
             .as_ref()
             .map(|ev| ev.evictions.clone())
             .unwrap_or_else(|| vec![0; self.gpu_count])
-    }
-
-    /// Pages currently resident (holding a replica) on `gpu`. Only
-    /// meaningful once eviction tracking is enabled.
-    pub fn resident_pages(&self, gpu: GpuId) -> usize {
-        self.eviction
-            .as_ref()
-            .map_or(0, |ev| ev.sets[gpu.index()].len())
     }
 
     fn note_subscribed(&mut self, gpu: GpuId, vpn: Vpn) {
@@ -465,18 +449,10 @@ impl GpsRuntime {
     }
 
     /// The page `gpu` should swap out next: never a last surviving copy,
-    /// preferring (under LRU-approx) the oldest replica whose access bit
-    /// is clear.
-    fn pick_victim(
-        &mut self,
-        gpu: GpuId,
-        recently_used: &dyn Fn(GpuId, Vpn) -> bool,
-    ) -> Option<Vpn> {
+    /// preferring the oldest replica whose access bit is clear.
+    fn pick_victim(&self, gpu: GpuId, recently_used: &dyn Fn(GpuId, Vpn) -> bool) -> Option<Vpn> {
         let table = &self.view.table;
-        let ev = self.eviction.as_mut()?;
-        let policy = ev.policy;
-        ev.sets[gpu.index()].select_victim(
-            policy,
+        self.eviction.as_ref()?.sets[gpu.index()].select_victim(
             |v| table.entry(v).is_some_and(|e| e.subscriber_count() > 1),
             |v| recently_used(gpu, v),
         )
@@ -646,44 +622,6 @@ impl GpsRuntime {
             }
         }
         Ok(removed)
-    }
-
-    /// Simulates the driver swapping out `gpu`'s replica of `vpn` under
-    /// memory oversubscription (§5.3: "If the GPU driver swaps out a page
-    /// from a subscriber due to oversubscription, that GPU will be
-    /// unsubscribed and will access that page remotely"). Equivalent to an
-    /// unsubscription, except that evicting the *last* copy is also legal —
-    /// the page then migrates to (is re-homed on) another GPU with free
-    /// memory, chosen round-robin.
-    ///
-    /// # Errors
-    ///
-    /// * [`GpsError::Unmapped`] / [`GpsError::Subscription`] if `gpu` holds
-    ///   no replica of `vpn`.
-    /// * [`GpsError::OutOfMemory`] if no other GPU can host the final copy.
-    pub fn evict_page(&mut self, vpn: Vpn, gpu: GpuId) -> Result<()> {
-        self.check_gpu(gpu)?;
-        match self.unsubscribe_page(vpn, gpu) {
-            Ok(()) => Ok(()),
-            Err(GpsError::LastSubscriber { .. }) => {
-                // Re-home the final copy on the first other GPU with room.
-                let target = GpuId::all(self.gpu_count)
-                    .find(|&g| g != gpu && self.frames[g.index()].free_pages() > 0)
-                    .ok_or(GpsError::OutOfMemory {
-                        gpu,
-                        requested: self.view.page_size.bytes(),
-                    })?;
-                self.subscribe_page(vpn, target)?;
-                self.unsubscribe_page(vpn, gpu)?;
-                if let Some(state) = self.pages_mut().get_mut(vpn) {
-                    if state.collapsed == Some(gpu) {
-                        state.collapsed = Some(target);
-                    }
-                }
-                Ok(())
-            }
-            Err(e) => Err(e),
-        }
     }
 
     /// Swaps `gpu`'s replica of `vpn` back in after a demand fault under
@@ -1000,34 +938,12 @@ mod tests {
     }
 
     #[test]
-    fn eviction_unsubscribes_and_rehomes_last_copy() {
-        let mut rt = rt();
-        let r = rt.malloc_gps(65536, AllocationKind::Manual).unwrap();
-        let vpn = r.base().vpn(PageSize::Standard64K);
-        // Manual alloc: only G0 holds the page; evicting it must re-home
-        // the copy, not lose it.
-        rt.evict_page(vpn, G0).unwrap();
-        let e = rt.subscribers(vpn).unwrap();
-        assert_eq!(e.subscriber_count(), 1);
-        assert!(!e.is_subscriber(G0));
-        assert!(rt.view().serving_gpu(vpn).is_some());
-        // Multi-subscriber eviction is a plain unsubscription.
-        let r2 = rt.malloc_gps(65536, AllocationKind::Automatic).unwrap();
-        let v2 = r2.base().vpn(PageSize::Standard64K);
-        rt.evict_page(v2, G1).unwrap();
-        assert!(!rt.view().is_subscriber(G1, v2));
-        assert_eq!(rt.subscribers(v2).unwrap().subscriber_count(), 3);
-        // Evicting a non-subscriber fails.
-        assert!(rt.evict_page(v2, G1).is_err());
-    }
-
-    #[test]
     fn pressured_registration_evicts_instead_of_failing() {
         use gps_types::VirtAddr;
         // 2 GPUs with room for 2 frames each, registering 4 pages for
         // both: demand is 2x capacity.
         let mut rt = GpsRuntime::with_memory(2, PageSize::Standard64K, 2 * 65536);
-        rt.enable_eviction(VictimPolicy::LruApprox);
+        rt.enable_eviction();
         let range = VaRange::new(VirtAddr::new(1 << 32), 4 * 65536, PageSize::Standard64K);
         let outcome = rt
             .register_region_evicting(range, AllocationKind::Automatic, &|_, _| false)
@@ -1038,13 +954,15 @@ mod tests {
         for vpn in range.vpns() {
             assert!(rt.subscribers(vpn).unwrap().subscriber_count() >= 1);
         }
-        assert!(rt.resident_pages(G0) <= 2);
-        assert!(rt.resident_pages(G1) <= 2);
+        for gpu in [G0, G1] {
+            let resident = range.vpns().filter(|&v| rt.view().is_subscriber(gpu, v));
+            assert!(resident.count() <= 2);
+        }
         let evictions = rt.evictions();
         assert_eq!(evictions.iter().sum::<u64>(), outcome.evicted.len() as u64);
         // A second identical run is bit-deterministic.
         let mut rt2 = GpsRuntime::with_memory(2, PageSize::Standard64K, 2 * 65536);
-        rt2.enable_eviction(VictimPolicy::LruApprox);
+        rt2.enable_eviction();
         let outcome2 = rt2
             .register_region_evicting(range, AllocationKind::Automatic, &|_, _| false)
             .unwrap();
@@ -1056,7 +974,7 @@ mod tests {
         use gps_types::VirtAddr;
         let range = VaRange::new(VirtAddr::new(1 << 32), 2 * 65536, PageSize::Standard64K);
         let mut a = GpsRuntime::new(2, PageSize::Standard64K);
-        a.enable_eviction(VictimPolicy::LruApprox);
+        a.enable_eviction();
         let outcome = a
             .register_region_evicting(range, AllocationKind::Automatic, &|_, _| false)
             .unwrap();

@@ -1,7 +1,7 @@
 //! The GPS remote write queue: a write-combining buffer for broadcast
 //! stores (§5.2, "Coalescing remote writes").
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use gps_types::{LineAddr, Scope};
 
@@ -81,8 +81,8 @@ impl RwqStats {
 pub struct RemoteWriteQueue {
     capacity: usize,
     watermark: usize,
-    /// Membership set; the value is the number of coalesced stores.
-    entries: BTreeMap<LineAddr, u64>,
+    /// The lines with a buffered entry.
+    entries: BTreeSet<LineAddr>,
     /// Insertion order for least-recently-added draining.
     order: VecDeque<LineAddr>,
     stats: RwqStats,
@@ -103,7 +103,7 @@ impl RemoteWriteQueue {
         Self {
             capacity,
             watermark,
-            entries: BTreeMap::new(),
+            entries: BTreeSet::new(),
             order: VecDeque::new(),
             stats: RwqStats::default(),
         }
@@ -132,7 +132,7 @@ impl RemoteWriteQueue {
     /// Whether `line` currently has a buffered entry (used by the load
     /// path's store-forwarding check, §5.1).
     pub fn contains(&self, line: LineAddr) -> bool {
-        self.entries.contains_key(&line)
+        self.entries.contains(&line)
     }
 
     /// Presents one store to the queue. Returns the outcome plus the lines
@@ -143,12 +143,10 @@ impl RemoteWriteQueue {
             self.stats.bypasses += 1;
             return (InsertOutcome::Bypassed, None);
         }
-        if let Some(count) = self.entries.get_mut(&line) {
-            *count += 1;
+        if !self.entries.insert(line) {
             self.stats.hits += 1;
             return (InsertOutcome::Coalesced, None);
         }
-        self.entries.insert(line, 1);
         self.order.push_back(line);
         self.stats.inserts += 1;
 
@@ -186,7 +184,7 @@ impl RemoteWriteQueue {
     /// Removes the entry for `line` if present (page collapse invalidation,
     /// §5.3 flushes in-flight accesses to the collapsing page).
     pub fn invalidate(&mut self, line: LineAddr) -> bool {
-        if self.entries.remove(&line).is_some() {
+        if self.entries.remove(&line) {
             self.order.retain(|&l| l != line);
             true
         } else {

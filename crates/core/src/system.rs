@@ -2,7 +2,6 @@
 //! driver state — the store/load pipeline of Figure 7.
 
 use gps_interconnect::Fabric;
-use gps_mem::VictimPolicy;
 use gps_types::{
     Cycle, GpsError, GpuId, LineAddr, PageSize, Result, Scope, Vpn, CACHE_LINE_BYTES, GIB,
 };
@@ -160,8 +159,8 @@ impl GpsSystem {
     }
 
     /// Turns on the eviction layer (see [`GpsRuntime::enable_eviction`]).
-    pub fn enable_eviction(&mut self, policy: VictimPolicy) {
-        self.runtime.enable_eviction(policy);
+    pub fn enable_eviction(&mut self) {
+        self.runtime.enable_eviction();
     }
 
     /// Adopts a shared range as an automatic GPS region under memory

@@ -20,7 +20,7 @@ use gps_harness::sweep::{run_sweep, SweepOptions, SweepSpec};
 use gps_interconnect::{LinkGen, Topology};
 use gps_paradigms::Paradigm;
 use gps_serve::{ArrivalModel, ServeConfig};
-use gps_sim::{MemoryPressure, VictimPolicy};
+use gps_sim::MemoryPressure;
 use gps_types::CYCLES_PER_SECOND;
 use gps_workloads::{suite, ScaleProfile};
 
@@ -56,8 +56,6 @@ SWEEP / RESUME FLAGS:
                           memory-pressure ratios (subscription demand over
                           per-GPU capacity, e.g. 1.5); each ratio is one sweep
                           point, ratios <= 1.0 behave like no pressure
-    --victim-policy <lru|random>
-                          eviction victim policy under pressure, default lru
     --topologies <t,..|all>
                           fabric topologies (switch|ring|nvswitch|pcietree),
                           default switch; each topology is one sweep point
@@ -204,7 +202,6 @@ const SPEC_FLAGS: &[&str] = &[
     "--topologies",
     "--parallel",
     "--oversubscribe",
-    "--victim-policy",
     "--paper",
     "--superpod",
 ];
@@ -222,7 +219,6 @@ fn parse_args(args: &[String], is_resume: bool) -> Result<ParsedArgs, ArgError> 
         html: None,
     };
     let mut ratios: Vec<f64> = Vec::new();
-    let mut victim: Option<VictimPolicy> = None;
     let invalid = |message: String| ArgError::Invalid { message };
 
     let mut preset: Option<String> = None;
@@ -384,13 +380,6 @@ fn parse_args(args: &[String], is_resume: bool) -> Result<ParsedArgs, ArgError> 
                     });
                 }
             }
-            "--victim-policy" => {
-                victim = Some(
-                    value()?
-                        .parse::<VictimPolicy>()
-                        .map_err(|e| invalid(e.to_string()))?,
-                );
-            }
             "--topologies" => {
                 let v = value()?;
                 parsed.spec.topologies = if v == "all" {
@@ -430,12 +419,10 @@ fn parse_args(args: &[String], is_resume: bool) -> Result<ParsedArgs, ArgError> 
             }
         }
     }
-    if !ratios.is_empty() || victim.is_some() {
-        let victim = victim.unwrap_or_default();
-        let ratios = if ratios.is_empty() { vec![1.0] } else { ratios };
+    if !ratios.is_empty() {
         parsed.spec.pressures = ratios
             .iter()
-            .map(|&r| MemoryPressure::from_ratio(r).with_victim_policy(victim))
+            .map(|&r| MemoryPressure::from_ratio(r))
             .collect();
     }
     Ok(parsed)
@@ -614,8 +601,12 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
 
     let parsed = parse_args(args, false).map_err(|e| e.to_string())?;
     if let Some(out) = &parsed.html {
-        let charts = gps_harness::write_html_report(&parsed.store, out)?;
-        println!("wrote {} ({charts} charts)", out.display());
+        let (charts, corrupt) = gps_harness::write_html_report(&parsed.store, out)?;
+        println!(
+            "wrote {} ({charts} charts{})",
+            out.display(),
+            torn_suffix(corrupt)
+        );
         return Ok(());
     }
     let (mut records, corrupt) =
@@ -690,17 +681,22 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
                 .iter()
                 .filter(|r| r.status == RunStatus::Quarantined)
                 .count(),
-            if corrupt > 0 {
-                format!(", {corrupt} torn lines dropped")
-            } else {
-                String::new()
-            },
+            torn_suffix(corrupt),
         );
     }
     // One buffered write; a closed pipe (report | head) is not an error.
     use std::io::Write as _;
     let _ = std::io::stdout().write_all(out.as_bytes());
     Ok(())
+}
+
+/// `", N torn lines dropped"` when a store load skipped lines, else empty.
+fn torn_suffix(corrupt: usize) -> String {
+    if corrupt > 0 {
+        format!(", {corrupt} torn lines dropped")
+    } else {
+        String::new()
+    }
 }
 
 fn cmd_timeline(args: &[String]) -> Result<(), String> {
@@ -724,7 +720,12 @@ fn cmd_timeline(args: &[String]) -> Result<(), String> {
     }
     let key = key.ok_or("timeline requires a run key (or unique key prefix)")?;
     let tl = gps_harness::timeline(&store, &key, &out)?;
-    println!("reconstructed {} ({})", tl.key, tl.label);
+    println!(
+        "reconstructed {} ({}{})",
+        tl.key,
+        tl.label,
+        torn_suffix(tl.corrupt_lines)
+    );
     println!(
         "trace   {} ({} events: {} spans, {} counter samples, {} instants)",
         tl.paths.trace.display(),
@@ -878,7 +879,7 @@ mod tests {
     /// A command line that sets every sweep flag (one value each).
     const BASE: &str = "--store s.jsonl --apps jacobi,pagerank --paradigms gps,um \
         --gpus 2,4 --links pcie3 --scales tiny --topologies nvswitch --parallel 2 \
-        --oversubscribe 1.5,2 --victim-policy lru --max-jobs 3 --workers 2 --retries 1 \
+        --oversubscribe 1.5,2 --max-jobs 3 --workers 2 --retries 1 \
         --inject-panic jacobi --telemetry tel --html r.html --quiet --csv --fresh";
 
     /// `|`-separated tokens spliced into mutants: presets, list keywords

@@ -420,14 +420,15 @@ pub fn html_report(records: &[RunRecord]) -> String {
 
 /// Loads the store at `store_path` (latest record per key) and writes the
 /// rendered report to `out_path`, creating parent directories as needed.
-/// Returns the number of SVG charts emitted.
+/// Returns the number of SVG charts emitted and the number of unreadable
+/// store lines the report leaves out.
 ///
 /// # Errors
 ///
 /// Returns a description if the store cannot be read or the report cannot
 /// be written.
-pub fn write_html_report(store_path: &Path, out_path: &Path) -> Result<usize, String> {
-    let (records, _) =
+pub fn write_html_report(store_path: &Path, out_path: &Path) -> Result<(usize, usize), String> {
+    let (records, dropped) =
         ResultStore::load_latest(store_path).map_err(|e| format!("load store: {e}"))?;
     let html = html_report(&records);
     if let Some(parent) = out_path.parent() {
@@ -437,7 +438,7 @@ pub fn write_html_report(store_path: &Path, out_path: &Path) -> Result<usize, St
         }
     }
     std::fs::write(out_path, &html).map_err(|e| format!("write {}: {e}", out_path.display()))?;
-    Ok(html.matches("<svg").count())
+    Ok((html.matches("<svg").count(), dropped))
 }
 
 #[cfg(test)]
@@ -466,6 +467,23 @@ mod tests {
             metrics: Vec::new(),
             error: None,
         }
+    }
+
+    #[test]
+    fn written_report_counts_the_store_lines_it_drops() {
+        let dir = std::env::temp_dir().join(format!("gps-html-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let store = dir.join("store.jsonl");
+        let line = sweep_record("jacobi", "gps", 100.0).to_json();
+        let random = line.replace(
+            "\"oversub_pct\":100",
+            "\"oversub_pct\":100,\"victim\":\"random\"",
+        );
+        assert_ne!(random, line, "replacement must fire");
+        std::fs::write(&store, format!("{line}\n{random}\n")).unwrap();
+        let (_, dropped) = write_html_report(&store, &dir.join("report.html")).unwrap();
+        assert_eq!(dropped, 1, "the random-victim line is dropped and counted");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     fn serve_point(qps: f64, p99: f64) -> RunRecord {

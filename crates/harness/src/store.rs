@@ -14,7 +14,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 
-use gps_sim::{MemoryPressure, VictimPolicy};
+use gps_sim::MemoryPressure;
 
 use gps_types::Json;
 
@@ -147,10 +147,6 @@ impl RunRecord {
                 Json::Num(self.pressure.oversubscription_pct as f64),
             ),
             (
-                "victim".to_owned(),
-                Json::Str(self.pressure.victim_policy.label().to_owned()),
-            ),
-            (
                 "status".to_owned(),
                 Json::Str(self.status.as_str().to_owned()),
             ),
@@ -228,8 +224,8 @@ impl RunRecord {
                 .collect::<Result<Vec<_>, _>>()?,
             _ => return Err("missing metrics object".to_owned()),
         };
-        // Pre-oversubscription stores lack these two fields; default to
-        // "no pressure" rather than rejecting the record.
+        // Pre-oversubscription stores lack `oversub_pct`; default to "no
+        // pressure" rather than rejecting the record.
         let pressure = MemoryPressure {
             oversubscription_pct: match v.get("oversub_pct") {
                 Some(j) => j
@@ -238,13 +234,13 @@ impl RunRecord {
                     .ok_or_else(|| "oversub_pct is not a u32".to_owned())?,
                 None => MemoryPressure::NONE.oversubscription_pct,
             },
-            victim_policy: match v.get("victim").and_then(Json::as_str) {
-                Some(s) => s
-                    .parse::<VictimPolicy>()
-                    .map_err(|e| format!("bad victim policy: {e}"))?,
-                None => VictimPolicy::default(),
-            },
         };
+        // Records from before KEY_VERSION 7 name their victim policy. Only
+        // an LRU run is the run its fields describe now; any other must
+        // not be migrated as one.
+        if v.get("victim").is_some_and(|j| j.as_str() != Some("lru")) {
+            return Err("field \"victim\" is not \"lru\", the only victim policy".to_owned());
+        }
         Ok(RunRecord {
             key: str_field("key")?,
             app: str_field("app")?,
@@ -504,16 +500,38 @@ mod tests {
     #[test]
     fn pressured_record_roundtrips_and_legacy_lines_default_to_none() {
         let mut r = sample("k1", RunStatus::Ok);
-        r.pressure = MemoryPressure::from_ratio(1.5).with_victim_policy(VictimPolicy::Random);
+        r.pressure = MemoryPressure::from_ratio(1.5);
         assert_eq!(RunRecord::from_json(&r.to_json()).unwrap(), r);
 
         // A line written before the pressure fields existed.
         let legacy = sample("k2", RunStatus::Ok)
             .to_json()
-            .replace(",\"oversub_pct\":100,\"victim\":\"lru\"", "");
+            .replace(",\"oversub_pct\":100", "");
         assert!(!legacy.contains("oversub_pct"), "replacement must fire");
         let parsed = RunRecord::from_json(&legacy).unwrap();
         assert_eq!(parsed.pressure, MemoryPressure::NONE);
+    }
+
+    #[test]
+    fn only_lru_victim_lines_from_older_stores_load() {
+        let line = sample("k1", RunStatus::Ok).to_json();
+        assert!(!line.contains("victim"), "records no longer name a victim");
+        let with = |victim: &str| {
+            let v6 = line.replace(
+                "\"oversub_pct\":100",
+                &format!("\"oversub_pct\":100,\"victim\":{victim}"),
+            );
+            assert_ne!(v6, line, "replacement must fire");
+            RunRecord::from_json(&v6)
+        };
+        assert_eq!(
+            with("\"lru\"").unwrap(),
+            RunRecord::from_json(&line).unwrap()
+        );
+        for other in ["\"random\"", "\"LRU\"", "1", "null"] {
+            let err = with(other).unwrap_err();
+            assert!(err.contains("\"victim\""), "{other}: {err}");
+        }
     }
 
     #[test]

@@ -153,7 +153,7 @@ pub struct RunUnit {
 
 impl RunUnit {
     /// `app/paradigm/gpus/link/scale`, the human-facing run label; active
-    /// memory pressure appends an `/oversub<ratio>x<policy>` suffix, a
+    /// memory pressure appends an `/oversub<ratio>x` suffix, a
     /// non-default topology appends its label, and the lane engine appends
     /// `/par<workers>`.
     pub fn label(&self) -> String {
@@ -166,11 +166,7 @@ impl RunUnit {
             self.spec.scale.label()
         );
         if self.spec.pressure.is_active() {
-            label.push_str(&format!(
-                "/oversub{:.2}x{}",
-                self.spec.pressure.ratio(),
-                self.spec.pressure.victim_policy.label()
-            ));
+            label.push_str(&format!("/oversub{:.2}x", self.spec.pressure.ratio()));
         }
         if self.spec.topology != Topology::Switch {
             label.push_str(&format!("/{}", self.spec.topology.label()));

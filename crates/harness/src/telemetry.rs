@@ -125,6 +125,8 @@ pub struct TimelineOutput {
     pub stats: TraceStats,
     /// The per-phase counter breakdown (also written to `paths.phases`).
     pub breakdown: String,
+    /// Unreadable store lines skipped while looking the run up.
+    pub corrupt_lines: usize,
 }
 
 /// Reconstructs the cycle-resolved timeline of a stored run: finds the
@@ -144,7 +146,7 @@ pub fn timeline(
     key_prefix: &str,
     out_dir: &Path,
 ) -> Result<TimelineOutput, String> {
-    let (records, _) =
+    let (records, corrupt_lines) =
         ResultStore::load_latest(store_path).map_err(|e| format!("load store: {e}"))?;
     let matches: Vec<_> = records
         .iter()
@@ -227,6 +229,7 @@ pub fn timeline(
         paths,
         stats,
         breakdown: phase_breakdown(&telemetry),
+        corrupt_lines,
     })
 }
 

@@ -112,6 +112,12 @@ fn presets_conflict_with_spec_flags_and_each_other() {
 fn missing_value_and_unknown_flag_are_rejected() {
     assert_rejected("missing", &["--gpus"], "--gpus requires a value");
     assert_rejected("unknown", &["--frobnicate"], "unknown flag --frobnicate");
+    // LRU-approximate is the only victim policy, so the flag is gone.
+    assert_rejected(
+        "victim",
+        &["--victim-policy", "lru"],
+        "unknown flag --victim-policy",
+    );
 }
 
 #[test]

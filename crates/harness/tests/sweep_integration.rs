@@ -167,6 +167,57 @@ fn stale_key_records_migrate_instead_of_rerunning() {
 }
 
 #[test]
+fn v6_lru_records_migrate_and_random_victim_records_do_not() {
+    // Before KEY_VERSION 7 a pressured record named its victim policy.
+    // An LRU record is the run its fields describe now and re-homes under
+    // its v7 key; a random-victim record is a different run, so the store
+    // drops it as unreadable and the sweep re-runs that unit.
+    let store = temp_store("victim");
+    let spec = SweepSpec {
+        paradigms: vec![Paradigm::GpsOversub],
+        pressures: vec![gps_sim::MemoryPressure::from_ratio(1.5)],
+        ..small_spec()
+    };
+    let first = run_sweep(&spec, &store, &quiet(2)).unwrap();
+    assert_eq!(first.executed, 2);
+
+    let text = std::fs::read_to_string(&store).unwrap();
+    assert!(!text.contains("\"victim\""), "v7 records carry no victim");
+    let mut aged = String::new();
+    for (i, line) in text.lines().enumerate() {
+        let key_field_start = line.find("\"key\":\"").unwrap() + "\"key\":\"".len();
+        let old_key = &line[key_field_start..key_field_start + 32];
+        let victim = if i == 0 { "lru" } else { "random" };
+        let v6 = line.replace(old_key, &format!("{i:032x}")).replace(
+            "\"oversub_pct\":150",
+            &format!("\"oversub_pct\":150,\"victim\":\"{victim}\""),
+        );
+        assert!(v6.contains(victim), "replacement must fire");
+        aged.push_str(&v6);
+        aged.push('\n');
+    }
+    std::fs::write(&store, aged).unwrap();
+
+    let resumed = run_sweep(&spec, &store, &quiet(2)).unwrap();
+    assert_eq!(
+        resumed.corrupt_lines, 1,
+        "the random-victim line is dropped"
+    );
+    assert_eq!(resumed.migrated, 1, "only the LRU record re-homes");
+    assert_eq!(resumed.executed, 1, "the random-victim unit runs again");
+    assert_eq!(resumed.skipped, 1);
+    let current: Vec<_> = resumed
+        .records
+        .iter()
+        .filter(|r| !r.key.starts_with("000000000000000000000000000000"))
+        .cloned()
+        .collect();
+    assert_eq!(fingerprint(&current), fingerprint(&first.records));
+
+    std::fs::remove_file(&store).ok();
+}
+
+#[test]
 fn injected_panics_quarantine_without_aborting_siblings() {
     let store = temp_store("quarantine");
     let spec = small_spec();

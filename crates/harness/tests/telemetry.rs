@@ -223,6 +223,38 @@ fn timeline_prefix_errors_list_candidates_and_pressure_rederives() {
     }
 }
 
+/// A line the store cannot read, such as a record of the retired random
+/// victim policy, is counted in the timeline's output instead of vanishing.
+#[test]
+fn timeline_counts_the_store_lines_it_drops() {
+    let spec = SweepSpec {
+        apps: vec!["hit".into()],
+        paradigms: vec![Paradigm::GpsOversub],
+        gpu_counts: vec![2],
+        links: vec![LinkGen::Pcie3],
+        scales: vec![ScaleProfile::Tiny],
+        pressures: vec![gps_sim::MemoryPressure::from_ratio(1.5)],
+        topologies: vec![gps_interconnect::Topology::Switch],
+        parallel: 0,
+    };
+    let dir = temp_dir("dropped");
+    let store = dir.join("store.jsonl");
+    let outcome = run_sweep(&spec, &store, &SweepOptions::default()).unwrap();
+    let key = outcome.records[0].key.clone();
+    let line = std::fs::read_to_string(&store).unwrap();
+    let random = line.replace(&key, &"0".repeat(32)).replace(
+        "\"oversub_pct\":150",
+        "\"oversub_pct\":150,\"victim\":\"random\"",
+    );
+    assert!(random.contains("random"), "replacement must fire");
+    std::fs::write(&store, format!("{line}{random}")).unwrap();
+
+    let tl = timeline(&store, &key, &dir.join("out")).unwrap();
+    assert_eq!(tl.key, key);
+    assert_eq!(tl.corrupt_lines, 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Re-sweeping a compacted store is all cache hits: compaction preserves
 /// exactly the records resume depends on.
 #[test]

@@ -59,11 +59,6 @@ impl BandwidthResource {
         self.bandwidth
     }
 
-    /// Earliest time a new request could start (rounded up).
-    pub fn next_free(&self) -> Cycle {
-        Cycle::new(self.next_free.ceil() as u64)
-    }
-
     /// Total bytes ever booked.
     pub fn total_bytes(&self) -> u64 {
         self.total_bytes
@@ -160,7 +155,8 @@ mod tests {
         for _ in 0..7 {
             r.book(128, Cycle::new(0));
         }
-        assert_eq!(r.next_free(), Cycle::new(1));
+        // A zero-byte probe completes when the resource frees up.
+        assert_eq!(r.book(0, Cycle::ZERO), Cycle::new(1));
         // 900 lines take 128 cycles, not 900.
         let mut r = BandwidthResource::new(Bandwidth::gb_per_sec(900.0));
         let mut last = Cycle::ZERO;
@@ -202,7 +198,7 @@ mod tests {
         let mut r = BandwidthResource::new(Bandwidth::gb_per_sec(1.0));
         r.book(100, Cycle::new(0));
         r.reset();
-        assert_eq!(r.next_free(), Cycle::ZERO);
+        assert_eq!(r.book(0, Cycle::ZERO), Cycle::ZERO);
         assert_eq!(r.total_bytes(), 0);
     }
 

@@ -11,87 +11,31 @@
 //!
 //! * [`ResidentSet`] — the ordered set of GPS pages holding a replica on
 //!   one GPU, maintained alongside the [`FrameAllocator`](crate::FrameAllocator).
-//! * [`VictimPolicy`] — how a victim is chosen under pressure:
-//!   LRU-approximate (skip pages whose ATU access bit is set, oldest
-//!   first) or uniformly random as the control policy.
+//!   Victims are chosen LRU-approximate: the oldest page whose ATU
+//!   access bit is clear.
 //!
 //! Victim *selection* is deliberately read-only: the caller owns the
 //! page-table/TLB invalidation ordering and calls [`ResidentSet::remove`]
 //! through its normal unsubscribe path.
 
 use std::collections::{BTreeSet, VecDeque};
-use std::fmt;
-use std::str::FromStr;
 
-use gps_types::rng::SmallRng;
-use gps_types::{GpsError, Vpn};
-
-/// How a victim page is chosen when a GPU runs out of physical frames.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum VictimPolicy {
-    /// Approximate LRU: prefer the oldest resident page whose ATU access
-    /// bit is clear; fall back to the oldest eligible page when every
-    /// candidate was recently used (or no access history exists yet).
-    #[default]
-    LruApprox,
-    /// Uniformly random eligible page, from a fixed-seed deterministic
-    /// stream. The control policy for the oversubscription sweep.
-    Random,
-}
-
-impl VictimPolicy {
-    /// Stable lowercase label (CLI flag value, store field).
-    pub fn label(self) -> &'static str {
-        match self {
-            VictimPolicy::LruApprox => "lru",
-            VictimPolicy::Random => "random",
-        }
-    }
-}
-
-impl fmt::Display for VictimPolicy {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-impl FromStr for VictimPolicy {
-    type Err = GpsError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "lru" | "lru-approx" | "lruapprox" => Ok(VictimPolicy::LruApprox),
-            "random" | "rand" => Ok(VictimPolicy::Random),
-            _ => Err(GpsError::Parse {
-                what: "victim policy",
-                input: s.to_owned(),
-            }),
-        }
-    }
-}
+use gps_types::Vpn;
 
 /// The ordered set of GPS pages with a resident replica on one GPU.
 ///
-/// Insertion order is preserved (oldest first), giving the LRU-approx
-/// policy its age ordering; membership is O(1) via a side set. The
-/// random policy draws from an embedded fixed-seed [`SmallRng`] so runs
-/// are bit-reproducible.
-#[derive(Debug, Clone)]
+/// Insertion order is preserved (oldest first), giving victim selection
+/// its age ordering; membership is a lookup in a side set.
+#[derive(Debug, Clone, Default)]
 pub struct ResidentSet {
     order: VecDeque<Vpn>,
     members: BTreeSet<Vpn>,
-    rng: SmallRng,
 }
 
 impl ResidentSet {
-    /// Creates an empty resident set whose random-victim stream is fully
-    /// determined by `seed`.
-    pub fn new(seed: u64) -> Self {
-        ResidentSet {
-            order: VecDeque::new(),
-            members: BTreeSet::new(),
-            rng: SmallRng::seed_from_u64(seed),
-        }
+    /// Creates an empty resident set.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Records that `vpn` now holds a replica here. Re-inserting an
@@ -135,38 +79,26 @@ impl ResidentSet {
 
     /// Chooses a victim among resident pages that satisfy `eligible`
     /// (typically: not the last surviving replica), or `None` if no page
-    /// qualifies.
+    /// qualifies: the oldest such page whose access bit is clear, else the
+    /// oldest such page.
     ///
     /// Selection does not mutate residency — the caller evicts through
-    /// its unsubscribe path and then calls [`remove`](Self::remove) (the
-    /// random stream does advance, which is why this takes `&mut self`).
-    /// `recently_used` feeds the ATU access bitmap into the LRU-approx
-    /// policy; pass `|_| false` when no access history exists.
+    /// its unsubscribe path and then calls [`remove`](Self::remove).
+    /// `recently_used` feeds in the ATU access bitmap; pass `|_| false`
+    /// when no access history exists.
     pub fn select_victim(
-        &mut self,
-        policy: VictimPolicy,
+        &self,
         mut eligible: impl FnMut(Vpn) -> bool,
         mut recently_used: impl FnMut(Vpn) -> bool,
     ) -> Option<Vpn> {
-        let candidates: Vec<Vpn> = self
+        let mut candidates = self
             .order
             .iter()
             .copied()
             .filter(|&v| eligible(v))
-            .collect();
-        if candidates.is_empty() {
-            return None;
-        }
-        match policy {
-            VictimPolicy::LruApprox => Some(
-                candidates
-                    .iter()
-                    .copied()
-                    .find(|&v| !recently_used(v))
-                    .unwrap_or(candidates[0]),
-            ),
-            VictimPolicy::Random => Some(candidates[self.rng.gen_range_usize(0..candidates.len())]),
-        }
+            .peekable();
+        let oldest = *candidates.peek()?;
+        Some(candidates.find(|&v| !recently_used(v)).unwrap_or(oldest))
     }
 }
 
@@ -180,7 +112,7 @@ mod tests {
 
     #[test]
     fn insert_remove_preserves_age_order() {
-        let mut set = ResidentSet::new(1);
+        let mut set = ResidentSet::new();
         for n in [3, 1, 2] {
             set.insert(v(n));
         }
@@ -196,51 +128,21 @@ mod tests {
 
     #[test]
     fn lru_approx_skips_recently_used_and_falls_back_to_oldest() {
-        let mut set = ResidentSet::new(1);
+        let mut set = ResidentSet::new();
         for n in 0..4 {
             set.insert(v(n));
         }
         // Pages 0 and 1 were recently accessed: the oldest cold page wins.
-        let victim = set.select_victim(VictimPolicy::LruApprox, |_| true, |p| p.as_u64() < 2);
+        let victim = set.select_victim(|_| true, |p| p.as_u64() < 2);
         assert_eq!(victim, Some(v(2)));
         // Everything recently used: fall back to the oldest eligible.
-        let victim = set.select_victim(VictimPolicy::LruApprox, |_| true, |_| true);
+        let victim = set.select_victim(|_| true, |_| true);
         assert_eq!(victim, Some(v(0)));
         // Eligibility filters before recency.
-        let victim = set.select_victim(VictimPolicy::LruApprox, |p| p.as_u64() >= 3, |_| false);
+        let victim = set.select_victim(|p| p.as_u64() >= 3, |_| false);
         assert_eq!(victim, Some(v(3)));
         // No eligible page at all.
-        let victim = set.select_victim(VictimPolicy::LruApprox, |_| false, |_| false);
+        let victim = set.select_victim(|_| false, |_| false);
         assert_eq!(victim, None);
-    }
-
-    #[test]
-    fn random_is_deterministic_per_seed_and_respects_eligibility() {
-        let picks = |seed: u64| {
-            let mut set = ResidentSet::new(seed);
-            for n in 0..16 {
-                set.insert(v(n));
-            }
-            (0..8)
-                .map(|_| {
-                    set.select_victim(VictimPolicy::Random, |p| p.as_u64() % 2 == 0, |_| false)
-                        .expect("eligible pages exist")
-                })
-                .collect::<Vec<_>>()
-        };
-        let a = picks(42);
-        assert_eq!(a, picks(42), "same seed, same stream");
-        assert!(a.iter().all(|p| p.as_u64() % 2 == 0));
-        assert_ne!(a, picks(43), "different seed diverges");
-    }
-
-    #[test]
-    fn victim_policy_labels_roundtrip() {
-        for p in [VictimPolicy::LruApprox, VictimPolicy::Random] {
-            assert_eq!(p.label().parse::<VictimPolicy>().unwrap(), p);
-            assert_eq!(p.to_string(), p.label());
-        }
-        assert!("clock".parse::<VictimPolicy>().is_err());
-        assert_eq!(VictimPolicy::default(), VictimPolicy::LruApprox);
     }
 }

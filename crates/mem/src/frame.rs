@@ -98,32 +98,6 @@ impl FrameAllocator {
         }
     }
 
-    /// Allocates `count` frames, rolling back on failure.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GpsError::OutOfMemory`] if fewer than `count` frames are
-    /// available; no frames are leaked in that case.
-    pub fn allocate_many(&mut self, count: u64) -> Result<Vec<Ppn>> {
-        let mut out = Vec::with_capacity(count.min(self.free_pages()) as usize);
-        for _ in 0..count {
-            match self.allocate() {
-                Ok(ppn) => out.push(ppn),
-                Err(_) => {
-                    // Roll back the partial batch before reporting.
-                    while let Some(ppn) = out.pop() {
-                        self.free(ppn);
-                    }
-                    return Err(GpsError::OutOfMemory {
-                        gpu: self.gpu,
-                        requested: count.saturating_mul(self.page_size.bytes()),
-                    });
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// Returns a frame to the allocator.
     ///
     /// # Panics
@@ -176,49 +150,6 @@ mod tests {
         fa.free(frames[2]);
         let again = fa.allocate().unwrap();
         assert_eq!(again, frames[2]);
-    }
-
-    #[test]
-    fn allocate_many_is_all_or_nothing() {
-        let mut fa = small();
-        fa.allocate().unwrap();
-        assert!(fa.allocate_many(4).is_err());
-        // The failed bulk request must not have consumed anything.
-        assert_eq!(fa.allocated_pages(), 1);
-        assert_eq!(fa.allocate_many(3).unwrap().len(), 3);
-    }
-
-    #[test]
-    fn failed_bulk_request_rolls_back_and_memory_stays_fully_usable() {
-        let mut fa = small();
-        let held = fa.allocate().unwrap();
-        // Exhausting request: must roll back the 3 frames it took mid-batch.
-        assert!(fa.allocate_many(4).is_err());
-        assert_eq!(fa.allocated_pages(), 1);
-        // Every remaining frame is still allocatable afterwards...
-        let rest = fa.allocate_many(3).unwrap();
-        assert_eq!(rest.len(), 3);
-        assert_eq!(fa.free_pages(), 0);
-        // ...and the full capacity cycles cleanly once everything is freed.
-        fa.free(held);
-        for ppn in rest {
-            fa.free(ppn);
-        }
-        assert_eq!(fa.allocate_many(4).unwrap().len(), 4);
-    }
-
-    #[test]
-    fn absurd_bulk_request_reports_saturated_size_without_panicking() {
-        let mut fa = small();
-        let err = fa.allocate_many(u64::MAX).unwrap_err();
-        assert!(matches!(
-            err,
-            GpsError::OutOfMemory {
-                requested: u64::MAX,
-                ..
-            }
-        ));
-        assert_eq!(fa.allocated_pages(), 0);
     }
 
     #[test]

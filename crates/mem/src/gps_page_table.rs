@@ -8,8 +8,8 @@ use crate::PageMap;
 /// subscriber's replica of one virtual page (§5.2).
 ///
 /// The paper sizes the entry at GPU initialisation based on GPU count; with
-/// 64 KB pages, a 33-bit VPN and 31-bit PPNs, a 4-GPU entry is 126 bits.
-/// [`GpsPte::bits`] reproduces that arithmetic.
+/// 64 KB pages, a 33-bit VPN and 31-bit PPNs, a 4-GPU entry is 126 bits
+/// (the VPN tag plus one PPN per remote subscriber).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct GpsPte {
     /// `(subscriber, local replica frame)` pairs, kept sorted by GPU id.
@@ -74,23 +74,6 @@ impl GpsPte {
             .iter()
             .copied()
             .filter(move |&(g, _)| g != writer)
-    }
-
-    /// Size of this entry in bits for the paper's encoding: one VPN of
-    /// `vpn_bits` plus one PPN of `ppn_bits` per possible subscriber.
-    ///
-    /// ```
-    /// use gps_mem::GpsPte;
-    /// // §5.2: 33-bit VPN + 4 GPUs x 31-bit PPN = minimum 126 bits... the
-    /// // paper counts the VPN once plus a PPN and valid bit per GPU (at
-    /// // least): 33 + 4 * (31) = 157? The text states 126 bits for the
-    /// // minimum entry; with 3 *remote* PPNs: 33 + 3*31 = 126.
-    /// assert_eq!(GpsPte::bits(33, 31, 4), 126);
-    /// ```
-    pub fn bits(vpn_bits: u32, ppn_bits: u32, gpu_count: u32) -> u32 {
-        // The local replica is translated by the conventional page table, so
-        // the GPS-PTE needs the VPN tag plus one PPN per *remote* subscriber.
-        vpn_bits + ppn_bits * (gpu_count - 1)
     }
 }
 
@@ -271,11 +254,6 @@ mod tests {
         }
         let hist = t.subscriber_histogram(4);
         assert_eq!(hist, vec![0, 0, 2, 1, 1]);
-    }
-
-    #[test]
-    fn entry_bits_matches_paper_example() {
-        assert_eq!(GpsPte::bits(33, 31, 4), 126);
     }
 
     #[test]

@@ -17,10 +17,7 @@
 //!   and in the policies is kept in.
 //! * [`AccessBitmap`] — the one-bit-per-page DRAM bitmap maintained by the
 //!   access tracking unit during profiling (§5.2, "Access tracking unit").
-//! * [`ResidencyMap`] — page-residency and read-duplication state used by
-//!   the Unified Memory baselines (fault-based migration, read-duplication
-//!   collapse on write).
-//! * [`ResidentSet`] / [`VictimPolicy`] — per-GPU resident-set tracking and
+//! * [`ResidentSet`] — per-GPU resident-set tracking and LRU-approximate
 //!   victim selection for the oversubscription/eviction model (§8 future
 //!   work: swap-out when subscriptions exceed physical memory).
 
@@ -32,15 +29,13 @@ mod evict;
 mod frame;
 mod gps_page_table;
 mod page_map;
-mod residency;
 mod tlb;
 mod va_space;
 
 pub use bitmap::AccessBitmap;
-pub use evict::{ResidentSet, VictimPolicy};
+pub use evict::ResidentSet;
 pub use frame::FrameAllocator;
 pub use gps_page_table::{GpsPageTable, GpsPte};
 pub use page_map::PageMap;
-pub use residency::{CollapseOutcome, ResidencyMap, ResidencyState};
 pub use tlb::{Tlb, TlbConfig, TlbStats};
 pub use va_space::{VaRange, VaSpace};

@@ -77,22 +77,10 @@ impl VaRange {
         addr >= self.base && addr < self.end()
     }
 
-    /// Whether the whole page `vpn` falls inside the range.
-    pub fn contains_vpn(&self, vpn: Vpn) -> bool {
-        let first = self.base.vpn(self.page_size);
-        vpn >= first && vpn.as_u64() < first.as_u64() + self.pages()
-    }
-
     /// Iterates over the virtual page numbers of the range.
     pub fn vpns(&self) -> impl Iterator<Item = Vpn> + Clone + '_ {
         let first = self.base.vpn(self.page_size).as_u64();
         (first..first + self.pages()).map(Vpn::new)
-    }
-
-    /// Iterates over the cache lines of the range.
-    pub fn line_addrs(&self) -> impl Iterator<Item = LineAddr> + Clone + '_ {
-        let first = self.base.line().as_u64();
-        (first..first + self.lines()).map(LineAddr::new)
     }
 
     /// The byte address `offset` bytes into the range.
@@ -250,15 +238,14 @@ mod tests {
         let vpns: Vec<_> = r.vpns().collect();
         assert_eq!(vpns.len(), 3);
         assert_eq!(vpns[0], r.base().vpn(PageSize::Standard64K));
-        assert!(r.contains_vpn(vpns[2]));
-        assert!(!r.contains_vpn(vpns[2].next()));
+        assert_eq!(vpns[2].as_u64(), vpns[0].as_u64() + 2);
     }
 
     #[test]
     fn line_iteration_matches_byte_count() {
         let mut space = VaSpace::new(PageSize::Small4K);
         let r = space.allocate(4096).unwrap();
-        assert_eq!(r.line_addrs().count() as u64, 4096 / CACHE_LINE_BYTES);
+        assert_eq!(r.lines(), 4096 / CACHE_LINE_BYTES);
         assert_eq!(r.line_at(0), r.base().line());
     }
 

@@ -4,9 +4,7 @@
 
 use std::collections::BTreeMap;
 
-use gps_mem::{
-    AccessBitmap, FrameAllocator, GpsPageTable, PageMap, ResidencyMap, Tlb, TlbConfig, VaSpace,
-};
+use gps_mem::{AccessBitmap, FrameAllocator, GpsPageTable, PageMap, Tlb, TlbConfig, VaSpace};
 use gps_types::rng::SmallRng;
 use gps_types::{GpuId, PageSize, Ppn, VirtAddr, Vpn};
 
@@ -143,31 +141,6 @@ fn bitmap_matches_reference() {
         let want: Vec<u64> = model.iter().copied().collect();
         assert_eq!(got, want);
         assert_eq!(bm.iter_clear().count() as u64, pages - model.len() as u64);
-    }
-}
-
-/// UM residency: exactly one owner at all times; a writer always ends up
-/// owning the page; readable_by(owner) always holds.
-#[test]
-fn residency_owner_is_unique_and_writers_own() {
-    let mut rng = SmallRng::seed_from_u64(17);
-    for _ in 0..30 {
-        let mut m = ResidencyMap::new();
-        for _ in 0..rng.gen_range(1..200) {
-            let v = Vpn::new(rng.gen_range(0..16));
-            let g = GpuId::new(rng.gen_range(0..4) as u16);
-            if rng.gen_bool(0.5) {
-                m.write(v, g);
-                assert_eq!(m.state(v).unwrap().owner, g);
-            } else {
-                m.read_migrate(v, g);
-                assert!(m.state(v).unwrap().readable_by(g));
-            }
-            let s = m.state(v).unwrap();
-            assert!(s.readable_by(s.owner));
-            // Owner never appears in its own reader list.
-            assert!(!s.readers.contains(&s.owner));
-        }
     }
 }
 

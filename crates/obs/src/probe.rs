@@ -266,7 +266,8 @@ struct Shared {
     /// that [`ProbeHandle::set_tag`], which a lane calls once per stepped
     /// event, is a plain store. `Relaxed` suffices: a lane's tag is only
     /// written and read by the thread currently driving that lane, and
-    /// the lane pool's barriers order every hand-off between threads.
+    /// the per-window `thread::scope` spawn and join order every hand-off
+    /// between threads.
     tag: AtomicU64,
     target: Mutex<Target>,
 }

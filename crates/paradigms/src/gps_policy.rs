@@ -220,7 +220,7 @@ impl MemoryPolicy for GpsPolicy {
             )
             // gps-lint: allow(no_expect) -- gps_cfg is derived from a machine description already validated by the harness
             .expect("invalid GPS configuration");
-            sys.enable_eviction(pressure.victim_policy);
+            sys.enable_eviction();
             sys
         } else {
             GpsSystem::new(config.gpu_count, workload.page_size, gps_cfg)

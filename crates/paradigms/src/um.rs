@@ -1,10 +1,10 @@
 //! Baseline Unified Memory: fault-based page migration (§2.1, §6).
 
-use gps_mem::{CollapseOutcome, PageMap, ResidencyMap};
+use gps_mem::PageMap;
 use gps_sim::{LoadRoute, MemCtx, MemoryPolicy, SharedIndex, SimConfig, StoreRoute, Workload};
 use gps_types::{Cycle, GpuId, LineAddr, Scope, Vpn};
 
-use crate::common::{FAULT_OVERHEAD, SHOOTDOWN};
+use crate::common::FAULT_OVERHEAD;
 
 /// Unified Memory without hints.
 ///
@@ -18,7 +18,8 @@ use crate::common::{FAULT_OVERHEAD, SHOOTDOWN};
 /// in-flight migration.
 #[derive(Debug)]
 pub struct UmPolicy {
-    residency: ResidencyMap,
+    /// The GPU holding each touched shared page: UM keeps one copy.
+    owners: PageMap<GpuId>,
     index: Option<SharedIndex>,
     /// In-flight fault per page: accesses before `ready` join it.
     inflight: PageMap<Cycle>,
@@ -32,7 +33,7 @@ impl UmPolicy {
     /// Creates the policy.
     pub fn new() -> Self {
         Self {
-            residency: ResidencyMap::new(),
+            owners: PageMap::new(),
             index: None,
             inflight: PageMap::new(),
             fault_queue: Vec::new(),
@@ -41,9 +42,27 @@ impl UmPolicy {
         }
     }
 
+    /// Routes an access by `gpu` to the shared page `vpn`: the first touch
+    /// places the page on `gpu`, and a page living elsewhere migrates to
+    /// it. Returns when the access may complete if it must stall.
+    fn route_page(&mut self, gpu: GpuId, vpn: Vpn, ctx: &mut MemCtx<'_>) -> Option<Cycle> {
+        let owner = self.owners.get_or_insert_with(vpn, || gpu);
+        if *owner == gpu {
+            // Resident, but a migration for this page may still be in
+            // flight; the access cannot complete before it lands.
+            self.inflight
+                .get(vpn)
+                .copied()
+                .filter(|&ready| ready > ctx.now)
+        } else {
+            let from = std::mem::replace(owner, gpu);
+            Some(self.fault(gpu, vpn, from, ctx))
+        }
+    }
+
     /// Books the fault-plus-migration for `vpn` moving from `from` to
     /// `gpu`; returns when the warp may retry.
-    fn fault(&mut self, gpu: GpuId, vpn: Vpn, from: Option<GpuId>, ctx: &mut MemCtx<'_>) -> Cycle {
+    fn fault(&mut self, gpu: GpuId, vpn: Vpn, from: GpuId, ctx: &mut MemCtx<'_>) -> Cycle {
         if let Some(&ready) = self.inflight.get(vpn) {
             if ready > ctx.now {
                 // Piggyback on the in-flight migration.
@@ -51,18 +70,14 @@ impl UmPolicy {
             }
         }
         self.faults += 1;
+        self.migrated_pages += 1;
         let start = self.fault_queue[gpu.index()].max(ctx.now);
         let handled = start + FAULT_OVERHEAD;
-        let ready = match from {
-            Some(src) if src != gpu => {
-                self.migrated_pages += 1;
-                ctx.fabric
-                    .transfer(src, gpu, ctx.page_size.bytes(), handled)
-                    .map(|t| t.arrived)
-                    .unwrap_or(handled)
-            }
-            _ => handled,
-        };
+        let ready = ctx
+            .fabric
+            .transfer(from, gpu, ctx.page_size.bytes(), handled)
+            .map(|t| t.arrived)
+            .unwrap_or(handled);
         self.fault_queue[gpu.index()] = ready;
         self.inflight.insert(vpn, ready);
         ready
@@ -93,18 +108,9 @@ impl MemoryPolicy for UmPolicy {
         if !self.is_shared(line) {
             return LoadRoute::Local;
         }
-        let vpn = ctx.vpn_of(line);
-        let prev_owner = self.residency.state(vpn).map(|s| s.owner);
-        if self.residency.read_migrate(vpn, gpu) {
-            // Resident — but a migration for this page may still be in
-            // flight; the access cannot complete before it lands.
-            match self.inflight.get(vpn) {
-                Some(&ready) if ready > ctx.now => LoadRoute::StallThenLocal { ready },
-                _ => LoadRoute::Local,
-            }
-        } else {
-            let ready = self.fault(gpu, vpn, prev_owner, ctx);
-            LoadRoute::StallThenLocal { ready }
+        match self.route_page(gpu, ctx.vpn_of(line), ctx) {
+            Some(ready) => LoadRoute::StallThenLocal { ready },
+            None => LoadRoute::Local,
         }
     }
 
@@ -118,19 +124,9 @@ impl MemoryPolicy for UmPolicy {
         if !self.is_shared(line) {
             return StoreRoute::Local;
         }
-        let vpn = ctx.vpn_of(line);
-        match self.residency.write(vpn, gpu) {
-            CollapseOutcome::LocalWrite => match self.inflight.get(vpn) {
-                Some(&ready) if ready > ctx.now => StoreRoute::StallThenLocal { ready },
-                _ => StoreRoute::Local,
-            },
-            CollapseOutcome::Collapsed { .. } => StoreRoute::StallThenLocal {
-                ready: ctx.now + SHOOTDOWN,
-            },
-            CollapseOutcome::Migrated { from, .. } => {
-                let ready = self.fault(gpu, vpn, Some(from), ctx);
-                StoreRoute::StallThenLocal { ready }
-            }
+        match self.route_page(gpu, ctx.vpn_of(line), ctx) {
+            Some(ready) => StoreRoute::StallThenLocal { ready },
+            None => StoreRoute::Local,
         }
     }
 

@@ -1,7 +1,6 @@
 //! Machine and timing configuration (Table 1 plus timing constants).
 
 use gps_interconnect::Topology;
-use gps_mem::VictimPolicy;
 use gps_types::{Bandwidth, GpsError, Latency, PageSize, Result, GIB, KIB, MIB};
 
 /// Memory-oversubscription knob: how much subscription demand the
@@ -18,32 +17,20 @@ pub struct MemoryPressure {
     /// Subscription demand as a percentage of per-GPU frame capacity
     /// (`150` = 1.5x oversubscribed). `100` or less disables pressure.
     pub oversubscription_pct: u32,
-    /// Victim-selection policy used when a GPU must evict.
-    pub victim_policy: VictimPolicy,
 }
 
 impl MemoryPressure {
     /// No pressure: capacity covers demand, eviction never triggers.
     pub const NONE: MemoryPressure = MemoryPressure {
         oversubscription_pct: 100,
-        victim_policy: VictimPolicy::LruApprox,
     };
 
-    /// Pressure from a subscription ratio (`1.5` -> 150 %), keeping the
-    /// default LRU-approx victim policy. Ratios at or below 1.0 disable
-    /// pressure.
+    /// Pressure from a subscription ratio (`1.5` -> 150 %). Ratios at or
+    /// below 1.0 disable pressure.
     pub fn from_ratio(ratio: f64) -> Self {
         MemoryPressure {
             oversubscription_pct: (ratio.max(0.0) * 100.0).round() as u32,
-            victim_policy: VictimPolicy::LruApprox,
         }
-    }
-
-    /// Replaces the victim policy.
-    #[must_use]
-    pub fn with_victim_policy(mut self, policy: VictimPolicy) -> Self {
-        self.victim_policy = policy;
-        self
     }
 
     /// The subscription ratio (`150` -> 1.5).
@@ -379,11 +366,6 @@ mod tests {
         assert!(p.is_active());
         assert_eq!(p.oversubscription_pct, 150);
         assert!((p.ratio() - 1.5).abs() < 1e-12);
-        assert_eq!(p.victim_policy, VictimPolicy::LruApprox);
-        assert_eq!(
-            p.with_victim_policy(VictimPolicy::Random).victim_policy,
-            VictimPolicy::Random
-        );
         let mut s = SimConfig::gv100_system(2);
         s.memory_pressure.oversubscription_pct = 0;
         assert!(s.validate().is_err());

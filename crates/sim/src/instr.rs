@@ -47,15 +47,6 @@ impl WarpInstr {
     pub fn load1(line: LineAddr) -> Self {
         WarpInstr::Load(LineRange::single(line))
     }
-
-    /// Number of cache lines this instruction touches.
-    pub fn lines_touched(&self) -> u32 {
-        match self {
-            WarpInstr::Compute(_) | WarpInstr::Fence(_) => 0,
-            WarpInstr::Load(r) | WarpInstr::Store(r, _) => r.len(),
-            WarpInstr::Atomic(_) => 1,
-        }
-    }
 }
 
 impl fmt::Display for WarpInstr {
@@ -258,19 +249,6 @@ where
 mod tests {
     use super::*;
     use crate::pipeline::expand_cta;
-
-    #[test]
-    fn lines_touched() {
-        assert_eq!(WarpInstr::Compute(5).lines_touched(), 0);
-        assert_eq!(WarpInstr::load1(LineAddr::new(0)).lines_touched(), 1);
-        assert_eq!(
-            WarpInstr::Store(LineRange::contiguous(LineAddr::new(0), 4), Scope::Weak)
-                .lines_touched(),
-            4
-        );
-        assert_eq!(WarpInstr::Atomic(LineAddr::new(9)).lines_touched(), 1);
-        assert_eq!(WarpInstr::Fence(Scope::Sys).lines_touched(), 0);
-    }
 
     #[test]
     fn warp_ctx_indexing() {

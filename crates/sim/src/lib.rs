@@ -45,7 +45,6 @@ pub use cache::{Cache, CacheConfig, CacheStats, Evicted, Lookup};
 pub use config::{GpuConfig, MemoryPressure, SimConfig};
 pub use dram::DramModel;
 pub use engine::Engine;
-pub use gps_mem::VictimPolicy;
 pub use instr::{FillProgram, WarpCtx, WarpInstr, WarpProgram};
 pub use policy::{
     AllLocalPolicy, LaneMode, LaneRouter, LoadRoute, MemCtx, MemoryPolicy, StoreRoute,

@@ -50,11 +50,6 @@ pub struct GpuReport {
 }
 
 impl GpuReport {
-    /// L1 hit rate in `[0, 1]`.
-    pub fn l1_hit_rate(&self) -> f64 {
-        rate(self.l1_hits, self.l1_misses)
-    }
-
     /// L2 hit rate in `[0, 1]`.
     pub fn l2_hit_rate(&self) -> f64 {
         rate(self.l2_hits, self.l2_misses)
@@ -110,23 +105,6 @@ impl SimReport {
     /// Total kernels launched.
     pub fn kernels(&self) -> u64 {
         self.per_gpu.iter().map(|g| g.kernels).sum()
-    }
-
-    /// Mean SM issue-port utilisation across GPUs in `[0, 1]`: busy issue
-    /// cycles divided by (SMs x total cycles). Low values mean warps spent
-    /// the run stalled on memory or faults.
-    pub fn issue_utilisation(&self, sms_per_gpu: usize) -> f64 {
-        if self.total_cycles.as_u64() == 0 || self.per_gpu.is_empty() {
-            return 0.0;
-        }
-        let denom = (sms_per_gpu as u64 * self.total_cycles.as_u64()) as f64;
-        let per: f64 = self
-            .per_gpu
-            .iter()
-            .map(|g| g.sm_busy_cycles as f64 / denom)
-            .sum::<f64>()
-            / self.per_gpu.len() as f64;
-        per.min(1.0)
     }
 
     /// Mean L2 hit rate across GPUs that performed L2 accesses.
@@ -207,7 +185,6 @@ mod tests {
     #[test]
     fn hit_rates_handle_empty_counters() {
         let g = GpuReport::default();
-        assert_eq!(g.l1_hit_rate(), 0.0);
         assert_eq!(g.l2_hit_rate(), 0.0);
         let r = report(1);
         assert_eq!(r.mean_l2_hit_rate(), 0.0);

@@ -501,19 +501,6 @@ fn cta_waves_respect_residency_limits() {
 }
 
 #[test]
-fn issue_utilisation_is_high_for_compute_bound_kernels() {
-    let mut b = WorkloadBuilder::new("busy", PageSize::Standard64K, 1);
-    b.alloc_private("p", 1).unwrap();
-    b.phase(vec![kernel(0, 1280, 4, |_: WarpCtx| {
-        vec![WarpInstr::Compute(2000)]
-    })]);
-    let wl = b.build(1).unwrap();
-    let r = run(&wl, 1, LinkGen::Pcie3);
-    let util = r.issue_utilisation(80);
-    assert!(util > 0.5, "compute-bound run should keep SMs busy: {util}");
-}
-
-#[test]
 fn warps_of_partial_last_cta_still_run() {
     // Grid sizes that do not divide the CTA capacity exactly must still
     // retire every warp.

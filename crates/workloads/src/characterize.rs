@@ -10,7 +10,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use gps_sim::{WarpCtx, WarpInstr, Workload};
-use gps_types::{GpuId, Vpn, CACHE_LINE_BYTES};
+use gps_types::{GpuId, Vpn};
 
 /// Aggregate statistics of one workload's first iteration.
 #[derive(Debug, Clone, Default)]
@@ -52,16 +52,6 @@ impl Characterization {
         } else {
             self.compute_cycles as f64 / lines as f64
         }
-    }
-
-    /// Total bytes touched (line accesses x 128 B).
-    pub fn bytes_touched(&self) -> u64 {
-        (self.lines_loaded + self.lines_stored + self.atomics) * CACHE_LINE_BYTES
-    }
-
-    /// Pages with more than one toucher.
-    pub fn multi_gpu_pages(&self) -> u64 {
-        self.shared_pages_by_degree.values().sum()
     }
 
     /// The dominant sharing degree among multi-GPU pages (2..=N), if any.
@@ -218,7 +208,11 @@ mod tests {
     fn single_gpu_builds_share_nothing() {
         for app in suite::all() {
             let c = characterize(&(app.build)(1, ScaleProfile::Tiny));
-            assert_eq!(c.multi_gpu_pages(), 0, "{}: one GPU cannot share", app.name);
+            assert!(
+                c.shared_pages_by_degree.is_empty(),
+                "{}: one GPU cannot share",
+                app.name
+            );
             assert!(c.instructions > 0);
         }
     }
@@ -228,8 +222,8 @@ mod tests {
         for app in suite::all() {
             let c1 = characterize(&(app.build)(1, ScaleProfile::Tiny));
             let c4 = characterize(&(app.build)(4, ScaleProfile::Tiny));
-            let v1 = c1.bytes_touched() as f64;
-            let v4 = c4.bytes_touched() as f64;
+            let lines = |c: &Characterization| (c.lines_loaded + c.lines_stored + c.atomics) as f64;
+            let (v1, v4) = (lines(&c1), lines(&c4));
             // Partitioned work plus halo duplication: within 50 %.
             assert!(
                 v4 > v1 * 0.8 && v4 < v1 * 1.5,

@@ -7,7 +7,7 @@
 //!
 //! * [`types`] — identifiers, addresses, page sizes, scopes, units.
 //! * [`mem`] — TLBs, frame allocators, the wide GPS page table, VA-space
-//!   allocation, access bitmaps, page-residency and resident-set state.
+//!   allocation, access bitmaps and resident-set state.
 //! * [`interconnect`] — PCIe/NVLink fabric models and traffic accounting.
 //! * [`sim`] — the trace-driven multi-GPU timing simulator.
 //! * [`obs`] — cycle-resolved telemetry: probes, time series, span
