@@ -445,9 +445,9 @@ fn cmd_sweep(args: &[String], is_resume: bool) -> Result<(), String> {
         outcome.records.len(),
         match (outcome.corrupt_lines, outcome.migrated) {
             (0, 0) => String::new(),
-            (c, 0) => format!(", {c} torn lines dropped"),
+            (c, 0) => format!(", {c} unreadable lines dropped"),
             (0, m) => format!(", {m} stale keys migrated"),
-            (c, m) => format!(", {c} torn lines dropped, {m} stale keys migrated"),
+            (c, m) => format!(", {c} unreadable lines dropped, {m} stale keys migrated"),
         },
     );
     let quarantined: Vec<_> = outcome
@@ -605,7 +605,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
         println!(
             "wrote {} ({charts} charts{})",
             out.display(),
-            torn_suffix(corrupt)
+            dropped_suffix(corrupt)
         );
         return Ok(());
     }
@@ -681,7 +681,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
                 .iter()
                 .filter(|r| r.status == RunStatus::Quarantined)
                 .count(),
-            torn_suffix(corrupt),
+            dropped_suffix(corrupt),
         );
     }
     // One buffered write; a closed pipe (report | head) is not an error.
@@ -690,10 +690,12 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `", N torn lines dropped"` when a store load skipped lines, else empty.
-fn torn_suffix(corrupt: usize) -> String {
+/// `", N unreadable lines dropped"` when a store load skipped lines that
+/// do not parse as a record (torn writes, or records this build rejects),
+/// else empty.
+fn dropped_suffix(corrupt: usize) -> String {
     if corrupt > 0 {
-        format!(", {corrupt} torn lines dropped")
+        format!(", {corrupt} unreadable lines dropped")
     } else {
         String::new()
     }
@@ -724,7 +726,7 @@ fn cmd_timeline(args: &[String]) -> Result<(), String> {
         "reconstructed {} ({}{})",
         tl.key,
         tl.label,
-        torn_suffix(tl.corrupt_lines)
+        dropped_suffix(tl.corrupt_lines)
     );
     println!(
         "trace   {} ({} events: {} spans, {} counter samples, {} instants)",

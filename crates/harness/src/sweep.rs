@@ -229,7 +229,9 @@ pub struct SweepOutcome {
     pub pending: usize,
     /// Jobs quarantined by this invocation.
     pub quarantined: usize,
-    /// Corrupt (torn) store lines dropped on load.
+    /// Store lines dropped on load because they do not parse as a record:
+    /// torn writes, or well-formed records this build rejects (a pre-v7
+    /// random-victim run).
     pub corrupt_lines: usize,
     /// Completed records carried over from an older `KEY_VERSION`: their
     /// stored key no longer matches the one this build derives, so they

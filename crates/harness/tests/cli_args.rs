@@ -188,3 +188,51 @@ fn valid_superpod_preset_parses_and_a_tiny_slice_runs() {
     assert!(stdout.contains("192 pending"), "{stdout}");
     std::fs::remove_file(&store).ok();
 }
+
+#[test]
+fn unreadable_store_lines_are_counted_not_called_torn() {
+    // One real record, then a torn line and a well-formed record this
+    // build rejects (a pre-v7 random-victim run): both are unreadable,
+    // only the first is torn.
+    let store = temp_store("unreadable");
+    let store_str = store.to_str().expect("utf-8 temp path").to_owned();
+    let sweep = [
+        "sweep",
+        "--store",
+        &store_str,
+        "--apps",
+        "hit",
+        "--paradigms",
+        "gps-oversub",
+        "--gpus",
+        "2",
+        "--scales",
+        "tiny",
+        "--oversubscribe",
+        "1.5",
+        "--quiet",
+    ];
+    assert!(gps_run(&sweep).status.success());
+    let line = std::fs::read_to_string(&store).expect("sweep wrote the store");
+    let key_at = line.find("\"key\":\"").expect("record has a key") + "\"key\":\"".len();
+    let key = &line[key_at..key_at + 32];
+    let random = line.replace(key, &"0".repeat(32)).replace(
+        "\"oversub_pct\":150",
+        "\"oversub_pct\":150,\"victim\":\"random\"",
+    );
+    assert!(random.contains("random"), "replacement must fire");
+    let torn = &line[..line.len() / 2];
+    std::fs::write(&store, format!("{line}{random}{torn}\n")).expect("rewrite store");
+
+    let report = gps_run(&["report", "--store", &store_str]);
+    let stdout = String::from_utf8_lossy(&report.stdout);
+    assert!(
+        stdout.contains("1 records (0 quarantined, 2 unreadable lines dropped)"),
+        "{stdout}"
+    );
+    let resumed = gps_run(&sweep);
+    let stdout = String::from_utf8_lossy(&resumed.stdout);
+    assert!(stdout.contains(", 2 unreadable lines dropped"), "{stdout}");
+    assert!(!stdout.contains("torn"), "{stdout}");
+    std::fs::remove_file(&store).ok();
+}

@@ -1,6 +1,6 @@
 //! The switch-attached multi-GPU fabric.
 
-use gps_obs::{names, ProbeHandle, Track};
+use gps_obs::{names, BucketSums, ProbeHandle, Track};
 use gps_types::{Cycle, GpsError, GpuId, Latency, Result};
 
 use crate::counters::TrafficCounters;
@@ -190,7 +190,10 @@ pub struct Fabric {
     uplink: Vec<BandwidthResource>,
     downlink: Vec<BandwidthResource>,
     counters: TrafficCounters,
-    probe: ProbeHandle,
+    /// Telemetry: bytes out of and into each GPU per bucket since the last
+    /// [`flush_link_telemetry`](Fabric::flush_link_telemetry).
+    egress_sums: Vec<BucketSums>,
+    ingress_sums: Vec<BucketSums>,
 }
 
 /// The leaf switch GPU `index` hangs off in the PCIe-tree topology.
@@ -236,15 +239,34 @@ impl Fabric {
             uplink: (0..leaves).map(|_| BandwidthResource::new(bw)).collect(),
             downlink: (0..leaves).map(|_| BandwidthResource::new(bw)).collect(),
             counters: TrafficCounters::new(config.gpu_count),
-            probe: ProbeHandle::disabled(),
+            egress_sums: vec![BucketSums::default(); config.gpu_count],
+            ingress_sums: vec![BucketSums::default(); config.gpu_count],
         }
     }
 
-    /// Attaches a telemetry probe: every transfer emits
-    /// `link_egress_bytes` on the source GPU's track and
-    /// `link_ingress_bytes` on the destination's.
-    pub fn set_probe(&mut self, probe: ProbeHandle) {
-        self.probe = probe;
+    /// Starts summing every GPU's egress and ingress bytes per telemetry
+    /// bucket, for [`flush_link_telemetry`](Fabric::flush_link_telemetry).
+    pub fn enable_telemetry(&mut self) {
+        for sums in self.egress_sums.iter_mut().chain(&mut self.ingress_sums) {
+            *sums = BucketSums::enabled();
+        }
+    }
+
+    /// Emits each GPU's link bytes since the last flush as
+    /// `link_egress_bytes` / `link_ingress_bytes` counters on its track
+    /// (a transfer counts at its request time on both endpoints), one
+    /// call per touched bucket.
+    pub fn flush_link_telemetry(&mut self, probe: &ProbeHandle) {
+        for (g, sums) in self.egress_sums.iter_mut().enumerate() {
+            for (at, bytes) in sums.drain() {
+                probe.counter(Track::gpu(g), names::LINK_EGRESS_BYTES, at, bytes as f64);
+            }
+        }
+        for (g, sums) in self.ingress_sums.iter_mut().enumerate() {
+            for (at, bytes) in sums.drain() {
+                probe.counter(Track::gpu(g), names::LINK_INGRESS_BYTES, at, bytes as f64);
+            }
+        }
     }
 
     /// The fabric configuration.
@@ -262,20 +284,16 @@ impl Fabric {
         &self.counters
     }
 
-    fn emit_transfer(&self, src: GpuId, dst: GpuId, bytes: u64, now: Cycle) {
-        let bytes = bytes as f64;
-        self.probe.counter(
-            Track::gpu(src.index()),
-            names::LINK_EGRESS_BYTES,
-            now,
-            bytes,
-        );
-        self.probe.counter(
-            Track::gpu(dst.index()),
-            names::LINK_INGRESS_BYTES,
-            now,
-            bytes,
-        );
+    /// Counts one booked transfer in the traffic counters and the link
+    /// telemetry sums.
+    fn count_transfer(&mut self, src: GpuId, dst: GpuId, bytes: u64, now: Cycle) {
+        self.counters.record(src, dst, bytes);
+        if let Some(sums) = self.egress_sums.get_mut(src.index()) {
+            sums.add(now, bytes);
+        }
+        if let Some(sums) = self.ingress_sums.get_mut(dst.index()) {
+            sums.add(now, bytes);
+        }
     }
 
     fn check(&self, gpu: GpuId) -> Result<()> {
@@ -316,8 +334,7 @@ impl Fabric {
                 // traversal time on top of the wire latency.
                 let (egress_start, _egress_end) = self.egress[src.index()].book_from(bytes, now);
                 let (_, ingress_end) = self.ingress[dst.index()].book_from(bytes, egress_start);
-                self.counters.record(src, dst, bytes);
-                self.emit_transfer(src, dst, bytes, now);
+                self.count_transfer(src, dst, bytes, now);
                 let latency = if self.config.topology == Topology::NvSwitch
                     && self.config.link.latency() != Latency::ZERO
                 {
@@ -347,8 +364,7 @@ impl Fabric {
                     (down_start, 2)
                 };
                 let (_, ingress_end) = self.ingress[dst.index()].book_from(bytes, before_ingress);
-                self.counters.record(src, dst, bytes);
-                self.emit_transfer(src, dst, bytes, now);
+                self.count_transfer(src, dst, bytes, now);
                 Ok(Transfer {
                     departed: ingress_end,
                     arrived: ingress_end + self.config.link.latency() * hops,
@@ -375,8 +391,7 @@ impl Fabric {
                         self.ccw[(node + 1) % n].book(bytes, at)
                     } + self.config.link.latency();
                 }
-                self.counters.record(src, dst, bytes);
-                self.emit_transfer(src, dst, bytes, now);
+                self.count_transfer(src, dst, bytes, now);
                 Ok(Transfer {
                     departed: at,
                     arrived: at,

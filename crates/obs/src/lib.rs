@@ -18,6 +18,14 @@
 //! observe copies of already-computed values and never feed back into the
 //! simulation, so enabling one cannot change a `SimReport`.
 //!
+//! Counters that tick on every simulated access (TLB lookups, DRAM and
+//! link bytes) skip the handle: their owners sum them per bucket in
+//! [`BucketSums`], and the engine hands the sums to the run's probe once
+//! per phase, one counter call per touched bucket. The recorded series
+//! are the same numbers (see [`BucketSums`] for why), but a streaming
+//! sink attached to a simulator run sees those bucket sums at phase ends
+//! instead of one call per access.
+//!
 //! A handle fans out to an in-memory [`Recorder`], to streaming [`Sink`]s
 //! that write incrementally through a caller-supplied `io::Write`
 //! ([`JsonlSink`], [`ChromeTraceSink`]), or to both at once. A finished
@@ -44,5 +52,5 @@ pub use recorder::{
     HistData, Recorder, SeriesData, SeriesKind, Telemetry, BUCKET_CYCLES, SPAN_CAPACITY,
 };
 pub use ring::{EventRing, SpanEvent};
-pub use series::TimeSeries;
+pub use series::{BucketSums, TimeSeries};
 pub use sink::{ChromeTraceSink, JsonlSink, Sink};

@@ -65,6 +65,12 @@ impl Track {
 /// feed back into it — the instrumented components call sinks with copies
 /// of already-computed values and ignore any sink state. Enabling a probe
 /// therefore cannot perturb a `SimReport`.
+///
+/// Not every counter arrives one call per event: the simulator's TLB,
+/// DRAM and link counters are summed per bucket by their owners
+/// ([`BucketSums`](crate::BucketSums)) and arrive as one
+/// [`counter`](Probe::counter) call per touched bucket at each phase end,
+/// stamped with the bucket's start.
 pub trait Probe: Send {
     /// Adds `delta` to the cycle-bucketed counter series `name` on `track`
     /// at time `now` (monotone accumulations: bytes moved, misses taken).

@@ -1,7 +1,7 @@
 //! Device-memory (HBM) timing model.
 
 use gps_interconnect::BandwidthResource;
-use gps_obs::{names, ProbeHandle, Track};
+use gps_obs::{names, BucketSums, ProbeHandle, Track};
 use gps_types::{Bandwidth, Cycle, Latency};
 
 /// One GPU's device memory: a bandwidth resource plus a fixed access
@@ -29,8 +29,10 @@ pub struct DramModel {
     latency: Latency,
     read_bytes: u64,
     write_bytes: u64,
-    probe: ProbeHandle,
-    track: Track,
+    /// Telemetry: bytes read and written per bucket since the last
+    /// [`flush_telemetry`](DramModel::flush_telemetry).
+    read_sums: BucketSums,
+    write_sums: BucketSums,
 }
 
 impl DramModel {
@@ -41,32 +43,42 @@ impl DramModel {
             latency,
             read_bytes: 0,
             write_bytes: 0,
-            probe: ProbeHandle::disabled(),
-            track: Track::SYSTEM,
+            read_sums: BucketSums::default(),
+            write_sums: BucketSums::default(),
         }
     }
 
-    /// Attaches a telemetry probe: reads and writes emit
-    /// `dram_read_bytes` / `dram_write_bytes` counters on `track`.
-    pub fn set_probe(&mut self, probe: ProbeHandle, track: Track) {
-        self.probe = probe;
-        self.track = track;
+    /// Starts summing read and write bytes per telemetry bucket, for
+    /// [`flush_telemetry`](DramModel::flush_telemetry).
+    pub fn enable_telemetry(&mut self) {
+        self.read_sums = BucketSums::enabled();
+        self.write_sums = BucketSums::enabled();
+    }
+
+    /// Emits the bytes read and written since the last flush as
+    /// `dram_read_bytes` / `dram_write_bytes` counters on `track`, one
+    /// call per touched bucket.
+    pub fn flush_telemetry(&mut self, probe: &ProbeHandle, track: Track) {
+        for (at, bytes) in self.read_sums.drain() {
+            probe.counter(track, names::DRAM_READ_BYTES, at, bytes as f64);
+        }
+        for (at, bytes) in self.write_sums.drain() {
+            probe.counter(track, names::DRAM_WRITE_BYTES, at, bytes as f64);
+        }
     }
 
     /// Books a read of `bytes` issued at `now`; returns when the data is
     /// available.
     pub fn read(&mut self, bytes: u64, now: Cycle) -> Cycle {
         self.read_bytes += bytes;
-        self.probe
-            .counter(self.track, names::DRAM_READ_BYTES, now, bytes as f64);
+        self.read_sums.add(now, bytes);
         self.channel.book(bytes, now) + self.latency
     }
 
     /// Books a write of `bytes` issued at `now` (fire-and-forget).
     pub fn write(&mut self, bytes: u64, now: Cycle) {
         self.write_bytes += bytes;
-        self.probe
-            .counter(self.track, names::DRAM_WRITE_BYTES, now, bytes as f64);
+        self.write_sums.add(now, bytes);
         let _ = self.channel.book(bytes, now);
     }
 

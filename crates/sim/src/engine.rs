@@ -32,7 +32,7 @@ use std::collections::VecDeque;
 
 use gps_interconnect::LinkGen;
 use gps_mem::{Tlb, TlbConfig};
-use gps_obs::ProbeHandle;
+use gps_obs::{BucketSums, ProbeHandle};
 use gps_types::{Cycle, GpsError, GpuId, LineAddr, Result, CACHE_LINE_BYTES};
 
 use crate::cache::{Cache, CacheConfig, Lookup};
@@ -88,6 +88,10 @@ pub(crate) struct GpuState {
     pub(crate) l2: Cache,
     pub(crate) dram: DramModel,
     pub(crate) tlb: Tlb<()>,
+    /// Telemetry: TLB hits and misses per bucket since the lane's last
+    /// flush.
+    pub(crate) tlb_hit_sums: BucketSums,
+    pub(crate) tlb_miss_sums: BucketSums,
     /// Next time the shared page walker can start a new walk.
     pub(crate) walker_free: Cycle,
     pub(crate) instructions: u64,
@@ -131,6 +135,8 @@ impl GpuState {
             l2: Cache::new(CacheConfig::new(gpu_cfg.l2_bytes, gpu_cfg.l2_assoc)),
             dram: DramModel::new(gpu_cfg.dram_bandwidth, gpu_cfg.dram_latency),
             tlb: Tlb::new(tlb_cfg),
+            tlb_hit_sums: BucketSums::default(),
+            tlb_miss_sums: BucketSums::default(),
             walker_free: Cycle::ZERO,
             instructions: 0,
             warps_done: 0,
@@ -140,6 +146,13 @@ impl GpuState {
             done: None,
             pending_kernel: None,
         }
+    }
+
+    /// Starts summing TLB and DRAM telemetry per bucket.
+    pub(crate) fn enable_telemetry(&mut self) {
+        self.tlb_hit_sums = BucketSums::enabled();
+        self.tlb_miss_sums = BucketSums::enabled();
+        self.dram.enable_telemetry();
     }
 
     /// Snapshot of this GPU's counters for the final report.

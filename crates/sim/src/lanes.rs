@@ -79,19 +79,29 @@
 //! bit-identical for 1 vs `N` workers (pinned by tests), whichever chunk
 //! a lane lands in. A panicking drain reaches the caller at the join.
 //!
-//! Telemetry: each per-GPU lane buffers its probe emissions tagged with
-//! the event time ([`ProbeHandle::buffering`]). At each phase end the
-//! coordinator passes every lane's handle to the run's probe in one
-//! [`ProbeHandle::replay_merged`] call, which k-way merges the buffers by
-//! `(tag, lane, queue position)` and replays them under one lock, so
-//! `--telemetry` output is independent of lane interleaving. The reference
-//! lane emits straight into the run's probe and buffers nothing.
+//! Telemetry: the per-access counters never touch a probe mid-phase.
+//! Each lane sums its GPUs' TLB hits and misses, each [`DramModel`] its
+//! read and write bytes, and the coordinator's fabric its per-GPU link
+//! bytes, per bucket ([`BucketSums`]). At each phase end, after the join,
+//! the coordinator flushes the lanes' sums into the run's probe, then the
+//! fabric's once the policy's phase hook has booked its transfers: one
+//! counter call per touched bucket, so a streaming sink sees bucket sums
+//! rather than accesses. Sums do not depend on order. Every other
+//! emission of a per-GPU lane (router RWQ/ATU series, kernel spans) is
+//! buffered, tagged with the event time ([`ProbeHandle::buffering`]); at
+//! the same phase end the coordinator passes every lane's handle to the
+//! run's probe in one [`ProbeHandle::replay_merged`] call, which k-way
+//! merges the buffers by `(tag, lane, queue position)` and replays them
+//! under one lock, so `--telemetry` output is independent of lane
+//! interleaving. The reference lane emits those straight into the run's
+//! probe and buffers nothing.
 //!
 //! [`MemoryPolicy::lane_mode`]: crate::MemoryPolicy::lane_mode
 //! [`MemoryPolicy::lane_barrier`]: crate::MemoryPolicy::lane_barrier
 //! [`LaneMode::PureLocal`]: crate::LaneMode::PureLocal
 //! [`LaneMode::Epochs`]: crate::LaneMode::Epochs
 //! [`LaneMode::Fallback`]: crate::LaneMode::Fallback
+//! [`BucketSums`]: gps_obs::BucketSums
 //! [`LaneRouter`]: crate::LaneRouter
 //! [`LaneRouter::flush`]: crate::LaneRouter::flush
 //! [`SimReport`]: crate::SimReport
@@ -294,10 +304,12 @@ impl Lane {
         probe: ProbeHandle,
         buffered: bool,
     ) -> Self {
-        let gpus = (first..first + count)
-            .map(|g| {
+        let gpus = (0..count)
+            .map(|_| {
                 let mut gpu = GpuState::new(config);
-                gpu.dram.set_probe(probe.clone(), Track::gpu(g));
+                if probe.is_enabled() {
+                    gpu.enable_telemetry();
+                }
                 gpu
             })
             .collect();
@@ -514,10 +526,10 @@ impl Lane {
         let gpu = &mut self.gpus[lg];
         let vpn = line.vpn(ctx.config.page_size);
         if gpu.tlb.lookup(vpn).is_some() {
-            self.probe.counter(Track::gpu(g), names::TLB_HIT, t0, 1.0);
+            gpu.tlb_hit_sums.add(t0, 1);
             return t0;
         }
-        self.probe.counter(Track::gpu(g), names::TLB_MISS, t0, 1.0);
+        gpu.tlb_miss_sums.add(t0, 1);
         gpu.tlb.insert(vpn, ());
         // Walks serialise on the GPU's shared page walker.
         let start = gpu.walker_free.max(t0);
@@ -617,6 +629,21 @@ impl Lane {
                 l2_write(gpu, line, gpu_id, at);
                 Some(at)
             }
+        }
+    }
+
+    /// Emits every owned GPU's TLB and DRAM sums since the last flush
+    /// into the run's `probe`.
+    fn flush_telemetry(&mut self, probe: &ProbeHandle) {
+        for (lg, gpu) in self.gpus.iter_mut().enumerate() {
+            let track = Track::gpu(self.first + lg);
+            for (at, hits) in gpu.tlb_hit_sums.drain() {
+                probe.counter(track, names::TLB_HIT, at, hits as f64);
+            }
+            for (at, misses) in gpu.tlb_miss_sums.drain() {
+                probe.counter(track, names::TLB_MISS, at, misses as f64);
+            }
+            gpu.dram.flush_telemetry(probe, track);
         }
     }
 
@@ -769,12 +796,6 @@ fn resolve_suspended(
     if lanes.iter().all(|l| l.suspended.is_empty()) {
         return;
     }
-    // DRAM/fabric emissions of barrier work land in the owner lanes'
-    // buffers; tag them with the window end so the merge stays ordered.
-    for lane in lanes.iter().filter(|l| l.buffered) {
-        lane.probe.set_tag(window_end);
-    }
-
     struct Req {
         key: (u64, usize, usize, usize),
         lane: usize,
@@ -923,7 +944,9 @@ pub(crate) fn run(engine: Engine<'_>) -> SimReport {
             .with_topology(config.topology)
             .with_bandwidth_share(config.tenants.max(1)),
     );
-    fabric.set_probe(probe.clone());
+    if telemetry {
+        fabric.enable_telemetry();
+    }
 
     policy.attach_probe(probe.clone());
     policy.init(workload, &config);
@@ -1087,6 +1110,9 @@ fn run_phases(
             .unwrap_or(phase_start);
 
         if telemetry {
+            for lane in lanes.iter_mut() {
+                lane.flush_telemetry(master_probe);
+            }
             master_probe.replay_merged(lanes.iter().map(|l| &l.probe));
         }
 
@@ -1110,6 +1136,8 @@ fn run_phases(
             policy.lane_phase_sync(&mut routers);
         }
         if telemetry {
+            // After the phase hook: barrier publishes book transfers there.
+            fabric.flush_link_telemetry(master_probe);
             master_probe.span(
                 Track::SYSTEM,
                 &format!("phase {phase_idx}"),
